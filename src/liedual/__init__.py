@@ -12,7 +12,7 @@ from .commalg import (BudgetExceeded, HilbertSeries, Ideal, PolyRing,
                       smith_normal_form, invariant_factors)
 from .centralizer import (BadPrimeError, BorelCoordinates,
                           CentralizerPresentation, EquivariantElement,
-                          borel_adjoint, brute_force_group_check, build_eT,
+                          brute_force_group_check, build_eT,
                           centralizer_ideal, compute_nG,
                           coproduct_on_generators, f_form,
                           localization_restriction, present_centralizer,

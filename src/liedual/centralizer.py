@@ -9,14 +9,15 @@ the positive roots in (height, lex) order; u_alpha carries degree
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product as iter_product
 from math import gcd
 
-from .chevalley import (LieElement, ad_kernel_dim, bracket, build_chevalley,
-                        principal_e)
-from .commalg import (HilbertSeries, Ideal, PolyRing, groebner_basis,
-                      hilbert_series, ideal_dimension, normal_form)
-from .intlinalg import mat_vec
+from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
+from .commalg import (HilbertSeries, Ideal, PolyRing, Polynomial,
+                      groebner_basis, hilbert_series, ideal_dimension,
+                      normal_form)
+from .intlinalg import LinSpan, determinant, identity, mat_mul, mat_vec
 from .rings import GF, QQ, ZZ
 
 
@@ -29,7 +30,7 @@ class PeelingError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# divided powers of ad(x_alpha) and the adjoint of exp / torus
+# divided powers of ad(x_alpha) and the adjoint action of exp
 
 
 def ad_exp_layers(basis, root_coeffs):
@@ -39,149 +40,47 @@ def ad_exp_layers(basis, root_coeffs):
         return cache[root_coeffs]
     x = LieElement(basis, {("x", root_coeffs): 1}, ZZ)
     A = basis.ad_matrix(x)
-    n = basis.dim
-    layers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    layers = [identity(basis.dim)]
     k = 0
-    cur = layers[0]
     while True:
         k += 1
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for t in range(n):
-                a = A[i][t]
-                if a:
-                    row = cur[t]
-                    out = nxt[i]
-                    for j in range(n):
-                        if row[j]:
-                            out[j] += a * row[j]
+        nxt = mat_mul(A, layers[-1], ZZ)
         # divide by k (building ad^k/k! from ad^{k-1}/(k-1)!)
         done = True
-        for i in range(n):
-            for j in range(n):
-                if nxt[i][j]:
-                    q, r = divmod(nxt[i][j], k)
+        for row in nxt:
+            for j, c in enumerate(row):
+                if c:
+                    q, r = divmod(c, k)
                     if r:
                         raise AssertionError(
                             f"non-integral divided power at root {root_coeffs}")
-                    nxt[i][j] = q
+                    row[j] = q
                     done = False
         if done:
             break
         layers.append(nxt)
-        cur = nxt
     cache[root_coeffs] = layers
     return layers
 
 
-# Scalar domains let the same matrix code run on field elements mod p and
-# on sparse polynomials.
-
-class ModP:
-    def __init__(self, p):
-        self.p = p
-
-    def zero(self):
-        return 0
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def int_mul(self, n, a):
-        return (n * a) % self.p
-
-    def div_int(self, a, n):
-        n %= self.p
-        if n == 0:
-            raise ZeroDivisionError("division by a non-unit integer")
-        return a * pow(n, -1, self.p) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-
-class PolyDomain:
-    def __init__(self, ring):
-        self.ring = ring
-
-    def zero(self):
-        return self.ring.zero()
-
-    def from_int(self, n):
-        return self.ring.const(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def int_mul(self, n, a):
-        return a.scale(n)
-
-    def div_int(self, a, n):
-        c = self.ring.coeff.coerce(n)
-        if not self.ring.coeff.is_unit(c):
-            raise ZeroDivisionError("division by a non-unit integer")
-        return a.scale(self.ring.coeff.div(self.ring.coeff.coerce(1), c))
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-
-def dmat_mul(dom, A, B):
-    n = len(A)
-    out = [[dom.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            a = A[i][t]
-            if dom.is_zero(a):
-                continue
-            for j in range(n):
-                if not dom.is_zero(B[t][j]):
-                    out[i][j] = dom.add(out[i][j], dom.mul(a, B[t][j]))
-    return out
-
-
-def dmat_vec(dom, A, v):
-    n = len(A)
-    out = [dom.zero()] * n
-    for i in range(n):
-        acc = dom.zero()
-        for j in range(n):
-            if not dom.is_zero(A[i][j]) and not dom.is_zero(v[j]):
-                acc = dom.add(acc, dom.mul(A[i][j], v[j]))
-        out[i] = acc
-    return out
-
-
-def exp_adjoint(basis, root_coeffs, u, dom):
-    """Matrix of Ad(exp(u * x_root)) over the scalar domain."""
-    layers = ad_exp_layers(basis, root_coeffs)
+def exp_adjoint(basis, root_coeffs, u, ring):
+    """Matrix of Ad(exp(u * x_root)) = sum_k u^k ad(x_root)^k / k! over the ring."""
     n = basis.dim
-    out = [[dom.zero()] * n for _ in range(n)]
-    upow = dom.from_int(1)
-    for k, M in enumerate(layers):
+    zero = ring.coerce(0)
+    out = [[zero] * n for _ in range(n)]
+    upow = ring.coerce(1)
+    for k, M in enumerate(ad_exp_layers(basis, root_coeffs)):
         if k == 1:
             upow = u
         elif k > 1:
-            upow = dom.mul(upow, u)
-        for i in range(n):
-            for j in range(n):
-                if M[i][j]:
-                    out[i][j] = dom.add(out[i][j], dom.int_mul(M[i][j], upow))
+            upow = ring.mul(upow, u)
+        multiples = {}      # integer entry c -> c * u^k
+        for i, row in enumerate(M):
+            for j, c in enumerate(row):
+                if c:
+                    if c not in multiples:
+                        multiples[c] = ring.mul(ring.coerce(c), upow)
+                    out[i][j] = ring.add(out[i][j], multiples[c])
     return out
 
 
@@ -217,42 +116,14 @@ class BorelCoordinates:
         return out
 
     def unipotent_adjoint(self, ring=None, uvals=None):
-        """Ad(prod exp(u_alpha x_alpha)) over a polynomial ring."""
+        """Ad(prod exp(u_alpha x_alpha)) over a ring, the polynomial ring of
+        the u's unless given; uvals default to that ring's u variables."""
         ring = ring or self.uring
-        dom = PolyDomain(ring)
         if uvals is None:
             uvals = [ring.gen(nm) for nm in self.u_names]
-        M = None
-        for rt, u in zip(self.pos, uvals):
-            E = exp_adjoint(self.basis, rt.coeffs, u, dom)
-            M = E if M is None else dmat_mul(dom, M, E)
-        if M is None:
-            M = [[dom.from_int(int(i == j)) for j in range(self.basis.dim)]
-                 for i in range(self.basis.dim)]
-        return M
-
-    def torus_adjoint(self, ring=None):
-        """Ad(t): diagonal, alpha(t) on each root space and 1 on the h's."""
-        ring = ring or self.bring
-        dim = self.basis.dim
-        M = [[ring.zero() for _ in range(dim)] for _ in range(dim)]
-        for k in range(self.n):
-            M[k][k] = ring.one()
-        for rt in self.basis.roots:
-            i = self.basis.key_index(("x", rt.coeffs))
-            M[i][i] = self.root_weight_monomial(rt, ring)
-        return M
-
-    def borel_adjoint(self):
-        """Full Ad(b) over the Laurent-style ring (z*zi = 1 is separate)."""
-        dom = PolyDomain(self.bring)
-        U = self.unipotent_adjoint(ring=self.bring,
-                                   uvals=[self.bring.gen(nm) for nm in self.u_names])
-        return dmat_mul(dom, self.torus_adjoint(), U)
-
-
-def borel_adjoint(coords, basis=None):
-    return coords.borel_adjoint()
+        return reduce(partial(mat_mul, ring=ring),
+                      (exp_adjoint(self.basis, rt.coeffs, u, ring)
+                       for rt, u in zip(self.pos, uvals)))
 
 
 # ----------------------------------------------------------------------
@@ -296,27 +167,18 @@ def centralizer_ideal(e_like, coords):
                 for k in simple_keys)
     if units:
         ring = coords.uring
-        dom = PolyDomain(ring)
-        v = dmat_vec(dom, coords.unipotent_adjoint(), _lie_vector(e_like, ring))
         target = _lie_vector(e_like, ring)
-        gens = []
-        for i in range(basis.dim):
-            g = v[i] - target[i]
-            if not g.is_zero():
-                gens.append(g)
-        return CentralizerIdeal(Ideal(ring, gens), "unipotent", g_center, coords)
+        v = mat_vec(coords.unipotent_adjoint(), target, ring)
+        return CentralizerIdeal(Ideal(ring, [a - b for a, b in zip(v, target)]),
+                                "unipotent", g_center, coords)
     # bad prime: keep the torus variables, normalising by unit monomials
     ring = coords.bring
-    dom = PolyDomain(ring)
-    v = dmat_vec(dom, coords.unipotent_adjoint(
-        ring=ring, uvals=[ring.gen(nm) for nm in coords.u_names]),
-        _lie_vector(e_like, ring))
+    target = _lie_vector(e_like, ring)
+    v = mat_vec(coords.unipotent_adjoint(ring), target, ring)
     gens = []
     for rt in basis.roots:
         i = basis.key_index(("x", rt.coeffs))
-        g = coords.root_weight_monomial(rt, ring) * v[i] - _lie_vector(e_like, ring)[i]
-        if not g.is_zero():
-            gens.append(g)
+        gens.append(coords.root_weight_monomial(rt, ring) * v[i] - target[i])
     for k in range(coords.n):
         gens.append(ring.gen(coords.z_names[k]) * ring.gen(coords.zi_names[k])
                     - ring.one())
@@ -387,12 +249,9 @@ def _equivariant_ideal(eT, coords):
              + coords.u_names)
     weights = [2] * n + [1] * (2 * n) + coords.u_weights
     ring = PolyRing(coords.coeff, names, weights)
-    dom = PolyDomain(ring)
     a_polys = [ring.gen(nm) for nm in eT.a_names]
     target = _eT_vector(eT, ring, a_polys)
-    U = coords.unipotent_adjoint(ring=ring,
-                                 uvals=[ring.gen(nm) for nm in coords.u_names])
-    v = dmat_vec(dom, U, target)
+    v = mat_vec(coords.unipotent_adjoint(ring), target, ring)
     # apply Ad(t): scale each root component by alpha(t), h components fixed
     gens = []
     for i in range(basis.dim):
@@ -401,8 +260,7 @@ def _equivariant_ideal(eT, coords):
         else:
             rt = basis.roots[i - n]
             g = coords.root_weight_monomial(rt, ring) * v[i] - target[i]
-        if not g.is_zero():
-            gens.append(g)
+        gens.append(g)
     for k in range(n):
         gens.append(ring.gen(coords.z_names[k]) * ring.gen(coords.zi_names[k])
                     - ring.one())
@@ -430,7 +288,8 @@ def specialize_eT(eT, s):
     char = _char_poly(basis.ad_matrix(elem))
     r = eT.datum.rank
     # t^r always divides the ad-characteristic polynomial
-    assert all(c == 0 for c in char[:r]), "0-multiplicity below the rank"
+    if any(char[:r]):
+        raise AssertionError("0-multiplicity below the rank")
     q = char[r:]
     # verdict: kernel of rank size, nonzero part separable and invertible,
     # decided by Euclidean gcd; the Sylvester-resultant discriminant below
@@ -474,11 +333,9 @@ def _char_poly(M):
     # Faddeev-LeVerrier
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    N = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    MN = M
+    N = identity(n, QQ)
     for k in range(1, n + 1):
-        MN = [[sum(M[i][t] * N[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
+        MN = mat_mul(M, N)
         c = -sum(MN[i][i] for i in range(n)) / k
         coeffs[n - k] = c
         N = [[MN[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
@@ -517,27 +374,7 @@ def _resultant(a, b):
     for i in range(m):
         for k, c in enumerate(reversed(b)):
             S[n + i][i + k] = Fraction(c)
-    return _det(S)
-
-
-def _det(S):
-    S = [row[:] for row in S]
-    n = len(S)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if S[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            S[col], S[piv] = S[piv], S[col]
-            det = -det
-        det *= S[col][col]
-        inv = 1 / S[col][col]
-        for r in range(col + 1, n):
-            if S[r][col]:
-                f = S[r][col] * inv
-                S[r] = [x - f * y for x, y in zip(S[r], S[col])]
-    return det
+    return determinant(S)
 
 
 def localization_restriction(d, lam):
@@ -555,111 +392,33 @@ def localization_restriction(d, lam):
 
 
 # ----------------------------------------------------------------------
-# linear algebra over a field on sparse dict-vectors
+# monomials by degree
 
 
-class LinSpan:
-    """Row space with pivots, over a field ring; vectors are dicts."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.rows = {}      # pivot key -> (vector dict, combo dict)
-
-    def _reduce(self, vec, combo):
-        R = self.ring
-        zero = R.coerce(0)
-        vec = {k: v for k, v in vec.items() if v != zero}
-        while True:
-            hit = None
-            for k in vec:
-                if k in self.rows:
-                    hit = k
-                    break
-            if hit is None:
-                return vec, combo
-            row, rcombo = self.rows[hit]
-            f = R.div(vec[hit], row[hit])
-            for k2, v2 in row.items():
-                nv = R.sub(vec.get(k2, zero), R.mul(f, v2))
-                if nv == zero:
-                    vec.pop(k2, None)
-                else:
-                    vec[k2] = nv
-            if combo is not None:
-                for k2, v2 in rcombo.items():
-                    nv = R.sub(combo.get(k2, zero), R.mul(f, v2))
-                    if nv == zero:
-                        combo.pop(k2, None)
-                    else:
-                        combo[k2] = nv
-
-    def add(self, vec, tag=None):
-        """Insert; returns False if dependent.  combo tracks expressions."""
-        combo = {tag: self.ring.coerce(1)} if tag is not None else None
-        vec, combo = self._reduce(dict(vec), combo)
-        if not vec:
-            return False
-        pivot = max(vec)
-        self.rows[pivot] = (vec, combo or {})
-        return True
-
-    def contains(self, vec):
-        red, _ = self._reduce(dict(vec), None)
-        return not red
-
-    def express(self, vec):
-        """Write vec as a combination of inserted rows; tag -> coefficient."""
-        R = self.ring
-        zero = R.coerce(0)
-        vec = {k: v for k, v in vec.items() if v != zero}
-        out = {}
-        while vec:
-            pivot = max(vec)
-            if pivot not in self.rows:
-                return None
-            row, rcombo = self.rows[pivot]
-            f = R.div(vec[pivot], row[pivot])
-            for k2, v2 in row.items():
-                nv = R.sub(vec.get(k2, zero), R.mul(f, v2))
-                if nv == zero:
-                    vec.pop(k2, None)
-                else:
-                    vec[k2] = nv
-            for t, v2 in rcombo.items():
-                nv = R.add(out.get(t, zero), R.mul(f, v2))
-                if nv == zero:
-                    out.pop(t, None)
-                else:
-                    out[t] = nv
-        return out
-
-    def rank(self):
-        return len(self.rows)
-
-
-def monomials_of_degree(ring, D):
-    """Exponent tuples of weighted degree exactly D, deterministic order."""
-    out = []
-
-    def rec(i, rem, cur):
-        if i == ring.nvars:
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        w = ring.weights[i]
-        e = 0
-        while e * w <= rem:
-            rec(i + 1, rem - e * w, cur + [e])
-            e += 1
-    rec(0, D, [])
-    out.sort(key=ring.mono_cmp_key)
-    return out
+def monomials_of_degree(weights, D):
+    """Exponent tuples of weighted degree exactly D, largest first in the
+    term order: within one degree, increasing order of the reversed tuple."""
+    if not weights:
+        return [] if D else [()]
+    *head, w = weights
+    if not head:
+        return [] if D % w else [(D // w,)]
+    return [m + (e,) for e in range(D // w + 1)
+            for m in monomials_of_degree(head, D - e * w)]
 
 
 def standard_monomials(ring, gb, D):
     leads = [g.leading_monomial() for g in gb]
-    return [m for m in monomials_of_degree(ring, D)
+    return [m for m in monomials_of_degree(ring.weights, D)
             if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)]
+
+
+def _power_product(m, factors, p):
+    """p * prod factors[i]^m[i], one factor at a time."""
+    for f, e in zip(factors, m):
+        for _ in range(e):
+            p = p * f
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -716,7 +475,8 @@ def present_centralizer(d, ring, truncation=40, budget=200000):
     coords = BorelCoordinates(basis, ring)
     e = principal_e(basis, d, ring)
     cid = centralizer_ideal(e, coords)
-    assert cid.mode == "unipotent"
+    if cid.mode != "unipotent":
+        raise AssertionError("unit simple coefficients must give a unipotent ideal")
     gb = cid.ideal.groebner(budget)
     krull = cid.ideal.ring.nvars if not gb else ideal_dimension(gb)
     hs_u = hilbert_series(gb, ring=cid.ideal.ring, truncation=truncation,
@@ -741,12 +501,8 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
         if not sm:
             continue
         span = LinSpan(ring)
-        for combo in _products_of_degree([dg for _, dg in gens], D):
-            p = uring.one()
-            for idx, e in enumerate(combo):
-                for _ in range(e):
-                    p = normal_form(p * reps[idx], gb)
-            span.add(p.terms)
+        for combo in monomials_of_degree([dg for _, dg in gens], D):
+            span.add(_normal_product(combo, reps, uring, gb).terms)
         for m in sm:
             vec = {m: ring.coerce(1)}
             if not span.contains(vec):
@@ -758,7 +514,7 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
     # relations: kernel of gen_ring -> quotient, minimalised degree by degree
     rels = []
     for D in range(2, truncation + 1, 2):
-        monos = monomials_of_degree(gen_ring, D)
+        monos = monomials_of_degree(gen_ring.weights, D)
         if not monos:
             continue
         # multiples of existing relations in this degree
@@ -767,7 +523,7 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
             rd = rel.total_degree()
             if rd > D:
                 continue
-            for m in monomials_of_degree(gen_ring, D - rd):
+            for m in monomials_of_degree(gen_ring.weights, D - rd):
                 prod = gen_ring.monomial(m) * rel
                 old.add(prod.terms)
         # kernel vectors via tagged elimination: image keys (1, mono) sort
@@ -775,10 +531,7 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
         # exactly the linear dependencies among the images
         span = LinSpan(ring)
         for m in monos:
-            p = uring.one()
-            for idx, e in enumerate(m):
-                for _ in range(e):
-                    p = normal_form(p * reps[idx], gb)
+            p = _normal_product(m, reps, uring, gb)
             vec = {(1, mm): c for mm, c in p.terms.items()}
             vec[(0, m)] = ring.coerce(1)
             span.add(vec)
@@ -797,38 +550,27 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
                                  is_groebner=True)
     else:
         hs_pres = hilbert_series([], ring=gen_ring, truncation=truncation)
-    assert hs_pres.coeffs == hs_u.coeffs, \
-        "presentation does not reproduce the quotient Hilbert series"
+    if hs_pres.coeffs != hs_u.coeffs:
+        raise AssertionError(
+            "presentation does not reproduce the quotient Hilbert series")
     return gens, reps, gen_ring, rels
 
 
-def _products_of_degree(degrees, D):
-    """Exponent tuples over the generator list with weighted degree D.
-
-    Excludes the pure generators themselves only implicitly: all tuples are
-    returned, including single-variable ones of lower-degree generators.
-    """
-    out = []
-
-    def rec(i, rem, cur):
-        if i == len(degrees):
-            if rem == 0:
-                out.append(tuple(cur))
-            return
-        e = 0
-        while e * degrees[i] <= rem:
-            rec(i + 1, rem - e * degrees[i], cur + [e])
-            e += 1
-    rec(0, D, [])
-    return out
+def _normal_product(m, reps, uring, gb):
+    """Normal form of prod reps[i]^m[i], reduced after every factor."""
+    p = uring.one()
+    for rep, e in zip(reps, m):
+        for _ in range(e):
+            p = normal_form(p * rep, gb)
+    return p
 
 
 # ----------------------------------------------------------------------
 # unipotent coordinate peeling and the brute-force group check
 
 
-def peel_unipotent(coords, M, dom):
-    """Recover canonical coordinates u_alpha from a matrix Ad(U).
+def peel_unipotent(coords, M, ring):
+    """Recover canonical coordinates u_alpha from a matrix Ad(U) over the ring.
 
     Processes positive roots in order; at each step reads u_alpha either
     from the h-component of M x_{-alpha} (equal to u_alpha h_alpha) or from
@@ -843,41 +585,29 @@ def peel_unipotent(coords, M, dom):
         u = None
         # route A: h-component of M applied to x_{-alpha}
         col = basis.key_index(("x", tuple(-c for c in rt.coeffs)))
-        h_alpha = basis.coroot_h(rt.coeffs)
-        for k in range(n):
-            if _int_unit(dom, h_alpha[k]):
-                u = dom.div_int(M[k][col], h_alpha[k])
+        for k, h in enumerate(basis.coroot_h(rt.coeffs)):
+            h = ring.coerce(h)
+            if ring.is_unit(h):
+                u = ring.div(M[k][col], h)
                 break
         if u is None:
             # route B: x_alpha-component of M applied to h_k
             row = basis.key_index(("x", rt.coeffs))
             for k in range(n):
-                pk = basis.pairing(rt.coeffs, k)
-                if _int_unit(dom, pk):
-                    u = dom.div_int(M[row][k], -pk)
+                pk = ring.coerce(-basis.pairing(rt.coeffs, k))
+                if ring.is_unit(pk):
+                    u = ring.div(M[row][k], pk)
                     break
         if u is None:
             raise PeelingError(f"no unit read for root {rt.coeffs}")
         out.append(u)
-        if not dom.is_zero(u):
-            E = exp_adjoint(basis, rt.coeffs, _dom_neg(dom, u), dom)
-            M = dmat_mul(dom, E, M)
-    for i in range(basis.dim):
-        for j in range(basis.dim):
-            expect = dom.from_int(int(i == j))
-            if not dom.is_zero(dom.sub(M[i][j], expect)):
-                raise PeelingError("matrix is not a canonical unipotent product")
+        if u:
+            E = exp_adjoint(basis, rt.coeffs, ring.neg(u), ring)
+            M = mat_mul(E, M, ring)
+    for M_row, I_row in zip(M, identity(basis.dim, ring)):
+        if any(ring.sub(a, b) for a, b in zip(M_row, I_row)):
+            raise PeelingError("matrix is not a canonical unipotent product")
     return out
-
-
-def _dom_neg(dom, u):
-    return dom.sub(dom.zero(), u)
-
-
-def _int_unit(dom, k):
-    if isinstance(dom, ModP):
-        return k % dom.p != 0
-    return dom.ring.coeff.is_unit(dom.ring.coeff.coerce(k)) if k else False
 
 
 class GroupPoints:
@@ -886,26 +616,18 @@ class GroupPoints:
     def __init__(self, d, p):
         self.p = p
         self.d = d
-        ring = GF(p)
+        self.ring = ring = GF(p)
         lengths = d.coroot_length_sq()
         if not all(ring.is_unit(ring.coerce(c)) for c in lengths):
             raise BadPrimeError(f"p = {p} divides the length ratio of {d.name}")
         self.basis = build_chevalley(d.dual_datum())
         self.coords = BorelCoordinates(self.basis, ring)
-        self.dom = ModP(p)
         self.e_vec = [0] * self.basis.dim
-        for key, c in principal_e(self.basis, d, ZZ).coefficients.items():
-            self.e_vec[self.basis.key_index(key)] = c % p
+        for key, c in principal_e(self.basis, d, ring).coefficients.items():
+            self.e_vec[self.basis.key_index(key)] = c
 
     def _unip_matrix(self, u):
-        M = None
-        for rt, val in zip(self.coords.pos, u):
-            E = exp_adjoint(self.basis, rt.coeffs, val % self.p, self.dom)
-            M = E if M is None else dmat_mul(self.dom, M, E)
-        if M is None:
-            dim = self.basis.dim
-            M = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        return M
+        return self.coords.unipotent_adjoint(self.ring, [x % self.p for x in u])
 
     def _root_value(self, rt, z):
         val = 1
@@ -914,7 +636,7 @@ class GroupPoints:
         return val
 
     def is_point(self, z, u):
-        v = dmat_vec(self.dom, self._unip_matrix(u), list(self.e_vec))
+        v = mat_vec(self._unip_matrix(u), self.e_vec, self.ring)
         for rt in self.basis.roots:
             i = self.basis.key_index(("x", rt.coeffs))
             if (self._root_value(rt, z) * v[i] - self.e_vec[i]) % self.p:
@@ -938,22 +660,21 @@ class GroupPoints:
         z1, u1 = a
         z2, u2 = b
         z3 = tuple(x * y % self.p for x, y in zip(z1, z2))
-        conj = [self.dom.div_int(val, self._root_value(rt, z2))
+        conj = [self.ring.div(val, self._root_value(rt, z2))
                 for rt, val in zip(self.coords.pos, u1)]
-        M = dmat_mul(self.dom, self._unip_matrix(conj), self._unip_matrix(u2))
-        return (z3, tuple(peel_unipotent(self.coords, M, self.dom)))
+        M = mat_mul(self._unip_matrix(conj), self._unip_matrix(u2), self.ring)
+        return (z3, tuple(peel_unipotent(self.coords, M, self.ring)))
 
     def inverse(self, a):
         z, u = a
         zinv = tuple(pow(x, -1, self.p) for x in z)
         # (t U)^{-1} = t^{-1} (t U^{-1} t^{-1}); conjugation rescales coords
-        dim = self.basis.dim
-        inv = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        inv = identity(self.basis.dim, self.ring)
         for rt, val in reversed(list(zip(self.coords.pos, u))):
-            E = exp_adjoint(self.basis, rt.coeffs, (-val) % self.p, self.dom)
-            inv = dmat_mul(self.dom, inv, E)
-        uinv = peel_unipotent(self.coords, inv, self.dom)
-        conj = [self.dom.div_int(val, self._root_value(rt, zinv))
+            E = exp_adjoint(self.basis, rt.coeffs, (-val) % self.p, self.ring)
+            inv = mat_mul(inv, E, self.ring)
+        uinv = peel_unipotent(self.coords, inv, self.ring)
+        conj = [self.ring.div(val, self._root_value(rt, zinv))
                 for rt, val in zip(self.coords.pos, uinv)]
         return (zinv, tuple(conj))
 
@@ -995,18 +716,12 @@ def brute_force_group_check(d, p):
 
 def group_law_coordinates(coords):
     """Universal product coordinates c_alpha(a, b) of U(a) * U(b)."""
-    base = coords.coeff
     npos = len(coords.pos)
     names = [f"ga{i + 1}" for i in range(npos)] + [f"gb{i + 1}" for i in range(npos)]
-    weights = coords.u_weights + coords.u_weights
-    ring = PolyRing(base, names, weights)
-    dom = PolyDomain(ring)
-    A = coords.unipotent_adjoint(ring=ring,
-                                 uvals=[ring.gen(f"ga{i + 1}") for i in range(npos)])
-    B = coords.unipotent_adjoint(ring=ring,
-                                 uvals=[ring.gen(f"gb{i + 1}") for i in range(npos)])
-    M = dmat_mul(dom, A, B)
-    return ring, peel_unipotent(coords, M, dom)
+    ring = PolyRing(coords.coeff, names, coords.u_weights * 2)
+    A, B = (coords.unipotent_adjoint(ring, [ring.gen(f"{g}{i + 1}") for i in range(npos)])
+            for g in ("ga", "gb"))
+    return ring, peel_unipotent(coords, mat_mul(A, B, ring), ring)
 
 
 def verify_coassociativity(coords):
@@ -1016,88 +731,90 @@ def verify_coassociativity(coords):
     sets of coordinates; this is the coordinate form of coassociativity of
     the coproduct built from the law.
     """
-    base = coords.coeff
     npos = len(coords.pos)
-    names = [f"{p}{i + 1}" for p in ("ga", "gb", "gc") for i in range(npos)]
-    ring = PolyRing(base, names, coords.u_weights * 3)
-    dom = PolyDomain(ring)
-    A = coords.unipotent_adjoint(ring=ring,
-                                 uvals=[ring.gen(f"ga{i + 1}") for i in range(npos)])
-    B = coords.unipotent_adjoint(ring=ring,
-                                 uvals=[ring.gen(f"gb{i + 1}") for i in range(npos)])
-    C = coords.unipotent_adjoint(ring=ring,
-                                 uvals=[ring.gen(f"gc{i + 1}") for i in range(npos)])
-    left = peel_unipotent(coords, dmat_mul(dom, dmat_mul(dom, A, B), C), dom)
-    right = peel_unipotent(coords, dmat_mul(dom, A, dmat_mul(dom, B, C)), dom)
-    return all((x - y).is_zero() for x, y in zip(left, right))
+    names = [f"{g}{i + 1}" for g in ("ga", "gb", "gc") for i in range(npos)]
+    ring = PolyRing(coords.coeff, names, coords.u_weights * 3)
+    A, B, C = (coords.unipotent_adjoint(ring, [ring.gen(f"{g}{i + 1}") for i in range(npos)])
+               for g in ("ga", "gb", "gc"))
+    mul = partial(mat_mul, ring=ring)
+    left = peel_unipotent(coords, mul(mul(A, B), C), ring)
+    right = peel_unipotent(coords, mul(A, mul(B, C)), ring)
+    return all(x == y for x, y in zip(left, right))
 
 
-def coproduct_on_generators(pres, budget=200000):
-    """Delta on each presentation generator, as an element of the tensor
-    square of the generator algebra; verifies the counit on the way."""
+def _tensor_square(pres, budget):
+    """The law ring in ga (left) and gb (right) variables, a Groebner basis
+    gb2 of two commuting copies of the quotient in it, and the normal form
+    of each generator's image under the group law."""
     coords = pres.coords
-    ring = pres.base
-    npos = len(coords.pos)
     law_ring, law = group_law_coordinates(coords)
-    # two commuting copies of the quotient: variables ga (left), gb (right)
     gb_a = [_rename_into(g, law_ring, "ga") for g in pres.groebner]
     gb_b = [_rename_into(g, law_ring, "gb") for g in pres.groebner]
     gb2 = groebner_basis(gb_a + gb_b, budget) if (gb_a or gb_b) else []
-    # tensor basis: products of generator monomials on each side
+    law_of_u = dict(zip(coords.u_names, law))
+    images = [rep.map_into(law_ring, law_of_u) for rep in pres.generator_reps]
+    if gb2:
+        images = [normal_form(img, gb2) for img in images]
+    return law_ring, gb2, images
+
+
+def _coproduct_table(pres, square):
+    """Delta on each generator in the tensor basis; checks the counit."""
+    law_ring, gb2, images = square
+    npos = len(pres.coords.pos)
+    right_at_zero = {f"gb{i + 1}": law_ring.zero() for i in range(npos)}
+    gdegs = [dg for _, dg in pres.generators]
+
+    # lexicographic order: it decides which of the dependent products the
+    # tensor basis keeps, so the table depends on it
+    def lex_monomials(D):
+        return [m[::-1] for m in monomials_of_degree(gdegs[::-1], D)]
+
     table = {}
-    for gname, gdeg in pres.generators:
-        idx = [n for n, _ in pres.generators].index(gname)
-        rep = pres.generator_reps[idx]
-        image = rep.map_into(law_ring,
-                             {coords.u_names[i]: law[i] for i in range(npos)})
-        image = normal_form(image, gb2) if gb2 else image
+    for (gname, gdeg), rep, image in zip(pres.generators, pres.generator_reps, images):
         # counit: right side at 0 must return the left generator
-        at_zero = image.substitute({f"gb{i + 1}": law_ring.zero() for i in range(npos)})
         expect = _rename_into(normal_form(rep, pres.groebner) if pres.groebner else rep,
                               law_ring, "ga")
-        assert at_zero == expect, f"counit fails on {gname}"
-        combo = _express_in_tensor_basis(pres, law_ring, gb2, image, gdeg)
+        if image.substitute(right_at_zero) != expect:
+            raise AssertionError(f"counit fails on {gname}")
+        combo = _tensor_span(pres, square, gdeg, lex_monomials).express(image.terms)
         if combo is None:
             raise PeelingError(f"coproduct extraction failed for {gname}")
         table[gname] = combo
     return table
 
 
+def coproduct_on_generators(pres, budget=200000):
+    """Delta on each presentation generator, as an element of the tensor
+    square of the generator algebra; verifies the counit on the way."""
+    return _coproduct_table(pres, _tensor_square(pres, budget))
+
+
 def _rename_into(poly, big_ring, prefix):
     out = {}
-    npos = len(poly.ring.names)
     for m, c in poly.terms.items():
         exps = [0] * big_ring.nvars
         for i, e in enumerate(m):
             exps[big_ring._index[f"{prefix}{i + 1}"]] = e
         out[tuple(exps)] = c
-    return big_ring.zero() + type(poly)(big_ring, out)
+    return Polynomial(big_ring, out)
 
 
-def _express_in_tensor_basis(pres, law_ring, gb2, image, deg):
-    """Write image as sum of products (gen monomial)(a) * (gen monomial)(b)."""
-    ring = pres.base
-    gdegs = [d for _, d in pres.generators]
-    span = LinSpan(ring)
-    pairs = []
+def _tensor_span(pres, square, deg, monomials):
+    """Span of (monomial a)(ga) * (monomial b)(gb) over pairs of total degree
+    deg, reduced mod gb2; each is tagged (a, b), and monomials(D) lists the
+    generator monomials of degree D in the order they are added."""
+    law_ring, gb2, _ = square
+    reps_a = [_rename_into(r, law_ring, "ga") for r in pres.generator_reps]
+    reps_b = [_rename_into(r, law_ring, "gb") for r in pres.generator_reps]
+    span = LinSpan(pres.base)
     for da in range(0, deg + 1, 2):
-        db = deg - da
-        for ma in _products_of_degree(gdegs, da):
-            for mb in _products_of_degree(gdegs, db):
-                pa = law_ring.one()
-                for i, e in enumerate(ma):
-                    rep = _rename_into(pres.generator_reps[i], law_ring, "ga")
-                    for _ in range(e):
-                        pa = pa * rep
-                for i, e in enumerate(mb):
-                    rep = _rename_into(pres.generator_reps[i], law_ring, "gb")
-                    for _ in range(e):
-                        pa = pa * rep
-                nf = normal_form(pa, gb2) if gb2 else pa
-                tag = (ma, mb)
-                if span.add(nf.terms, tag=tag):
-                    pairs.append(tag)
-    return span.express(image.terms)
+        for ma in monomials(da):
+            for mb in monomials(deg - da):
+                p = _power_product(mb, reps_b, _power_product(ma, reps_a, law_ring.one()))
+                nf = normal_form(p, gb2) if gb2 else p
+                span.add(nf.terms, tag=(ma, mb))
+    return span
 
 
 def truncated_dist(pres, N, budget=200000):
@@ -1107,62 +824,31 @@ def truncated_dist(pres, N, budget=200000):
     generators) of weighted degree <= N that are standard for the relation
     ideal; product structure constants are read off the coproduct.
     """
-    ring = pres.base
-    gen_ring = pres.gen_ring
     rel_gb = groebner_basis(pres.relations, budget) if pres.relations else []
-    basis_by_deg = {}
-    for D in range(0, N + 1, 2):
-        basis_by_deg[D] = standard_monomials(gen_ring, rel_gb, D)
-    table = coproduct_on_generators(pres, budget)
-    # Delta on an arbitrary standard monomial: multiply out Delta(gen)^e
-    coords = pres.coords
-    npos = len(coords.pos)
-    law_ring, law = group_law_coordinates(coords)
-    gb_a = [_rename_into(g, law_ring, "ga") for g in pres.groebner]
-    gb_b = [_rename_into(g, law_ring, "gb") for g in pres.groebner]
-    gb2 = groebner_basis(gb_a + gb_b, budget) if (gb_a or gb_b) else []
-
-    def delta_of_monomial(m):
-        out = law_ring.one()
-        for i, e in enumerate(m):
-            rep = pres.generator_reps[i]
-            img = rep.map_into(law_ring,
-                               {coords.u_names[i2]: law[i2] for i2 in range(npos)})
-            for _ in range(e):
-                out = out * img
-        return normal_form(out, gb2) if gb2 else out
-
-    # tensor-basis span for reading coefficients of (mono_a, mono_b)
+    basis_by_deg = {D: standard_monomials(pres.gen_ring, rel_gb, D)
+                    for D in range(0, N + 1, 2)}
+    square = _tensor_square(pres, budget)
+    _coproduct_table(pres, square)      # for its counit check
+    law_ring, gb2, images = square
+    # Delta on a standard monomial: multiply out Delta(gen)^e, then read its
+    # coefficients on the (mono_a, mono_b) tensor basis
     mult = {}
     for D in range(0, N + 1, 2):
+        span = _tensor_span(pres, square, D, lambda d: basis_by_deg.get(d, []))
         for m in basis_by_deg[D]:
-            dm = delta_of_monomial(m)
-            span = LinSpan(ring)
-            for da in range(0, D + 1, 2):
-                for ma in basis_by_deg.get(da, []):
-                    for mb in basis_by_deg.get(D - da, []):
-                        pa = law_ring.one()
-                        for i, e in enumerate(ma):
-                            rep = _rename_into(pres.generator_reps[i], law_ring, "ga")
-                            for _ in range(e):
-                                pa = pa * rep
-                        for i, e in enumerate(mb):
-                            rep = _rename_into(pres.generator_reps[i], law_ring, "gb")
-                            for _ in range(e):
-                                pa = pa * rep
-                        nf = normal_form(pa, gb2) if gb2 else pa
-                        span.add(nf.terms, tag=(ma, mb))
+            dm = _power_product(m, images, law_ring.one())
+            dm = normal_form(dm, gb2) if gb2 else dm
             combo = span.express(dm.terms)
             if combo is None:
                 raise PeelingError(f"distribution extraction failed at {m}")
             for (ma, mb), c in combo.items():
                 mult[(ma, mb, m)] = c
+    by_pair = {}
+    for (ma, mb, m), c in mult.items():
+        by_pair.setdefault((ma, mb), {})[m] = c
+
     def dual_product(ma, mb):
         """delta_ma * delta_mb = sum_m coeff * delta_m."""
-        out = {}
-        for (a, b, m), c in mult.items():
-            if a == ma and b == mb:
-                out[m] = c
-        return out
+        return dict(by_pair.get((ma, mb), {}))
     return {"basis_by_degree": basis_by_deg, "structure": mult,
             "dual_product": dual_product}

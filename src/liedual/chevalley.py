@@ -13,7 +13,7 @@ with signs fixed by the extraspecial-pair convention for the canonical
 
 from fractions import Fraction
 
-from .intlinalg import is_integral, solve_left, to_int
+from .intlinalg import inverse, is_integral, mat_vec, rank, to_int, transpose
 from .rings import QQ, RingMismatchError, ZZ
 
 
@@ -37,10 +37,13 @@ class ChevalleyBasis:
         self._root_set = set(self._root_index)
         self._N = {}
         self._coroot_h = {}
-        B = [list(row) for row in datum.cochar_basis]
+        # h-coordinates x of a coroot solve x * B = coroot, so x = B^-T coroot
+        B_inv_T = transpose(inverse([list(row) for row in datum.cochar_basis]))
         for rt in self.roots:
-            coords = solve_left(B, list(rt.coroot))
-            assert is_integral(coords), "coroot outside the cocharacter lattice"
+            coords = mat_vec(B_inv_T, list(rt.coroot))
+            if not is_integral(coords):
+                raise AssertionError(
+                    f"coroot of {rt.coeffs} outside the cocharacter lattice")
             self._coroot_h[rt.coeffs] = tuple(to_int(coords))
 
     # -- basis bookkeeping -------------------------------------------------
@@ -56,10 +59,6 @@ class ChevalleyBasis:
 
     def root_of(self, coeffs):
         return self.roots[self._root_index[coeffs]]
-
-    def h_vector(self, k):
-        """k-th Cartan generator in coweight coordinates."""
-        return self.datum.cochar_basis[k]
 
     def pairing(self, coeffs, k):
         """<beta, h_k> for the root with the given simple-root coefficients."""
@@ -96,7 +95,8 @@ class ChevalleyBasis:
         val = self._compute_N(a, b)
         self._N[(a, b)] = val
         p = self.chain_p(a, b)
-        assert abs(val) == p + 1, f"N({a},{b}) = {val}, chain gives {p + 1}"
+        if abs(val) != p + 1:
+            raise AssertionError(f"N({a},{b}) = {val}, chain gives {p + 1}")
         return val
 
     def _compute_N(self, a, b):
@@ -121,7 +121,8 @@ class ChevalleyBasis:
             if d2 in self._root_set:
                 t += Fraction(self.N(neg(a1), a) * self.N(b, neg(b1)), ip(d2, d2))
             val = Fraction(ip(gamma, gamma)) * t / self.N(a1, b1)
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise AssertionError(f"non-integral N({a},{b}) = {val}")
             return int(val)
         # mixed signs: rotate the cyclic relation for a + b + c = 0
         if ha < 0:   # make the first argument positive
@@ -277,7 +278,8 @@ def principal_e(basis, g_datum, ring=ZZ):
     """
     lengths = g_datum.coroot_length_sq()
     r = g_datum.derived_rank
-    assert r == basis.datum.derived_rank
+    if r != basis.datum.derived_rank:
+        raise AssertionError("basis and datum have different derived ranks")
     coeffs = {}
     for i in range(r):
         key = ("x", tuple(int(j == i) for j in range(r)))
@@ -294,21 +296,4 @@ def simple_sum_e1(basis, ring=ZZ):
 
 def ad_kernel_dim(basis, v, ring=QQ):
     """dim ker(ad v) on the Lie algebra tensored with the given field."""
-    M = [[ring.coerce(x) for x in row]
-         for row in basis.ad_matrix(v.change_ring(ring))]
-    n = basis.dim
-    zero = ring.coerce(0)
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if M[r][col] != zero), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv_row = [ring.div(x, M[rank][col]) for x in M[rank]]
-        M[rank] = inv_row
-        for r2 in range(n):
-            if r2 != rank and M[r2][col] != zero:
-                f = M[r2][col]
-                M[r2] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[r2], inv_row)]
-        rank += 1
-    return n - rank
+    return basis.dim - rank(basis.ad_matrix(v.change_ring(ring)), ring)

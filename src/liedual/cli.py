@@ -8,7 +8,9 @@ Exit codes: 0 pass, 2 mathematical mismatch, 3 resource budget exceeded,
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .centralizer import (BadPrimeError, compute_nG, f_form,
@@ -50,20 +52,27 @@ def _cache_key(parts):
 
 
 def _cache_get(args, key):
+    """The cached document, or None on a miss.  A missing, unreadable or
+    corrupt entry is a miss: the caller recomputes and overwrites it."""
     if not args.cache:
         return None
-    path = Path(args.cache) / f"{key}.json"
-    if path.exists():
-        return json.loads(path.read_text())
-    return None
+    try:
+        doc = json.loads((Path(args.cache) / f"{key}.json").read_text())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None
 
 
 def _cache_put(args, key, doc):
+    """Write the entry to a temporary file and rename it into place, so no
+    reader ever sees a half-written entry."""
     if not args.cache:
         return
     d = Path(args.cache)
     d.mkdir(parents=True, exist_ok=True)
-    (d / f"{key}.json").write_text(json.dumps(doc, sort_keys=True, default=str))
+    with tempfile.NamedTemporaryFile("w", dir=d, suffix=".tmp", delete=False) as f:
+        f.write(json.dumps(doc, sort_keys=True, default=str))
+    os.replace(f.name, d / f"{key}.json")
 
 
 def cmd_datum_info(args):

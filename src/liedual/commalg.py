@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .intlinalg import smith_normal_form, invariant_factors  # noqa: F401 (re-export)
-from .rings import QQ, ZZ, RingMismatchError
+from .rings import RingMismatchError
 
 
 class BudgetExceeded(RuntimeError):
@@ -47,16 +47,6 @@ class PolyRing:
         """Sort key putting larger monomials first under weighted grevlex."""
         return (-self.wdeg(exps), tuple(reversed(exps)))
 
-    def mono_gt(self, a, b):
-        """a > b in the term order."""
-        da, db = self.wdeg(a), self.wdeg(b)
-        if da != db:
-            return da > db
-        for x, y in zip(reversed(a), reversed(b)):
-            if x != y:
-                return x < y
-        return False
-
     def zero(self):
         return Polynomial(self, {})
 
@@ -83,8 +73,36 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {tuple(exps): c})
 
-    def change_coeff(self, coeff_ring):
-        return PolyRing(coeff_ring, self.names, self.weights)
+    # -- the rings.* scalar interface, so matrices of polynomials can use
+    # the intlinalg code --------------------------------------------------
+
+    is_field = False
+
+    def coerce(self, x):
+        return x if isinstance(x, Polynomial) else self.const(x)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_unit(self, a):
+        """The units are the constants that are units of the coefficients."""
+        c = a.terms.get((0,) * self.nvars)
+        return len(a.terms) == 1 and c is not None and self.coeff.is_unit(c)
+
+    def div(self, a, b):
+        if not self.is_unit(b):
+            raise ValueError(f"{b} is not a unit of {self}")
+        R = self.coeff
+        return a.scale(R.div(R.coerce(1), b.terms[(0,) * self.nvars]))
 
 
 class Polynomial:
@@ -92,8 +110,7 @@ class Polynomial:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        zero = ring.coeff.coerce(0)
-        self.terms = {m: c for m, c in terms.items() if c != zero}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- arithmetic -------------------------------------------------------
 
@@ -158,6 +175,9 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     # -- structure ----------------------------------------------------------
 
     def sorted_terms(self):
@@ -200,10 +220,6 @@ class Polynomial:
                     term = term * sub ** e
             out = out + term
         return out
-
-    def change_coeff(self, coeff_ring):
-        R2 = self.ring.change_coeff(coeff_ring)
-        return Polynomial(R2, {m: coeff_ring.coerce(c) for m, c in self.terms.items()})
 
     def map_into(self, target_ring, assignment):
         """Ring map: each source variable goes to a target polynomial."""
@@ -319,20 +335,11 @@ class Ideal:
             return self.ring.nvars
         return ideal_dimension(gb)
 
-    def hilbert(self, truncation=40, budget=200000):
-        return hilbert_series(self.groebner(budget), ring=self.ring,
-                              truncation=truncation, is_groebner=True)
-
     def to_document(self):
         return {"ring": {"coeff": self.ring.coeff.name,
                          "names": list(self.ring.names),
                          "weights": list(self.ring.weights)},
                 "generators": [str(g) for g in self.gens]}
-
-    @classmethod
-    def from_document(cls, doc, coeff_ring):
-        ring = PolyRing(coeff_ring, doc["ring"]["names"], doc["ring"]["weights"])
-        return cls(ring, [parse_polynomial(ring, s) for s in doc["generators"]])
 
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens))})"
@@ -450,7 +457,7 @@ def reduce_basis(G):
     return out
 
 
-def ideal_dimension(gb, nvars=None):
+def ideal_dimension(gb):
     """Krull dimension of ring/I from a Groebner basis of I.
 
     Maximal cardinality of a variable subset S such that no leading
@@ -490,7 +497,8 @@ class HilbertSeries:
         self.denom_degs = tuple(sorted(denom_degs)) if denom_degs is not None else None
         if self.numer is not None:
             expanded = _expand_rational(self.numer, self.denom_degs, truncation)
-            assert expanded == self.coeffs, "closed form disagrees with series"
+            if expanded != self.coeffs:
+                raise AssertionError("closed form disagrees with series")
 
     @classmethod
     def from_rational(cls, numer, denom_degs, truncation):

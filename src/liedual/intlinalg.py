@@ -1,63 +1,58 @@
-"""Exact integer and rational linear algebra helpers.
+"""Exact linear algebra over any ring with the ``rings`` operations.
 
-Everything here works on plain lists of lists with int / Fraction entries;
-matrices are small (a few hundred rows at most), so no numpy.
+Matrices are plain lists of rows and vectors plain lists; the entries are
+elements of a ring object with ``coerce``, ``add``, ``sub``, ``mul``,
+``neg``, ``div`` and ``is_unit``: ints or Fractions for ZZ and QQ, ints for
+F_p, Polynomials for a ``commalg.PolyRing``.  Zero entries are found by
+truthiness.  All row reduction over a field is ``LinSpan``, a sparse echelon
+form; rank, determinant, inverse and ``solve_left`` are read off it.  Smith
+normal form is the one algorithm over Z rather than a field.  Matrices are
+small (a few hundred rows at most), so no numpy.
 """
 
 from fractions import Fraction
 
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from .rings import QQ, ZZ
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
+def identity(n, ring=ZZ):
+    one, zero = ring.coerce(1), ring.coerce(0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_mul(A, B, ring=QQ):
+    add, mul = ring.add, ring.mul
+    zero = ring.coerce(0)
+    m = len(B[0])
+    B_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for A_row in A:
+        row = [zero] * m
+        for a, B_row in zip(A_row, B_nonzero):
             if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
+                for j, b in B_row:
+                    row[j] = add(row[j], mul(a, b))
+        out.append(row)
     return out
 
 
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+def mat_vec(A, v, ring=QQ):
+    add, mul = ring.add, ring.mul
+    zero = ring.coerce(0)
+    v_nonzero = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for A_row in A:
+        acc = zero
+        for j, x in v_nonzero:
+            a = A_row[j]
+            if a:
+                acc = add(acc, mul(a, x))
+        out.append(acc)
+    return out
 
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def mat_inverse(A):
-    """Inverse of a square matrix, exact, as Fractions."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def solve_left(B, v):
-    """Solve x*B = v (row-vector convention).  Returns Fractions."""
-    Binv = mat_inverse(B)
-    return [sum(Fraction(v[k]) * Binv[k][j] for k in range(len(v)))
-            for j in range(len(B))]
 
 
 def is_integral(vec_or_mat):
@@ -71,27 +66,142 @@ def to_int(vec_or_mat):
     return [int(x) for x in vec_or_mat]
 
 
-def rational_rank(A):
-    if not A:
-        return 0
-    M = [[Fraction(x) for x in row] for row in A]
-    n, m = len(M), len(M[0])
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if M[r][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = 1 / M[rank][col]
-        M[rank] = [x * inv for x in M[rank]]
-        for r in range(n):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+# ----------------------------------------------------------------------
+# row reduction over a field
+
+
+class LinSpan:
+    """Row space over a field in sparse echelon form; vectors are dicts.
+
+    Each stored row has a pivot, its largest key, and is zero at the pivots
+    of all rows stored before it.  A row added with a tag keeps its combo:
+    which tagged inputs, with which coefficients, it is made of.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.rows = {}      # pivot key -> (vector dict, combo dict), in the
+                            # order added, which determinant relies on
+
+    def _reduce(self, vec, combo):
+        """Clear every pivot key from vec; combo, unless None, takes the
+        same row operations on the stored combos."""
+        R = self.ring
+        zero = R.coerce(0)
+        vec = {k: v for k, v in vec.items() if v}
+        while True:
+            hit = None
+            for k in vec:
+                if k in self.rows:
+                    hit = k
+                    break
+            if hit is None:
+                return vec, combo
+            row, rcombo = self.rows[hit]
+            f = R.div(vec[hit], row[hit])
+            for k2, v2 in row.items():
+                nv = R.sub(vec.get(k2, zero), R.mul(f, v2))
+                if nv:
+                    vec[k2] = nv
+                else:
+                    vec.pop(k2, None)
+            if combo is not None:
+                for k2, v2 in rcombo.items():
+                    nv = R.sub(combo.get(k2, zero), R.mul(f, v2))
+                    if nv:
+                        combo[k2] = nv
+                    else:
+                        combo.pop(k2, None)
+
+    def add(self, vec, tag=None):
+        """Insert; returns False if dependent.  combo tracks expressions."""
+        combo = {tag: self.ring.coerce(1)} if tag is not None else None
+        vec, combo = self._reduce(dict(vec), combo)
+        if not vec:
+            return False
+        pivot = max(vec)
+        self.rows[pivot] = (vec, combo or {})
+        return True
+
+    def contains(self, vec):
+        red, _ = self._reduce(dict(vec), None)
+        return not red
+
+    def express(self, vec):
+        """Write vec as a combination of tagged inputs (tag -> coefficient),
+        or None if vec is outside the span."""
+        red, combo = self._reduce(dict(vec), {})
+        if red:
+            return None
+        # vec = sum f * row over the rows _reduce subtracted, and combo ended
+        # as -sum f * (that row's combo)
+        return {t: self.ring.neg(c) for t, c in combo.items()}
+
+    def rank(self):
+        return len(self.rows)
+
+
+def _sparse(row, ring):
+    return {j: ring.coerce(x) for j, x in enumerate(row) if x}
+
+
+def _dense(vec, n, ring):
+    zero = ring.coerce(0)
+    return [vec.get(j, zero) for j in range(n)]
+
+
+def _independent_rows(A, ring):
+    """LinSpan of the rows of A, row i tagged i; raises if they are dependent."""
+    span = LinSpan(ring)
+    for i, row in enumerate(A):
+        if not span.add(_sparse(row, ring), tag=i):
+            raise ValueError("matrix is singular")
+    return span
+
+
+def rank(A, ring=QQ):
+    span = LinSpan(ring)
+    for row in A:
+        span.add(_sparse(row, ring))
+    return span.rank()
+
+
+def determinant(A, ring=QQ):
+    """det A as the product of the echelon pivots, signed.
+
+    Echelon rows are A's rows minus multiples of earlier ones, so they keep
+    the determinant.  Taken with the columns in pivot order they form an
+    upper triangular matrix; the sign is that of this column permutation.
+    """
+    span = LinSpan(ring)
+    for row in A:
+        if not span.add(_sparse(row, ring)):
+            return ring.coerce(0)
+    det = ring.coerce(1)
+    for pivot, (row, _) in span.rows.items():
+        det = ring.mul(det, row[pivot])
+    pivots = list(span.rows)
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return ring.neg(det) if inversions % 2 else det
+
+
+def solve_left(B, v, ring=QQ):
+    """Solve x*B = v (row-vector convention) for B with independent rows."""
+    x = _independent_rows(B, ring).express(_sparse(v, ring))
+    if x is None:
+        raise ValueError("vector is outside the row space")
+    return _dense(x, len(B), ring)
+
+
+def inverse(A, ring=QQ):
+    """Inverse of a square matrix; row i solves x*A = e_i."""
+    span = _independent_rows(A, ring)
+    one = ring.coerce(1)
+    return [_dense(span.express({i: one}), len(A), ring) for i in range(len(A))]
+
+
+# ----------------------------------------------------------------------
+# integer lattices
 
 
 def smith_normal_form(M):

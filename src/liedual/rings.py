@@ -1,8 +1,13 @@
 """Exact coefficient rings: ZZ, QQ and prime fields F_p.
 
-A ring object bundles the handful of operations the polynomial engine
-needs.  Elements are plain ints (ZZ, F_p) or Fractions (QQ), so polynomial
-code never has to wrap scalars.
+A ring object bundles the scalar operations ``coerce``, ``add``, ``sub``,
+``mul``, ``neg``, ``div`` and ``is_unit``.  This is the library's only
+scalar interface: the polynomial engine, the matrix code in ``intlinalg``
+and the adjoint-action builders all take a ring and call these.
+``commalg.PolyRing`` implements it too, so the same code runs on matrices of
+polynomials.  Elements are plain ints (ZZ, F_p), Fractions (QQ) or
+Polynomials, and each is falsy exactly when it is zero, so zero tests are
+truthiness tests.
 """
 
 from fractions import Fraction

@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .intlinalg import (invariant_factors, is_integral, mat_inverse, mat_mul,
-                        rational_rank, solve_left, to_int, transpose)
+from .intlinalg import (determinant, inverse, invariant_factors, is_integral,
+                        mat_mul, rank, solve_left, to_int, transpose)
 
 
 class RootDatumError(ValueError):
@@ -105,15 +105,11 @@ def _check_cartan(cartan):
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise RootDatumError("cartan zero pattern must be symmetric")
     d = _symmetrizer(cartan)  # also rejects disconnected diagrams
-    # positive definiteness of the symmetrization (finite type)
+    # finite type: the symmetrization is positive definite (Sylvester's
+    # criterion on the leading principal minors)
     S = [[d[i] * cartan[i][j] for j in range(r)] for i in range(r)]
-    M = [[Fraction(x) for x in row] for row in S]
-    for k in range(r):  # leading principal minors via fraction-free-ish elim
-        if M[k][k] <= 0:
-            raise RootDatumError("cartan matrix is not of finite type")
-        for i in range(k + 1, r):
-            f = M[i][k] / M[k][k]
-            M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    if any(determinant([row[:k] for row in S[:k]]) <= 0 for k in range(1, r + 1)):
+        raise RootDatumError("cartan matrix is not of finite type")
     return d
 
 
@@ -168,7 +164,7 @@ class RootDatum:
             raise RootDatumError("cochar_basis must be square of rank r + c")
         if not is_integral(B):
             raise RootDatumError("cochar_basis must be integral (inside the coweight lattice)")
-        if rational_rank(B) != n:
+        if rank(B) != n:
             raise RootDatumError("cochar_basis is singular")
         for alpha in self.simple_coroots:
             x = solve_left(B, list(alpha))
@@ -227,7 +223,8 @@ class RootDatum:
             vector = tuple(coeffs) + (0,) * self.central_rank
             norm = ip(coeffs, coeffs)
             cor = [Fraction(2 * coeffs[i] * d[i], norm) for i in range(r)]
-            assert all(x.denominator == 1 for x in cor), "coroot is not integral"
+            if not is_integral(cor):
+                raise AssertionError(f"coroot of {coeffs} is not integral")
             coroot_coeffs = [int(x) for x in cor]
             coroot = [0] * n
             for i, ci in enumerate(coroot_coeffs):
@@ -301,7 +298,7 @@ class RootDatum:
         if not rows:
             return FiniteAbelianGroup((0,) * self.rank)
         facs = [d for d in invariant_factors(rows) if d != 1]
-        free = self.rank - rational_rank(rows)
+        free = self.rank - rank(rows)
         return FiniteAbelianGroup(tuple(sorted(facs)) + (0,) * free)
 
     def center(self):
@@ -318,7 +315,7 @@ class RootDatum:
         r, c, n = self.derived_rank, self.central_rank, self.rank
         cartan_t = tuple(tuple(self.cartan[j][i] for j in range(r)) for i in range(r))
         B = [list(row) for row in self.cochar_basis]
-        E = transpose(mat_inverse(B))      # dual basis, character side
+        E = transpose(inverse(B))      # dual basis, character side
         Chat = [[self.cartan[i][j] if i < r and j < r else int(i == j)
                  for j in range(n)] for i in range(n)]
         Bd = mat_mul(E, transpose(Chat))
@@ -336,10 +333,6 @@ class RootDatum:
             raise RootDatumError("dual cocharacter basis is not integral")
         name = self.name[:-5] if self.name.endswith("^dual") else self.name + "^dual"
         return RootDatum(name, cartan_t, tuple(tuple(x) for x in to_int(Bd)), c)
-
-    def char_basis(self):
-        """Basis of the character lattice, root coordinates (Fraction rows)."""
-        return transpose(mat_inverse([list(row) for row in self.cochar_basis]))
 
     # -- serialization -----------------------------------------------------
 
@@ -446,11 +439,6 @@ def _hnf_basis(rows, n):
     A = [list(map(int, row)) for row in rows]
     basis = []
     for col in range(n):
-        piv = None
-        for row in A:
-            if row[col] != 0 and all(x == 0 for x in row[:col]):
-                if piv is None or abs(row[col]) < abs(basis_val := abs(piv[col])):
-                    piv = row
         # gcd-reduce all rows with support starting at col
         while True:
             cand = [row for row in A if any(row) and next(i for i, x in enumerate(row) if x) == col]

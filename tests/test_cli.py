@@ -116,6 +116,18 @@ def test_cache_hit_reproduces_output(capsys, tmp_path):
     assert list(cache.iterdir()) == files
 
 
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    first = run(capsys, "datum-info", "--preset", "G2", "--cache", str(cache))
+    (entry,) = cache.iterdir()
+    entry.write_text('{"schema": 1, "na')      # a write cut short
+    again = run(capsys, "datum-info", "--preset", "G2", "--cache", str(cache))
+    assert again == first and first[0] == EXIT_PASS
+    # the corrupt entry was overwritten with the recomputed document
+    assert list(cache.iterdir()) == [entry]
+    assert json.loads(entry.read_text()) == json.loads(first[1])
+
+
 def test_cache_key_depends_on_config(capsys, tmp_path):
     cache = tmp_path / "cache"
     run(capsys, "centralizer", "--preset", "SL2", "--ring", "Q",

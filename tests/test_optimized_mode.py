@@ -1,0 +1,39 @@
+"""The library's consistency checks are explicit raises, so ``python -O``
+does not switch them off."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import liedual
+
+SCRIPT = """
+from unittest import mock
+
+from liedual import HilbertSeries, build_chevalley, load_datum
+from liedual.chevalley import ChevalleyBasis
+
+raised = []
+try:
+    HilbertSeries([1, 2], 1, [1], [1])     # 1/(1 - t) is 1 + t, not 1 + 2t
+except AssertionError:
+    raised.append("closed-form")
+basis = build_chevalley(load_datum("SL3"))
+with mock.patch.object(ChevalleyBasis, "_compute_N", return_value=7):
+    try:
+        basis.N((1, 0), (0, 1))            # the root chain gives |N| = 1
+    except AssertionError:
+        raised.append("chain")
+print(__debug__, *raised)
+"""
+
+
+def test_checks_raise_under_python_O():
+    src = str(Path(liedual.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", SCRIPT],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "closed-form", "chain"]

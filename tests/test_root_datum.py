@@ -142,19 +142,24 @@ def test_document_round_trip():
 
 
 def test_rejects_bad_cartan():
-    with pytest.raises(RootDatumError):
-        load_datum({"name": "bad", "cartan": [[2, -2], [-2, 2]],
-                    "lattice": [[1, 0], [0, 1]], "central_rank": 0})
-    with pytest.raises(RootDatumError):
+    # affine A1 (a zero leading minor) and hyperbolic (a negative one)
+    for cartan in ([[2, -2], [-2, 2]], [[2, -3], [-3, 2]]):
+        with pytest.raises(RootDatumError, match="not of finite type"):
+            load_datum({"name": "bad", "cartan": cartan,
+                        "lattice": "adjoint", "central_rank": 0})
+    with pytest.raises(RootDatumError, match="off-diagonal"):
         load_datum({"name": "bad", "cartan": [[2, 1], [1, 2]],
-                    "lattice": [[1, 0], [0, 1]], "central_rank": 0})
+                    "lattice": "adjoint", "central_rank": 0})
 
 
 def test_rejects_bad_lattice():
     # lattice must contain the coroots with integral pairings
-    with pytest.raises(RootDatumError):
-        load_datum({"name": "bad", "cartan": [[2]], "lattice": [[3]],
+    with pytest.raises(RootDatumError, match="coroot lattice is not contained"):
+        load_datum({"name": "bad", "cartan": [[2]], "lattice": {"basis": [[3]]},
                     "central_rank": 0})
+    with pytest.raises(RootDatumError, match="singular"):
+        load_datum({"name": "bad", "cartan": [[2, -1], [-1, 2]],
+                    "lattice": {"basis": [[1, 0], [2, 0]]}, "central_rank": 0})
 
 
 def test_unknown_preset():
