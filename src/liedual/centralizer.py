@@ -173,16 +173,24 @@ def centralizer_ideal(e_like, coords):
                                 "unipotent", g_center, coords)
     # bad prime: keep the torus variables, normalising by unit monomials
     ring = coords.bring
-    target = _lie_vector(e_like, ring)
-    v = mat_vec(coords.unipotent_adjoint(ring), target, ring)
-    gens = []
-    for rt in basis.roots:
-        i = basis.key_index(("x", rt.coeffs))
-        gens.append(coords.root_weight_monomial(rt, ring) * v[i] - target[i])
-    for k in range(coords.n):
-        gens.append(ring.gen(coords.z_names[k]) * ring.gen(coords.zi_names[k])
-                    - ring.one())
+    gens = _borel_equations(coords, ring, _lie_vector(e_like, ring))
     return CentralizerIdeal(Ideal(ring, gens), "laurent", g_center, coords)
+
+
+def _borel_equations(coords, ring, target):
+    """Components of Ad(t) Ad(U) target - target, then z_k * zi_k - 1.
+
+    Ad(t) scales each root component by alpha(t), a monomial in the z and zi
+    variables, and fixes the h components (which come first in the basis).
+    """
+    n = coords.n
+    v = mat_vec(coords.unipotent_adjoint(ring), target, ring)
+    gens = [v[k] - target[k] for k in range(n)]
+    for i, rt in enumerate(coords.basis.roots, start=n):
+        gens.append(coords.root_weight_monomial(rt, ring) * v[i] - target[i])
+    for z, zi in zip(coords.z_names, coords.zi_names):
+        gens.append(ring.gen(z) * ring.gen(zi) - ring.one())
+    return gens
 
 
 # ----------------------------------------------------------------------
@@ -243,27 +251,13 @@ def _eT_vector(eT, ring, a_polys):
 
 def _equivariant_ideal(eT, coords):
     """Full symbolic ideal of Ad(b) e^T = e^T over R_T (small ranks only)."""
-    basis = coords.basis
     n = coords.n
     names = (list(eT.a_names) + coords.z_names + coords.zi_names
              + coords.u_names)
     weights = [2] * n + [1] * (2 * n) + coords.u_weights
     ring = PolyRing(coords.coeff, names, weights)
     a_polys = [ring.gen(nm) for nm in eT.a_names]
-    target = _eT_vector(eT, ring, a_polys)
-    v = mat_vec(coords.unipotent_adjoint(ring), target, ring)
-    # apply Ad(t): scale each root component by alpha(t), h components fixed
-    gens = []
-    for i in range(basis.dim):
-        if i < n:
-            g = v[i] - target[i]
-        else:
-            rt = basis.roots[i - n]
-            g = coords.root_weight_monomial(rt, ring) * v[i] - target[i]
-        gens.append(g)
-    for k in range(n):
-        gens.append(ring.gen(coords.z_names[k]) * ring.gen(coords.zi_names[k])
-                    - ring.one())
+    gens = _borel_equations(coords, ring, _eT_vector(eT, ring, a_polys))
     return CentralizerIdeal(Ideal(ring, gens), "equivariant",
                             coords.basis.datum.center(), coords)
 
@@ -714,13 +708,19 @@ def brute_force_group_check(d, p):
 # coproduct and truncated distributions (small ranks over a field)
 
 
+def _law_ring(coords, prefixes):
+    """A ring with one copy of the u variables per prefix (prefix + index),
+    and the universal unipotent matrix Ad(U) of each copy over it."""
+    npos = len(coords.pos)
+    names = [f"{g}{i + 1}" for g in prefixes for i in range(npos)]
+    ring = PolyRing(coords.coeff, names, coords.u_weights * len(prefixes))
+    copies = [[ring.gen(f"{g}{i + 1}") for i in range(npos)] for g in prefixes]
+    return ring, [coords.unipotent_adjoint(ring, u) for u in copies]
+
+
 def group_law_coordinates(coords):
     """Universal product coordinates c_alpha(a, b) of U(a) * U(b)."""
-    npos = len(coords.pos)
-    names = [f"ga{i + 1}" for i in range(npos)] + [f"gb{i + 1}" for i in range(npos)]
-    ring = PolyRing(coords.coeff, names, coords.u_weights * 2)
-    A, B = (coords.unipotent_adjoint(ring, [ring.gen(f"{g}{i + 1}") for i in range(npos)])
-            for g in ("ga", "gb"))
+    ring, (A, B) = _law_ring(coords, ("ga", "gb"))
     return ring, peel_unipotent(coords, mat_mul(A, B, ring), ring)
 
 
@@ -731,11 +731,7 @@ def verify_coassociativity(coords):
     sets of coordinates; this is the coordinate form of coassociativity of
     the coproduct built from the law.
     """
-    npos = len(coords.pos)
-    names = [f"{g}{i + 1}" for g in ("ga", "gb", "gc") for i in range(npos)]
-    ring = PolyRing(coords.coeff, names, coords.u_weights * 3)
-    A, B, C = (coords.unipotent_adjoint(ring, [ring.gen(f"{g}{i + 1}") for i in range(npos)])
-               for g in ("ga", "gb", "gc"))
+    ring, (A, B, C) = _law_ring(coords, ("ga", "gb", "gc"))
     mul = partial(mat_mul, ring=ring)
     left = peel_unipotent(coords, mul(mul(A, B), C), ring)
     right = peel_unipotent(coords, mul(A, mul(B, C)), ring)

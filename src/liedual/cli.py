@@ -13,6 +13,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import liedual
+
 from .centralizer import (BadPrimeError, compute_nG, f_form,
                           localization_restriction, present_centralizer)
 from .chevalley import ad_kernel_dim, build_chevalley, principal_e
@@ -47,7 +49,10 @@ def _emit(doc, args):
 
 
 def _cache_key(parts):
-    blob = json.dumps([SCHEMA_VERSION] + parts, sort_keys=True, default=str)
+    """Content address of a command's document: its inputs, the schema and
+    the library version, since another release may compute differently."""
+    blob = json.dumps([SCHEMA_VERSION, liedual.__version__] + parts,
+                      sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

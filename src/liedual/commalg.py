@@ -8,7 +8,6 @@ nonzero entry of the exponent difference being negative.
 
 import re
 from fractions import Fraction
-from itertools import combinations
 
 from .intlinalg import smith_normal_form, invariant_factors  # noqa: F401 (re-export)
 from .rings import RingMismatchError
@@ -207,19 +206,9 @@ class Polynomial:
 
     def substitute(self, assignment):
         """Map variable names to polynomials or scalars of the same ring."""
-        out = self.ring.zero()
-        gens = {nm: self.ring.gen(nm) for nm in self.ring.names}
-        for m, c in self.terms.items():
-            term = self.ring.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    nm = self.ring.names[i]
-                    sub = assignment.get(nm, gens[nm])
-                    if not isinstance(sub, Polynomial):
-                        sub = self.ring.const(sub)
-                    term = term * sub ** e
-            out = out + term
-        return out
+        ring = self.ring
+        return self.map_into(ring, {nm: ring.coerce(assignment.get(nm, ring.gen(nm)))
+                                    for nm in ring.names})
 
     def map_into(self, target_ring, assignment):
         """Ring map: each source variable goes to a target polynomial."""
@@ -458,24 +447,25 @@ def reduce_basis(G):
 
 
 def ideal_dimension(gb):
-    """Krull dimension of ring/I from a Groebner basis of I.
+    """Krull dimension of ring/I from a Groebner basis of I; -1 for the unit ideal.
 
-    Maximal cardinality of a variable subset S such that no leading
-    monomial is supported entirely inside S.
+    It is read off the Hilbert numerator of the leading-term ideal: the
+    series is numer / prod (1 - t^w), so its pole order at t = 1 is nvars
+    minus the multiplicity of t = 1 as a root of numer.  dim R/I equals
+    dim R/in(I) for any global term order (Bayer & Stillman 1992), so this
+    also holds for inhomogeneous I.
     """
     if not gb:
         raise ValueError("need at least the ring context; pass the zero ideal as []")
     ring = gb[0].ring
-    leads = [g.leading_monomial() for g in gb if not g.is_zero()]
-    n = ring.nvars
-    if any(all(e == 0 for e in lm) for lm in leads):
+    numer = _monomial_ideal_numerator(
+        [g.leading_monomial() for g in gb if not g.is_zero()], ring.weights)
+    if not any(numer):
         return -1  # unit ideal: empty spectrum
-    for size in range(n, -1, -1):
-        for S in combinations(range(n), size):
-            Sset = set(S)
-            if not any(all(i in Sset for i, e in enumerate(lm) if e) for lm in leads):
-                return size
-    return 0
+    dim = ring.nvars
+    while (q := _poly_t_divide(numer, [1, -1])) is not None:
+        numer, dim = q, dim - 1
+    return dim
 
 
 # ----------------------------------------------------------------------
@@ -564,15 +554,6 @@ def _expand_rational(numer, denom_degs, N):
         for k in range(d, N + 1):
             coeffs[k] += coeffs[k - d]
     return coeffs[:N + 1]
-
-
-def _poly_t_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_t_divide(a, b):

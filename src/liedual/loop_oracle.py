@@ -91,10 +91,7 @@ def compare_report(pres, d, N=40):
     oracle = omega_poincare(d, N)
     got = pres.hilbert
     series_ok = got.truncated(N) == oracle.truncated(N)
-    first_diff = None
-    if not series_ok:
-        first_diff = next(k for k in range(N + 1)
-                          if got.coeffs[k] != oracle.coeffs[k])
+    first_diff = None if series_ok else got.first_difference(oracle)
     dim_ok = pres.krull_dim == d.derived_rank
     z_ok = pres.zcenter.torsion_order == d.component_group().torsion_order
     return {

@@ -25,7 +25,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .intlinalg import (determinant, inverse, invariant_factors, is_integral,
-                        mat_mul, rank, solve_left, to_int, transpose)
+                        mat_mul, rank, smith_normal_form, solve_left, to_int,
+                        transpose)
 
 
 class RootDatumError(ValueError):
@@ -49,10 +50,6 @@ class FiniteAbelianGroup:
             if d:
                 order *= d
         return order
-
-    @property
-    def is_finite(self):
-        return self.free_rank == 0
 
     def __str__(self):
         if not self.invariant_factors:
@@ -180,12 +177,6 @@ class RootDatum:
     @property
     def rank(self):
         return self.derived_rank + self.central_rank
-
-    @property
-    def simple_roots(self):
-        """Rows in root coordinates."""
-        n, r = self.rank, self.derived_rank
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(r))
 
     @property
     def simple_coroots(self):
@@ -434,45 +425,18 @@ def _cartan_G2():
     return [[2, -1], [-3, 2]]
 
 
-def _hnf_basis(rows, n):
-    """Row-span basis (n x n) of an integer lattice given by generator rows."""
-    A = [list(map(int, row)) for row in rows]
-    basis = []
-    for col in range(n):
-        # gcd-reduce all rows with support starting at col
-        while True:
-            cand = [row for row in A if any(row) and next(i for i, x in enumerate(row) if x) == col]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda row: abs(row[col]))
-            a = cand[0]
-            for row in cand[1:]:
-                q = row[col] // a[col]
-                for j in range(n):
-                    row[j] -= q * a[j]
-        lead = [row for row in A if any(row) and next(i for i, x in enumerate(row) if x) == col]
-        if lead:
-            row = lead[0]
-            if row[col] < 0:
-                row = [-x for x in row]
-            basis.append(row)
-            A = [r for r in A if r is not lead[0]]
-            # eliminate column col from remaining rows over Z where possible
-            for r2 in A:
-                if r2[col] % row[col] == 0:
-                    q = r2[col] // row[col]
-                    for j in range(n):
-                        r2[j] -= q * row[j]
-    if len(basis) != n:
-        raise RootDatumError("generators do not span a full-rank lattice")
-    return basis
-
-
 def _datum_with_extra_coweights(name, cartan, extras):
-    """Lattice generated by the coroots together with extra coweight rows."""
+    """Lattice generated by the coroots together with extra coweight rows.
+
+    With U*M*V = D in Smith form, U*M = D*V^-1 has the row span of M (U is
+    unimodular), and its nonzero rows are a basis.
+    """
     r = len(cartan)
     rows = [list(row) for row in cartan] + [list(e) for e in extras]
-    B = _hnf_basis(rows, r)
+    _, D, V = smith_normal_form(rows)
+    B = [row for row in to_int(mat_mul(D, inverse(V))) if any(row)]
+    if len(B) != r:
+        raise RootDatumError("generators do not span a full-rank lattice")
     return RootDatum(name, tuple(tuple(row) for row in cartan),
                      tuple(tuple(row) for row in B), 0)
 

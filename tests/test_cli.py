@@ -1,5 +1,6 @@
 import json
 
+import liedual
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
                          EXIT_PASS, main)
 
@@ -134,6 +135,16 @@ def test_cache_key_depends_on_config(capsys, tmp_path):
         "--cache", str(cache))
     run(capsys, "centralizer", "--preset", "SL2", "--ring", "F5",
         "--cache", str(cache))
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_cache_key_depends_on_version(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    first = run(capsys, "datum-info", "--preset", "SL2", "--cache", str(cache))
+    monkeypatch.setattr(liedual, "__version__", liedual.__version__ + ".post1")
+    again = run(capsys, "datum-info", "--preset", "SL2", "--cache", str(cache))
+    assert again == first
+    # a new version misses the old entry and writes its own
     assert len(list(cache.iterdir())) == 2
 
 

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual import (GF, QQ, ZZ, BudgetExceeded, HilbertSeries, Ideal,
-                     PolyRing, groebner_basis, hilbert_series, ideal_dimension,
-                     invariant_factors, normal_form, parse_polynomial,
-                     smith_normal_form)
+from liedual import (GF, QQ, ZZ, BorelCoordinates, BudgetExceeded,
+                     HilbertSeries, Ideal, PolyRing, build_chevalley,
+                     centralizer_ideal, groebner_basis, hilbert_series,
+                     ideal_dimension, invariant_factors, load_datum,
+                     normal_form, parse_polynomial, principal_e,
+                     ring_from_name, smith_normal_form)
 
 RQ = PolyRing(QQ, ("x", "y", "z"))
 R5 = PolyRing(GF(5), ("x", "y", "z"))
@@ -137,6 +140,67 @@ def test_ideal_dimension():
     assert ideal_dimension(groebner_basis([x])) == 2
     assert ideal_dimension(groebner_basis([x, y])) == 1
     assert ideal_dimension(groebner_basis([x * y])) == 2
+
+
+def subset_dimension(gb):
+    """Reference Krull dimension of ring/I from a Groebner basis: the largest
+    variable subset S with no leading monomial supported inside S."""
+    leads = [g.leading_monomial() for g in gb]
+    if any(not any(lm) for lm in leads):
+        return -1
+    n = gb[0].ring.nvars
+    for size in range(n, -1, -1):
+        for S in combinations(range(n), size):
+            if not any(all(i in S for i, e in enumerate(lm) if e) for lm in leads):
+                return size
+
+
+@st.composite
+def small_ideals(draw):
+    """Generators of a random ideal of a weighted ring in 2-5 variables over
+    QQ or F_p, inhomogeneous ones (constant terms, mixed degrees) allowed."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    coeff = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    ring = PolyRing(coeff, [f"x{i}" for i in range(n)], weights)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = ring.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            exps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            g = g + ring.monomial(exps, coeff.coerce(draw(st.integers(-3, 3))))
+        gens.append(g)
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(ring.one())
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_ideal_dimension_matches_subset_search(gens):
+    gb = groebner_basis(gens)
+    if not gb:
+        return                  # every generator drew a zero coefficient
+    assert ideal_dimension(gb) == subset_dimension(gb)
+
+
+@pytest.mark.parametrize("name,ring_name", [
+    ("SL3", "Q"), ("G2", "F2"), ("Sp4", "F5"),          # homogeneous, unipotent
+    ("Sp4", "F2"), ("SO5", "F2"), ("G2", "F3"),         # Laurent, bad primes
+])
+def test_ideal_dimension_matches_subset_search_on_centralizers(name, ring_name):
+    d = load_datum(name)
+    ring = ring_from_name(ring_name)
+    basis = build_chevalley(d.dual_datum())
+    coords = BorelCoordinates(basis, ring)
+    cid = centralizer_ideal(principal_e(basis, d, ring), coords)
+    gb = groebner_basis(cid.ideal.gens)
+    dim = ideal_dimension(gb)
+    assert dim == subset_dimension(gb)
+    if cid.mode == "unipotent":
+        assert dim == d.derived_rank
+    else:
+        assert dim > d.derived_rank
 
 
 def test_budget_exceeded():

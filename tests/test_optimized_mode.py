@@ -29,11 +29,23 @@ print(__debug__, *raised)
 """
 
 
-def test_checks_raise_under_python_O():
+def run_optimized(*args):
+    """Run python -O with the liedual under test first on the path."""
     src = str(Path(liedual.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-O", "-c", SCRIPT],
-                            capture_output=True, text=True, timeout=120,
-                            env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-O", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_checks_raise_under_python_O():
+    result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "closed-form", "chain"]
+
+
+def test_negative_control_fails_under_python_O():
+    result = run_optimized("-m", "liedual.cli", "check-all", "--presets", "SL3",
+                           "--ring", "Q", "--inject-sign-error")
+    assert result.returncode == 2, result.stderr
+    assert "FAIL SL3: Jacobi identity" in result.stdout.splitlines()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import FiniteAbelianGroup, RootDatumError, load_datum, preset_names
+from liedual.intlinalg import determinant, is_integral, solve_left
 
 ROOT_COUNTS = {
     "SL2": 2, "PGL2": 2, "SL3": 6, "PGL3": 6, "Sp4": 8, "Spin5": 8,
@@ -182,3 +183,26 @@ def test_root_negation_closure(name, data):
     assert tuple(-c for c in rt.coeffs) in coeff_set
     # pairing of a root with its own coroot is 2
     assert sum(a * b for a, b in zip(rt.vector, rt.coroot)) == 2
+
+
+# the quotients of Spin built from the coroots plus one fundamental coweight
+EXTRA_COWEIGHT = {"SO8": 0, "SO10": 0, "SO8plus": 3, "SO8minus": 2}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_COWEIGHT))
+def test_smith_basis_spans_coroots_plus_extra_coweight(name):
+    d = load_datum(name)
+    r = d.derived_rank
+    basis = [list(row) for row in d.cochar_basis]
+    coroots = [list(row) for row in d.simple_coroots]
+    extra = [int(j == EXTRA_COWEIGHT[name]) for j in range(r)]
+    # every generator is an integral combination of the basis rows
+    for g in coroots + [extra]:
+        assert is_integral(solve_left(basis, g))
+    # every basis row is an integral combination of the coroots plus a
+    # multiple of the extra coweight, whose order mod coroots divides det C
+    order = int(abs(determinant(coroots)))
+    for b in basis:
+        assert any(is_integral(solve_left(coroots, [x - k * y for x, y in zip(b, extra)]))
+                   for k in range(order))
+    assert d.component_group().invariant_factors == (2,)
