@@ -15,8 +15,7 @@ from math import gcd
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (HilbertSeries, Ideal, PolyRing, Polynomial,
-                      groebner_basis, hilbert_series, ideal_dimension,
-                      normal_form)
+                      groebner_basis, hilbert_series, normal_form)
 from .intlinalg import LinSpan, determinant, identity, mat_mul, mat_vec
 from .rings import GF, QQ, ZZ
 
@@ -402,9 +401,42 @@ def monomials_of_degree(weights, D):
 
 
 def standard_monomials(ring, gb, D):
-    leads = [g.leading_monomial() for g in gb]
-    return [m for m in monomials_of_degree(ring.weights, D)
-            if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)]
+    """The monomials of weighted degree D that no leading monomial of gb
+    divides, in the order of monomials_of_degree.
+
+    A depth-first search sets the exponents last variable first, each one
+    ascending, and cuts a branch as soon as a leading monomial divides the
+    partial product with the unset exponents taken as 0: every extension of
+    that branch, and of the branches after it, is divisible too.
+    """
+    weights = ring.weights
+    n = len(weights)
+    # (lead, index of its first nonzero exponent): with the exponents from k
+    # on set, a lead divides the partial product iff it fits them and that
+    # index is >= k
+    leads = [(lm, next((i for i, e in enumerate(lm) if e), n))
+             for lm in (g.leading_monomial() for g in gb)]
+    if any(low == n for _, low in leads):
+        return                  # the unit ideal: nothing is standard
+
+    def search(k, rem, live, tail):
+        if k == 0:
+            if rem == 0:
+                yield tail
+            return
+        k -= 1
+        w = weights[k]
+        if k:
+            exps = range(rem // w + 1)
+        else:                   # the first variable takes the rest
+            exps = [rem // w] if rem % w == 0 else []
+        for e in exps:
+            live_e = [(lm, low) for lm, low in live if lm[k] <= e]
+            if any(low >= k for _, low in live_e):
+                break
+            yield from search(k, rem - e * w, live_e, (e,) + tail)
+
+    yield from search(n, D, leads, ())
 
 
 def _power_product(m, factors, p):
@@ -472,7 +504,6 @@ def present_centralizer(d, ring, truncation=40, budget=200000):
     if cid.mode != "unipotent":
         raise AssertionError("unit simple coefficients must give a unipotent ideal")
     gb = cid.ideal.groebner(budget)
-    krull = cid.ideal.ring.nvars if not gb else ideal_dimension(gb)
     hs_u = hilbert_series(gb, ring=cid.ideal.ring, truncation=truncation,
                           is_groebner=True)
     zorder = cid.zcenter.torsion_order
@@ -482,34 +513,56 @@ def present_centralizer(d, ring, truncation=40, budget=200000):
         datum=d, base=ring, zcenter=cid.zcenter,
         generators=gens, generator_reps=reps, relations=rels,
         gen_ring=gen_ring, hilbert=hs_u.scaled(zorder), hilbert_unipotent=hs_u,
-        krull_dim=krull, uring=cid.ideal.ring, groebner=gb, coords=coords)
+        krull_dim=hs_u.dimension(), uring=cid.ideal.ring, groebner=gb, coords=coords)
 
 
 def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
+    # h_D = hs_u.coeffs[D] is the dimension of the degree-D piece of the
+    # quotient: both phases stop as soon as a span reaches it
+    reps = []        # representative polynomial (a standard monomial)
+    # normal forms of generator products, keyed by the exponent tuple with
+    # trailing zeros stripped; each is built from the product with one factor
+    # less of its last generator.  A normal form modulo a Groebner basis is
+    # unique, so this equals the product reduced in any other order.
+    products = {(): uring.one()}
+
+    def product(m):
+        while m and not m[-1]:
+            m = m[:-1]
+        p = products.get(m)
+        if p is None:
+            p = normal_form(product(m[:-1] + (m[-1] - 1,)) * reps[len(m) - 1], gb)
+            products[m] = p
+        return p
+
     # generators: degree by degree, new generators where products of older
     # ones fail to span the graded piece of the quotient
     gens = []        # (name, degree)
-    reps = []        # representative polynomial (a standard monomial)
     for D in range(2, truncation + 1, 2):
-        sm = standard_monomials(uring, gb, D)
-        if not sm:
-            continue
+        h = hs_u.coeffs[D]
         span = LinSpan(ring)
         for combo in monomials_of_degree([dg for _, dg in gens], D):
-            span.add(_normal_product(combo, reps, uring, gb).terms)
-        for m in sm:
-            vec = {m: ring.coerce(1)}
-            if not span.contains(vec):
-                name = GENERATOR_NAMES[len(gens)]
-                gens.append((name, D))
+            if span.rank() == h:
+                break
+            span.add(product(combo).terms)
+        if span.rank() == h:
+            continue
+        # the standard monomials are a basis of the piece, so this search
+        # ends with rank h
+        for m in standard_monomials(uring, gb, D):
+            if span.add({m: ring.coerce(1)}):
+                gens.append((GENERATOR_NAMES[len(gens)], D))
                 reps.append(uring.monomial(m))
-                span.add(vec)
+                if span.rank() == h:
+                    break
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
     # relations: kernel of gen_ring -> quotient, minimalised degree by degree
     rels = []
     for D in range(2, truncation + 1, 2):
         monos = monomials_of_degree(gen_ring.weights, D)
-        if not monos:
+        # the images of monos span the h_D-dimensional piece
+        kernel_dim = len(monos) - hs_u.coeffs[D]
+        if not kernel_dim:
             continue
         # multiples of existing relations in this degree
         old = LinSpan(ring)
@@ -520,13 +573,14 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
             for m in monomials_of_degree(gen_ring.weights, D - rd):
                 prod = gen_ring.monomial(m) * rel
                 old.add(prod.terms)
+        if old.rank() == kernel_dim:
+            continue
         # kernel vectors via tagged elimination: image keys (1, mono) sort
         # above tag keys (0, mono), so rows landing entirely in tags are
         # exactly the linear dependencies among the images
         span = LinSpan(ring)
         for m in monos:
-            p = _normal_product(m, reps, uring, gb)
-            vec = {(1, mm): c for mm, c in p.terms.items()}
+            vec = {(1, mm): c for mm, c in product(m).terms.items()}
             vec[(0, m)] = ring.coerce(1)
             span.add(vec)
         for pivot, (row, _) in sorted(span.rows.items()):
@@ -548,15 +602,6 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
         raise AssertionError(
             "presentation does not reproduce the quotient Hilbert series")
     return gens, reps, gen_ring, rels
-
-
-def _normal_product(m, reps, uring, gb):
-    """Normal form of prod reps[i]^m[i], reduced after every factor."""
-    p = uring.one()
-    for rep, e in zip(reps, m):
-        for _ in range(e):
-            p = normal_form(p * rep, gb)
-    return p
 
 
 # ----------------------------------------------------------------------
@@ -821,7 +866,7 @@ def truncated_dist(pres, N, budget=200000):
     ideal; product structure constants are read off the coproduct.
     """
     rel_gb = groebner_basis(pres.relations, budget) if pres.relations else []
-    basis_by_deg = {D: standard_monomials(pres.gen_ring, rel_gb, D)
+    basis_by_deg = {D: list(standard_monomials(pres.gen_ring, rel_gb, D))
                     for D in range(0, N + 1, 2)}
     square = _tensor_square(pres, budget)
     _coproduct_table(pres, square)      # for its counit check

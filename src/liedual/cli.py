@@ -130,7 +130,8 @@ def cmd_centralizer(args):
 
 
 def _suite_checks(names, rings, truncate, budget, inject_sign_error=False):
-    """One (label, passed) record per invariant check."""
+    """One (label, passed) record per invariant check; passed is None when
+    the check ran out of budget."""
     for name in names:
         d = load_datum(name)
         dd = d.dual_datum()
@@ -176,6 +177,9 @@ def _suite_checks(names, rings, truncate, budget, inject_sign_error=False):
                 except BadPrimeError:
                     yield (f"{name}/{ring_name}: bad prime refused", True)
                     continue
+                except BudgetExceeded:
+                    yield (f"{name}/{ring_name}: budget exceeded", None)
+                    continue
                 verdict = compare_report(pres, d, truncate)
                 yield (f"{name}/{ring_name}: series, dimension, center",
                        verdict["pass"])
@@ -186,14 +190,19 @@ def cmd_check_all(args):
                              if load_datum(n).derived_rank <= 2
                              and load_datum(n).central_rank == 0]
     rings = [args.ring] if args.ring else RING_CHOICES
-    failures = 0
+    mismatches = exhausted = 0
     for label, ok in _suite_checks(names, rings, args.truncate, args.budget,
                                    inject_sign_error=args.inject_sign_error):
         print(("PASS" if ok else "FAIL"), label)
-        if not ok:
-            failures += 1
+        if ok is None:
+            exhausted += 1
+        elif not ok:
+            mismatches += 1
+    failures = mismatches + exhausted
     print(f"{'OK' if not failures else 'FAILED'}: {failures} failing checks")
-    return EXIT_PASS if failures == 0 else EXIT_MISMATCH
+    if mismatches:
+        return EXIT_MISMATCH
+    return EXIT_BUDGET if exhausted else EXIT_PASS
 
 
 def build_parser():

@@ -105,7 +105,9 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    # _lead is filled by the first leading_monomial() call; nothing changes
+    # terms after construction
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -183,7 +185,11 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda mc: self.ring.mono_cmp_key(mc[0]))
 
     def leading_monomial(self):
-        return min(self.terms, key=self.ring.mono_cmp_key)
+        try:
+            return self._lead
+        except AttributeError:
+            self._lead = min(self.terms, key=self.ring.mono_cmp_key)
+            return self._lead
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
@@ -460,12 +466,18 @@ def ideal_dimension(gb):
     ring = gb[0].ring
     numer = _monomial_ideal_numerator(
         [g.leading_monomial() for g in gb if not g.is_zero()], ring.weights)
+    return _pole_order_at_one(numer, ring.nvars)
+
+
+def _pole_order_at_one(numer, nfactors):
+    """Pole order at t = 1 of numer / (nfactors factors 1 - t^d); -1 when
+    numer is 0.  Each factor has a simple zero at t = 1, so cancelling
+    common factors leaves it unchanged."""
     if not any(numer):
-        return -1  # unit ideal: empty spectrum
-    dim = ring.nvars
+        return -1               # unit ideal: empty spectrum
     while (q := _poly_t_divide(numer, [1, -1])) is not None:
-        numer, dim = q, dim - 1
-    return dim
+        numer, nfactors = q, nfactors - 1
+    return nfactors
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +511,13 @@ class HilbertSeries:
         numer = [k * c for c in self.numer] if self.numer is not None else None
         return HilbertSeries([k * c for c in self.coeffs], self.truncation,
                              numer, self.denom_degs)
+
+    def dimension(self):
+        """Krull dimension of a graded quotient with this series: the pole
+        order at t = 1 of the closed form; -1 for the zero series."""
+        if self.numer is None:
+            raise ValueError("the dimension needs the closed form")
+        return _pole_order_at_one(self.numer, len(self.denom_degs))
 
     def truncated(self, N):
         if N > self.truncation:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      brute_force_group_check, build_chevalley, build_eT,
@@ -10,7 +12,10 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      localization_restriction, present_centralizer,
                      principal_e, specialize_eT, truncated_dist,
                      verify_coassociativity)
-from liedual.centralizer import group_law_coordinates
+from liedual.centralizer import (GENERATOR_NAMES, group_law_coordinates,
+                                 monomials_of_degree, standard_monomials)
+from liedual.commalg import PolyRing, normal_form
+from liedual.intlinalg import LinSpan
 from liedual.loop_oracle import omega_poincare
 
 N_G_TABLE = {
@@ -118,6 +123,102 @@ def test_presented_algebra_reproduces_its_own_series():
     rels = [parse_polynomial(ring, s) for s in pres.to_document()["relations"]]
     hs = hilbert_series(rels, ring=ring, truncation=40)
     assert hs.coeffs == pres.hilbert_unipotent.coeffs
+
+
+def filtered_standard_monomials(ring, gb, D):
+    """Reference enumerator: every monomial of degree D, minus those some
+    leading monomial divides."""
+    leads = [g.leading_monomial() for g in gb]
+    return [m for m in monomials_of_degree(ring.weights, D)
+            if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A weighted ring in 2-5 variables, monomial generators, a degree."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ring = PolyRing(QQ, [f"x{i}" for i in range(n)], weights)
+    gens = [ring.monomial(draw(st.lists(st.integers(0, 3), min_size=n,
+                                        max_size=n)))
+            for _ in range(draw(st.integers(0, 5)))]
+    return ring, gens, draw(st.integers(0, 14))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals())
+def test_standard_monomials_match_the_filter(case):
+    ring, gens, D = case
+    assert (list(standard_monomials(ring, gens, D))
+            == filtered_standard_monomials(ring, gens, D))
+
+
+def full_enumeration_extraction(uring, gb, ring, truncation):
+    """Reference extraction: every product normal-formed from scratch, one
+    factor at a time, and every standard monomial tried as a generator."""
+    def normal_product(m):
+        p = uring.one()
+        for rep, e in zip(reps, m):
+            for _ in range(e):
+                p = normal_form(p * rep, gb)
+        return p
+
+    gens, reps = [], []
+    for D in range(2, truncation + 1, 2):
+        sm = filtered_standard_monomials(uring, gb, D)
+        if not sm:
+            continue
+        span = LinSpan(ring)
+        for combo in monomials_of_degree([dg for _, dg in gens], D):
+            span.add(normal_product(combo).terms)
+        for m in sm:
+            vec = {m: ring.coerce(1)}
+            if not span.contains(vec):
+                gens.append((GENERATOR_NAMES[len(gens)], D))
+                reps.append(uring.monomial(m))
+                span.add(vec)
+    gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
+    rels = []
+    for D in range(2, truncation + 1, 2):
+        monos = monomials_of_degree(gen_ring.weights, D)
+        old = LinSpan(ring)
+        for rel in rels:
+            rd = rel.total_degree()
+            if rd <= D:
+                for m in monomials_of_degree(gen_ring.weights, D - rd):
+                    old.add((gen_ring.monomial(m) * rel).terms)
+        span = LinSpan(ring)
+        for m in monos:
+            vec = {(1, mm): c for mm, c in normal_product(m).terms.items()}
+            vec[(0, m)] = ring.coerce(1)
+            span.add(vec)
+        for _, (row, _) in sorted(span.rows.items()):
+            if all(k[0] == 0 for k in row):
+                relpoly = gen_ring.zero()
+                for (_, m), c in row.items():
+                    relpoly = relpoly + gen_ring.monomial(m, c)
+                if old.add(relpoly.terms):
+                    rels.append(relpoly)
+    return gens, [str(r) for r in reps], [str(r) for r in rels]
+
+
+@pytest.mark.parametrize("name,ring", [
+    ("SL3", QQ), ("G2", GF(2)), ("Sp4", GF(5)), ("SL4", GF(5))])
+def test_extraction_matches_full_enumeration(name, ring):
+    pres = present_centralizer(load_datum(name), ring)
+    got = (pres.generators, [str(r) for r in pres.generator_reps],
+           [str(r) for r in pres.relations])
+    assert got == full_enumeration_extraction(pres.uring, pres.groebner,
+                                              ring, 40)
+    if (name, ring) == ("G2", GF(2)):
+        assert got[2] == ["A^2"]
+
+
+def test_presentation_with_two_generators_in_one_degree():
+    # the h_D stop must not end degree 6 at its first new generator
+    pres = present_centralizer(load_datum("Spin8"), GF(5))
+    assert [dg for _, dg in pres.generators] == [2, 6, 6, 10]
+    assert pres.relations == []
 
 
 def test_specialization_verdict_matches_discriminant():

@@ -169,3 +169,18 @@ def test_check_all_negative_control(capsys):
     assert code == EXIT_MISMATCH
     assert any(ln.startswith("FAIL") and "Jacobi" in ln
                for ln in out.splitlines())
+
+
+def test_check_all_reports_budget_per_check(capsys):
+    code, out, _ = run(capsys, "check-all", "--presets", "SL3", "G2",
+                       "--ring", "Q", "--budget", "2")
+    lines = out.splitlines()
+    assert code == EXIT_BUDGET
+    assert "PASS SL3/Q: series, dimension, center" in lines
+    assert "FAIL G2/Q: budget exceeded" in lines
+    assert lines[-1] == "FAILED: 1 failing checks"
+    # a mathematical failure outranks an exhausted budget
+    code, out, _ = run(capsys, "check-all", "--presets", "SL3", "G2",
+                       "--ring", "Q", "--budget", "2", "--inject-sign-error")
+    assert code == EXIT_MISMATCH
+    assert "FAIL G2/Q: budget exceeded" in out.splitlines()

@@ -186,6 +186,7 @@ def test_ideal_dimension_matches_subset_search(gens):
 
 @pytest.mark.parametrize("name,ring_name", [
     ("SL3", "Q"), ("G2", "F2"), ("Sp4", "F5"),          # homogeneous, unipotent
+    ("G2", "Q"), ("PGL3", "F5"), ("SL4", "F7"), ("Spin5", "F7"),
     ("Sp4", "F2"), ("SO5", "F2"), ("G2", "F3"),         # Laurent, bad primes
 ])
 def test_ideal_dimension_matches_subset_search_on_centralizers(name, ring_name):
@@ -199,8 +200,17 @@ def test_ideal_dimension_matches_subset_search_on_centralizers(name, ring_name):
     assert dim == subset_dimension(gb)
     if cid.mode == "unipotent":
         assert dim == d.derived_rank
+        # the pole order of the series, as present_centralizer reads it
+        hs = hilbert_series(gb, ring=cid.ideal.ring, truncation=40,
+                            is_groebner=True)
+        assert hs.dimension() == dim
     else:
         assert dim > d.derived_rank
+
+
+def test_series_dimension_of_the_unit_ideal():
+    hs = hilbert_series([RQ.one()], ring=RQ, truncation=10)
+    assert hs.dimension() == ideal_dimension([RQ.one()]) == -1
 
 
 def test_budget_exceeded():

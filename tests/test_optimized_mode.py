@@ -29,13 +29,17 @@ print(__debug__, *raised)
 """
 
 
-def run_optimized(*args):
-    """Run python -O with the liedual under test first on the path."""
+def run_python(*args):
+    """Run python with the liedual under test first on the path."""
     src = str(Path(liedual.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-O", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_optimized(*args):
+    return run_python("-O", *args)
 
 
 def test_checks_raise_under_python_O():
@@ -49,3 +53,10 @@ def test_negative_control_fails_under_python_O():
                            "--ring", "Q", "--inject-sign-error")
     assert result.returncode == 2, result.stderr
     assert "FAIL SL3: Jacobi identity" in result.stdout.splitlines()
+
+
+def test_check_all_is_the_same_under_python_O():
+    plain = run_python("-m", "liedual.cli", "check-all")
+    optimized = run_optimized("-m", "liedual.cli", "check-all")
+    assert plain.returncode == 0, plain.stdout + plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
