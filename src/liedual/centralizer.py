@@ -9,7 +9,6 @@ the positive roots in (height, lex) order; u_alpha carries degree
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import product as iter_product
 from math import gcd
 
@@ -62,25 +61,20 @@ def ad_exp_layers(basis, root_coeffs):
     return layers
 
 
-def exp_adjoint(basis, root_coeffs, u, ring):
-    """Matrix of Ad(exp(u * x_root)) = sum_k u^k ad(x_root)^k / k! over the ring."""
-    n = basis.dim
-    zero = ring.coerce(0)
-    out = [[zero] * n for _ in range(n)]
-    upow = ring.coerce(1)
-    for k, M in enumerate(ad_exp_layers(basis, root_coeffs)):
-        if k == 1:
-            upow = u
-        elif k > 1:
+def adjoint_action(basis, factors, v, ring):
+    """Ad(exp(u_1 x_1) ... exp(u_m x_m)) v over the ring, for the factors
+    [(root_1, u_1), ..., (root_m, u_m)].  They act right to left, each as
+    v -> sum_k u^k ad(x_root)^k / k! v on the integer layers."""
+    for rt, u in reversed(factors):
+        if not u:
+            continue
+        out, upow = list(v), ring.coerce(1)
+        for M in ad_exp_layers(basis, rt.coeffs)[1:]:
             upow = ring.mul(upow, u)
-        multiples = {}      # integer entry c -> c * u^k
-        for i, row in enumerate(M):
-            for j, c in enumerate(row):
-                if c:
-                    if c not in multiples:
-                        multiples[c] = ring.mul(ring.coerce(c), upow)
-                    out[i][j] = ring.add(out[i][j], multiples[c])
-    return out
+            out = [ring.add(a, ring.mul(upow, b)) if b else a
+                   for a, b in zip(out, mat_vec(M, v, ring))]
+        v = out
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -114,15 +108,11 @@ class BorelCoordinates:
                 out = out * ring.gen(name)
         return out
 
-    def unipotent_adjoint(self, ring=None, uvals=None):
-        """Ad(prod exp(u_alpha x_alpha)) over a ring, the polynomial ring of
-        the u's unless given; uvals default to that ring's u variables."""
-        ring = ring or self.uring
-        if uvals is None:
-            uvals = [ring.gen(nm) for nm in self.u_names]
-        return reduce(partial(mat_mul, ring=ring),
-                      (exp_adjoint(self.basis, rt.coeffs, u, ring)
-                       for rt, u in zip(self.pos, uvals)))
+
+def _factors(coords, ring, prefix="u"):
+    """The factors (alpha, prefix + index) of U = prod exp(u_alpha x_alpha)."""
+    return [(rt, ring.gen(f"{prefix}{i + 1}"))
+            for i, rt in enumerate(coords.pos)]
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +157,7 @@ def centralizer_ideal(e_like, coords):
     if units:
         ring = coords.uring
         target = _lie_vector(e_like, ring)
-        v = mat_vec(coords.unipotent_adjoint(), target, ring)
+        v = adjoint_action(basis, _factors(coords, ring), target, ring)
         return CentralizerIdeal(Ideal(ring, [a - b for a, b in zip(v, target)]),
                                 "unipotent", g_center, coords)
     # bad prime: keep the torus variables, normalising by unit monomials
@@ -183,7 +173,7 @@ def _borel_equations(coords, ring, target):
     variables, and fixes the h components (which come first in the basis).
     """
     n = coords.n
-    v = mat_vec(coords.unipotent_adjoint(ring), target, ring)
+    v = adjoint_action(coords.basis, _factors(coords, ring), target, ring)
     gens = [v[k] - target[k] for k in range(n)]
     for i, rt in enumerate(coords.basis.roots, start=n):
         gens.append(coords.root_weight_monomial(rt, ring) * v[i] - target[i])
@@ -591,6 +581,8 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
                 if not old.add(relpoly.terms):
                     continue
                 rels.append(relpoly)
+    # product refers to itself: free its memo now, not at the next cyclic GC
+    del product
     # sanity: the presented algebra reproduces the quotient's Hilbert series
     if rels:
         rel_gb = groebner_basis(rels, budget)
@@ -608,8 +600,10 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
 # unipotent coordinate peeling and the brute-force group check
 
 
-def peel_unipotent(coords, M, ring):
-    """Recover canonical coordinates u_alpha from a matrix Ad(U) over the ring.
+def peel_unipotent(coords, factors, ring):
+    """Canonical coordinates u_alpha of a product of exp factors
+    [(root, u), ...] over the ring, read off the columns of the matrix M of
+    its adjoint action.
 
     Processes positive roots in order; at each step reads u_alpha either
     from the h-component of M x_{-alpha} (equal to u_alpha h_alpha) or from
@@ -619,6 +613,7 @@ def peel_unipotent(coords, M, ring):
     """
     basis = coords.basis
     n = coords.n
+    cols = [adjoint_action(basis, factors, c, ring) for c in identity(basis.dim, ring)]
     out = []
     for rt in coords.pos:
         u = None
@@ -627,7 +622,7 @@ def peel_unipotent(coords, M, ring):
         for k, h in enumerate(basis.coroot_h(rt.coeffs)):
             h = ring.coerce(h)
             if ring.is_unit(h):
-                u = ring.div(M[k][col], h)
+                u = ring.div(cols[col][k], h)
                 break
         if u is None:
             # route B: x_alpha-component of M applied to h_k
@@ -635,17 +630,14 @@ def peel_unipotent(coords, M, ring):
             for k in range(n):
                 pk = ring.coerce(-basis.pairing(rt.coeffs, k))
                 if ring.is_unit(pk):
-                    u = ring.div(M[row][k], pk)
+                    u = ring.div(cols[k][row], pk)
                     break
         if u is None:
             raise PeelingError(f"no unit read for root {rt.coeffs}")
         out.append(u)
-        if u:
-            E = exp_adjoint(basis, rt.coeffs, ring.neg(u), ring)
-            M = mat_mul(E, M, ring)
-    for M_row, I_row in zip(M, identity(basis.dim, ring)):
-        if any(ring.sub(a, b) for a, b in zip(M_row, I_row)):
-            raise PeelingError("matrix is not a canonical unipotent product")
+        cols = [adjoint_action(basis, [(rt, ring.neg(u))], c, ring) for c in cols]
+    if cols != identity(basis.dim, ring):
+        raise PeelingError("matrix is not a canonical unipotent product")
     return out
 
 
@@ -665,9 +657,6 @@ class GroupPoints:
         for key, c in principal_e(self.basis, d, ring).coefficients.items():
             self.e_vec[self.basis.key_index(key)] = c
 
-    def _unip_matrix(self, u):
-        return self.coords.unipotent_adjoint(self.ring, [x % self.p for x in u])
-
     def _root_value(self, rt, z):
         val = 1
         for k in range(self.coords.n):
@@ -675,7 +664,8 @@ class GroupPoints:
         return val
 
     def is_point(self, z, u):
-        v = mat_vec(self._unip_matrix(u), self.e_vec, self.ring)
+        v = adjoint_action(self.basis, list(zip(self.coords.pos, u)), self.e_vec,
+                           self.ring)
         for rt in self.basis.roots:
             i = self.basis.key_index(("x", rt.coeffs))
             if (self._root_value(rt, z) * v[i] - self.e_vec[i]) % self.p:
@@ -701,18 +691,15 @@ class GroupPoints:
         z3 = tuple(x * y % self.p for x, y in zip(z1, z2))
         conj = [self.ring.div(val, self._root_value(rt, z2))
                 for rt, val in zip(self.coords.pos, u1)]
-        M = mat_mul(self._unip_matrix(conj), self._unip_matrix(u2), self.ring)
-        return (z3, tuple(peel_unipotent(self.coords, M, self.ring)))
+        factors = list(zip(self.coords.pos * 2, conj + list(u2)))    # U(conj) U(u2)
+        return (z3, tuple(peel_unipotent(self.coords, factors, self.ring)))
 
     def inverse(self, a):
         z, u = a
         zinv = tuple(pow(x, -1, self.p) for x in z)
         # (t U)^{-1} = t^{-1} (t U^{-1} t^{-1}); conjugation rescales coords
-        inv = identity(self.basis.dim, self.ring)
-        for rt, val in reversed(list(zip(self.coords.pos, u))):
-            E = exp_adjoint(self.basis, rt.coeffs, (-val) % self.p, self.ring)
-            inv = mat_mul(inv, E, self.ring)
-        uinv = peel_unipotent(self.coords, inv, self.ring)
+        inv = [(rt, self.ring.neg(val)) for rt, val in zip(self.coords.pos, u)]
+        uinv = peel_unipotent(self.coords, inv[::-1], self.ring)
         conj = [self.ring.div(val, self._root_value(rt, zinv))
                 for rt, val in zip(self.coords.pos, uinv)]
         return (zinv, tuple(conj))
@@ -754,33 +741,34 @@ def brute_force_group_check(d, p):
 
 
 def _law_ring(coords, prefixes):
-    """A ring with one copy of the u variables per prefix (prefix + index),
-    and the universal unipotent matrix Ad(U) of each copy over it."""
-    npos = len(coords.pos)
-    names = [f"{g}{i + 1}" for g in prefixes for i in range(npos)]
-    ring = PolyRing(coords.coeff, names, coords.u_weights * len(prefixes))
-    copies = [[ring.gen(f"{g}{i + 1}") for i in range(npos)] for g in prefixes]
-    return ring, [coords.unipotent_adjoint(ring, u) for u in copies]
+    """A ring with one copy of the u variables per prefix (prefix + index)."""
+    names = [f"{g}{i + 1}" for g in prefixes for i in range(len(coords.pos))]
+    return PolyRing(coords.coeff, names, coords.u_weights * len(prefixes))
 
 
 def group_law_coordinates(coords):
     """Universal product coordinates c_alpha(a, b) of U(a) * U(b)."""
-    ring, (A, B) = _law_ring(coords, ("ga", "gb"))
-    return ring, peel_unipotent(coords, mat_mul(A, B, ring), ring)
+    ring = _law_ring(coords, ("ga", "gb"))
+    factors = _factors(coords, ring, "ga") + _factors(coords, ring, "gb")
+    return ring, peel_unipotent(coords, factors, ring)
 
 
 def verify_coassociativity(coords):
     """Associativity of the universal unipotent group law c(a, b).
 
-    Checks c(c(a,b), g) = c(a, c(b,g)) as polynomial identities in three
-    sets of coordinates; this is the coordinate form of coassociativity of
-    the coproduct built from the law.
+    Composes the law polynomials and checks c(c(a,b), g) = c(a, c(b,g)) as
+    polynomial identities in three sets of coordinates; this is the
+    coordinate form of coassociativity of the coproduct built from the law.
     """
-    ring, (A, B, C) = _law_ring(coords, ("ga", "gb", "gc"))
-    mul = partial(mat_mul, ring=ring)
-    left = peel_unipotent(coords, mul(mul(A, B), C), ring)
-    right = peel_unipotent(coords, mul(A, mul(B, C)), ring)
-    return all(x == y for x, y in zip(left, right))
+    law_ring, law = group_law_coordinates(coords)
+    ring = _law_ring(coords, ("ga", "gb", "gc"))
+    n, gens = len(coords.pos), ring.gens()
+    a, b, g = gens[:n], gens[n:2 * n], gens[2 * n:]
+
+    def c(x, y):
+        values = dict(zip(law_ring.names, x + y))
+        return [p.map_into(ring, values) for p in law]
+    return c(c(a, b), g) == c(a, c(b, g))
 
 
 def _tensor_square(pres, budget):

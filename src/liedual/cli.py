@@ -32,6 +32,9 @@ EXIT_BAD_INPUT = 4
 
 RING_CHOICES = ["Q", "F2", "F3", "F5", "F7", "F11", "F13"]
 
+# SL3/Q already takes seconds at --truncate 1000; far more exhausts memory
+MAX_TRUNCATE = 1000
+
 
 def _load_from_args(args):
     if args.preset:
@@ -246,8 +249,8 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for mismatches
         return EXIT_PASS if exc.code == 0 else EXIT_BAD_INPUT
-    if args.truncate < 1:
-        print("--truncate must be >= 1", file=sys.stderr)
+    if not 1 <= args.truncate <= MAX_TRUNCATE or args.budget < 0:
+        print(f"--truncate must be 1..{MAX_TRUNCATE}, --budget >= 0", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         return args.func(args)

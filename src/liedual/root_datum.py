@@ -344,11 +344,18 @@ def _dot(a, b):
 # construction from documents and presets
 
 
+def _integer(x, what):
+    """x if it is an integer; a fraction must not be cut off silently."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise RootDatumError(f"{what} entry {x!r} is not an integer")
+    return x
+
+
 def _datum_from_doc(doc):
     name = doc.get("name", "datum")
-    cartan = tuple(tuple(int(x) for x in row) for row in doc["cartan"])
+    cartan = tuple(tuple(_integer(x, "cartan") for x in row) for row in doc["cartan"])
     r = len(cartan)
-    c = int(doc.get("central_rank", 0))
+    c = _integer(doc.get("central_rank", 0), "central_rank")
     n = r + c
     lattice = doc.get("lattice", "simply_connected")
     if lattice == "simply_connected":
@@ -357,7 +364,7 @@ def _datum_from_doc(doc):
     elif lattice == "adjoint":
         B = [[int(i == j) for j in range(n)] for i in range(n)]
     elif isinstance(lattice, dict) and "basis" in lattice:
-        B = [[int(x) for x in row] for row in lattice["basis"]]
+        B = [[_integer(x, "lattice basis") for x in row] for row in lattice["basis"]]
     else:
         raise RootDatumError(f"unknown lattice tag {lattice!r}")
     return RootDatum(name, cartan, tuple(tuple(row) for row in B), c)

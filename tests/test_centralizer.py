@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,13 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      localization_restriction, present_centralizer,
                      principal_e, specialize_eT, truncated_dist,
                      verify_coassociativity)
-from liedual.centralizer import (GENERATOR_NAMES, group_law_coordinates,
-                                 monomials_of_degree, standard_monomials)
+from liedual import centralizer
+from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
+                                 ad_exp_layers, adjoint_action,
+                                 group_law_coordinates, monomials_of_degree,
+                                 peel_unipotent, standard_monomials)
 from liedual.commalg import PolyRing, normal_form
-from liedual.intlinalg import LinSpan
+from liedual.intlinalg import LinSpan, identity, mat_mul, mat_vec, transpose
 from liedual.loop_oracle import omega_poincare
 
 N_G_TABLE = {
@@ -242,6 +246,58 @@ def test_specialization_fails_on_diagonal():
     assert not report["regular_semisimple"]
 
 
+def exp_adjoint_matrix(basis, root_coeffs, u, ring):
+    """Reference: the matrix sum_k u^k ad(x_root)^k / k! of Ad(exp(u x_root))."""
+    n = basis.dim
+    out = [[ring.coerce(0)] * n for _ in range(n)]
+    upow = ring.coerce(1)
+    for k, M in enumerate(ad_exp_layers(basis, root_coeffs)):
+        if k:
+            upow = ring.mul(upow, u)
+        for i, row in enumerate(M):
+            for j, c in enumerate(row):
+                if c:
+                    out[i][j] = ring.add(out[i][j], ring.mul(ring.coerce(c), upow))
+    return out
+
+
+def unipotent_matrix(coords, ring, uvals):
+    """Reference: Ad(U) as the product of the matrices of its exp factors."""
+    return reduce(partial(mat_mul, ring=ring),
+                  (exp_adjoint_matrix(coords.basis, rt.coeffs, u, ring)
+                   for rt, u in zip(coords.pos, uvals)))
+
+
+@pytest.mark.parametrize("name,ring", [
+    ("SL3", QQ), ("G2", GF(2)), ("Sp4", GF(5)), ("Spin7", QQ), ("F4", GF(5))])
+def test_adjoint_action_matches_matrix_products(name, ring):
+    d = load_datum(name)
+    basis = build_chevalley(d.dual_datum())
+    coords = BorelCoordinates(basis, ring)
+    e = principal_e(basis, d, ring)
+    # the u ring of the unipotent ideal and the z, zi, u ring of the Laurent one
+    for R in (coords.uring, coords.bring):
+        target = _lie_vector(e, R)
+        uvals = [R.gen(nm) for nm in coords.u_names]
+        expect = mat_vec(unipotent_matrix(coords, R, uvals), target, R)
+        assert adjoint_action(basis, _factors(coords, R), target, R) == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["SL3", "Sp4", "G2"]), st.sampled_from([5, 7]), st.data())
+def test_peeling_recovers_the_unipotent_coordinates(name, p, data):
+    ring = GF(p)
+    coords = BorelCoordinates(build_chevalley(load_datum(name).dual_datum()), ring)
+    npos = len(coords.pos)
+    u = data.draw(st.lists(st.integers(0, p - 1), min_size=npos, max_size=npos))
+    factors = list(zip(coords.pos, u))
+    # the matrix peeling reads: Ad(U(u)) applied to the standard basis
+    cols = [adjoint_action(coords.basis, factors, c, ring)
+            for c in identity(coords.basis.dim, ring)]
+    assert cols == transpose(unipotent_matrix(coords, ring, u))
+    assert peel_unipotent(coords, factors, ring) == u
+
+
 def test_group_points_brute_force():
     for name in ["SL2", "PGL2", "SL3"]:
         d = load_datum(name)
@@ -264,6 +320,17 @@ def test_coassociativity():
         basis = build_chevalley(d.dual_datum())
         coords = BorelCoordinates(basis, QQ)
         assert verify_coassociativity(coords)
+
+
+def test_coassociativity_detects_a_perturbed_law(monkeypatch):
+    law_of = centralizer.group_law_coordinates
+
+    def perturbed(coords):
+        ring, law = law_of(coords)
+        return ring, law[:-1] + [law[-1] + ring.gen("ga1") * ring.gen("gb1") ** 2]
+    monkeypatch.setattr(centralizer, "group_law_coordinates", perturbed)
+    coords = BorelCoordinates(build_chevalley(load_datum("SL3").dual_datum()), QQ)
+    assert not verify_coassociativity(coords)
 
 
 def test_group_law_counit():

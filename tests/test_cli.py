@@ -2,7 +2,7 @@ import json
 
 import liedual
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
-                         EXIT_PASS, main)
+                         EXIT_PASS, MAX_TRUNCATE, main)
 
 
 def run(capsys, *argv):
@@ -78,11 +78,24 @@ def test_unknown_preset_and_bad_file(capsys, tmp_path):
     code, _, _ = run(capsys, "datum-info", "--datum-file",
                      str(tmp_path / "missing.json"))
     assert code == EXIT_BAD_INPUT
+    # a fraction is refused, not cut off to SL3's Cartan matrix
+    bad.write_text(json.dumps({"cartan": [[2.9, -1], [-1, 2]]}))
+    code, out, err = run(capsys, "datum-info", "--datum-file", str(bad))
+    assert code == EXIT_BAD_INPUT and out == "" and "not an integer" in err
 
 
 def test_invalid_truncate(capsys):
     code, _, _ = run(capsys, "centralizer", "--preset", "SL2", "--truncate", "0")
     assert code == EXIT_BAD_INPUT
+    # refused up front rather than running out of memory
+    code, _, err = run(capsys, "centralizer", "--preset", "SL2",
+                       "--truncate", "100000000000")
+    assert code == EXIT_BAD_INPUT and "--truncate" in err
+    code, _, _ = run(capsys, "datum-info", "--preset", "SL2",
+                     "--truncate", str(MAX_TRUNCATE))
+    assert code == EXIT_PASS
+    code, _, err = run(capsys, "centralizer", "--preset", "SL2", "--budget", "-1")
+    assert code == EXIT_BAD_INPUT and "--budget" in err
 
 
 def test_datum_file_round_trip(capsys, tmp_path):

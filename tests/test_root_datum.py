@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual import FiniteAbelianGroup, RootDatumError, load_datum, preset_names
+from liedual import (GF, FiniteAbelianGroup, RootDatumError, load_datum,
+                     present_centralizer, preset_names)
 from liedual.intlinalg import determinant, is_integral, solve_left
+from liedual.loop_oracle import compare_report
+from liedual.root_datum import (_cartan_A, _cartan_B, _cartan_C, _cartan_G2,
+                                _datum_with_extra_coweights)
 
 ROOT_COUNTS = {
     "SL2": 2, "PGL2": 2, "SL3": 6, "PGL3": 6, "Sp4": 8, "Spin5": 8,
@@ -151,6 +155,11 @@ def test_rejects_bad_cartan():
     with pytest.raises(RootDatumError, match="off-diagonal"):
         load_datum({"name": "bad", "cartan": [[2, 1], [1, 2]],
                     "lattice": "adjoint", "central_rank": 0})
+    # a fraction is refused, not cut off to SL3's Cartan matrix
+    with pytest.raises(RootDatumError, match="not an integer"):
+        load_datum({"name": "bad", "cartan": [[2.9, -1], [-1, 2]]})
+    with pytest.raises(RootDatumError, match="not an integer"):
+        load_datum({"name": "bad", "cartan": [[2]], "central_rank": 0.5})
 
 
 def test_rejects_bad_lattice():
@@ -161,6 +170,10 @@ def test_rejects_bad_lattice():
     with pytest.raises(RootDatumError, match="singular"):
         load_datum({"name": "bad", "cartan": [[2, -1], [-1, 2]],
                     "lattice": {"basis": [[1, 0], [2, 0]]}, "central_rank": 0})
+    # a fraction is refused, not cut off to PGL2's basis
+    with pytest.raises(RootDatumError, match="not an integer"):
+        load_datum({"name": "bad", "cartan": [[2]], "lattice": {"basis": [[1.5]]},
+                    "central_rank": 0})
 
 
 def test_unknown_preset():
@@ -206,3 +219,35 @@ def test_smith_basis_spans_coroots_plus_extra_coweight(name):
         assert any(is_integral(solve_left(coroots, [x - k * y for x, y in zip(b, extra)]))
                    for k in range(order))
     assert d.component_group().invariant_factors == (2,)
+
+
+CARTANS = {"A1": _cartan_A(1), "A2": _cartan_A(2), "B2": _cartan_B(2),
+           "G2": _cartan_G2(), "A3": _cartan_A(3), "B3": _cartan_B(3),
+           "C3": _cartan_C(3)}
+
+
+@st.composite
+def random_root_data(draw, types=tuple(CARTANS)):
+    """A Cartan matrix of derived rank 1-3 with the lattice spanned by the
+    coroots and up to two random integer extra coweights."""
+    cartan = CARTANS[draw(st.sampled_from(types))]
+    r = len(cartan)
+    extras = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                           max_size=2))
+    return _datum_with_extra_coweights("random", cartan, extras)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_root_data())
+def test_random_datum_duality(d):
+    dd = d.dual_datum()
+    assert dd.dual_datum().cochar_basis == d.cochar_basis
+    assert d.component_group().torsion_order == dd.center_order()
+
+
+@settings(max_examples=15, deadline=None)
+@given(random_root_data(types=("A1", "A2", "B2", "G2")), st.sampled_from([5, 7]))
+def test_random_datum_series_matches_the_oracle(d, p):
+    # 5 and 7 divide neither a length ratio nor a lattice index of rank <= 2
+    pres = present_centralizer(d, GF(p), truncation=20)
+    assert compare_report(pres, d, 20)["pass"]
