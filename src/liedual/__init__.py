@@ -8,8 +8,8 @@ from .chevalley import (ChevalleyBasis, LieElement, ad_kernel_dim, bracket,
                         build_chevalley, principal_e, simple_sum_e1)
 from .commalg import (BudgetExceeded, HilbertSeries, Ideal, PolyRing,
                       Polynomial, groebner_basis, hilbert_series,
-                      ideal_dimension, normal_form, parse_polynomial,
-                      smith_normal_form, invariant_factors)
+                      ideal_dimension, normal_form, parse_polynomial)
+from .intlinalg import invariant_factors, smith_normal_form
 from .centralizer import (BadPrimeError, BorelCoordinates,
                           CentralizerPresentation, EquivariantElement,
                           brute_force_group_check, build_eT,

@@ -13,8 +13,8 @@ from itertools import product as iter_product
 from math import gcd
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
-from .commalg import (HilbertSeries, Ideal, PolyRing, Polynomial,
-                      groebner_basis, hilbert_series, normal_form)
+from .commalg import (DEFAULT_BUDGET, HilbertSeries, Ideal, PolyRing,
+                      Polynomial, groebner_basis, hilbert_series, normal_form)
 from .intlinalg import LinSpan, determinant, identity, mat_mul, mat_vec
 from .rings import GF, QQ, ZZ
 
@@ -457,7 +457,8 @@ class CentralizerPresentation:
     hilbert_unipotent: HilbertSeries
     krull_dim: int
     uring: object
-    groebner: list
+    groebner: list                  # reduced basis of the unipotent ideal
+    relation_groebner: list         # reduced basis of the relations
     coords: object
 
     def to_document(self):
@@ -474,7 +475,7 @@ class CentralizerPresentation:
         }
 
 
-def present_centralizer(d, ring, truncation=40, budget=200000):
+def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     """Graded presentation of the centralizer coordinate ring.
 
     Requires a field whose characteristic does not divide the squared
@@ -493,20 +494,27 @@ def present_centralizer(d, ring, truncation=40, budget=200000):
     cid = centralizer_ideal(e, coords)
     if cid.mode != "unipotent":
         raise AssertionError("unit simple coefficients must give a unipotent ideal")
-    gb = cid.ideal.groebner(budget)
+    gb = groebner_basis(cid.ideal.gens, budget)
     hs_u = hilbert_series(gb, ring=cid.ideal.ring, truncation=truncation,
                           is_groebner=True)
-    zorder = cid.zcenter.torsion_order
-    gens, reps, gen_ring, rels = _extract_presentation(
-        cid.ideal.ring, gb, ring, hs_u, truncation, budget)
+    gens, reps, gen_ring, rels = _extract_presentation(cid.ideal.ring, gb, hs_u)
+    # sanity: the presented algebra reproduces the quotient's Hilbert series
+    rel_gb = groebner_basis(rels, budget)
+    hs_pres = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
+                             is_groebner=True)
+    if hs_pres.coeffs != hs_u.coeffs:
+        raise AssertionError(
+            "presentation does not reproduce the quotient Hilbert series")
     return CentralizerPresentation(
         datum=d, base=ring, zcenter=cid.zcenter,
         generators=gens, generator_reps=reps, relations=rels,
-        gen_ring=gen_ring, hilbert=hs_u.scaled(zorder), hilbert_unipotent=hs_u,
-        krull_dim=hs_u.dimension(), uring=cid.ideal.ring, groebner=gb, coords=coords)
+        gen_ring=gen_ring, hilbert=hs_u.scaled(cid.zcenter.torsion_order),
+        hilbert_unipotent=hs_u, krull_dim=hs_u.dimension(), uring=cid.ideal.ring,
+        groebner=gb, relation_groebner=rel_gb, coords=coords)
 
 
-def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
+def _extract_presentation(uring, gb, hs_u):
+    ring, truncation = uring.coeff, hs_u.truncation
     # h_D = hs_u.coeffs[D] is the dimension of the degree-D piece of the
     # quotient: both phases stop as soon as a span reaches it
     reps = []        # representative polynomial (a standard monomial)
@@ -583,16 +591,6 @@ def _extract_presentation(uring, gb, ring, hs_u, truncation, budget):
                 rels.append(relpoly)
     # product refers to itself: free its memo now, not at the next cyclic GC
     del product
-    # sanity: the presented algebra reproduces the quotient's Hilbert series
-    if rels:
-        rel_gb = groebner_basis(rels, budget)
-        hs_pres = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
-                                 is_groebner=True)
-    else:
-        hs_pres = hilbert_series([], ring=gen_ring, truncation=truncation)
-    if hs_pres.coeffs != hs_u.coeffs:
-        raise AssertionError(
-            "presentation does not reproduce the quotient Hilbert series")
     return gens, reps, gen_ring, rels
 
 
@@ -771,19 +769,19 @@ def verify_coassociativity(coords):
     return c(c(a, b), g) == c(a, c(b, g))
 
 
-def _tensor_square(pres, budget):
+def _tensor_square(pres):
     """The law ring in ga (left) and gb (right) variables, a Groebner basis
     gb2 of two commuting copies of the quotient in it, and the normal form
     of each generator's image under the group law."""
     coords = pres.coords
     law_ring, law = group_law_coordinates(coords)
-    gb_a = [_rename_into(g, law_ring, "ga") for g in pres.groebner]
-    gb_b = [_rename_into(g, law_ring, "gb") for g in pres.groebner]
-    gb2 = groebner_basis(gb_a + gb_b, budget) if (gb_a or gb_b) else []
+    # the copies share no variable, so every pair across them has coprime
+    # leads (Buchberger's first criterion): the union is the reduced basis
+    gb2 = ([_rename_into(g, law_ring, "ga") for g in pres.groebner]
+           + [_rename_into(g, law_ring, "gb") for g in pres.groebner])
     law_of_u = dict(zip(coords.u_names, law))
-    images = [rep.map_into(law_ring, law_of_u) for rep in pres.generator_reps]
-    if gb2:
-        images = [normal_form(img, gb2) for img in images]
+    images = [normal_form(rep.map_into(law_ring, law_of_u), gb2)
+              for rep in pres.generator_reps]
     return law_ring, gb2, images
 
 
@@ -802,8 +800,7 @@ def _coproduct_table(pres, square):
     table = {}
     for (gname, gdeg), rep, image in zip(pres.generators, pres.generator_reps, images):
         # counit: right side at 0 must return the left generator
-        expect = _rename_into(normal_form(rep, pres.groebner) if pres.groebner else rep,
-                              law_ring, "ga")
+        expect = _rename_into(normal_form(rep, pres.groebner), law_ring, "ga")
         if image.substitute(right_at_zero) != expect:
             raise AssertionError(f"counit fails on {gname}")
         combo = _tensor_span(pres, square, gdeg, lex_monomials).express(image.terms)
@@ -813,10 +810,10 @@ def _coproduct_table(pres, square):
     return table
 
 
-def coproduct_on_generators(pres, budget=200000):
+def coproduct_on_generators(pres):
     """Delta on each presentation generator, as an element of the tensor
     square of the generator algebra; verifies the counit on the way."""
-    return _coproduct_table(pres, _tensor_square(pres, budget))
+    return _coproduct_table(pres, _tensor_square(pres))
 
 
 def _rename_into(poly, big_ring, prefix):
@@ -841,22 +838,21 @@ def _tensor_span(pres, square, deg, monomials):
         for ma in monomials(da):
             for mb in monomials(deg - da):
                 p = _power_product(mb, reps_b, _power_product(ma, reps_a, law_ring.one()))
-                nf = normal_form(p, gb2) if gb2 else p
-                span.add(nf.terms, tag=(ma, mb))
+                span.add(normal_form(p, gb2).terms, tag=(ma, mb))
     return span
 
 
-def truncated_dist(pres, N, budget=200000):
+def truncated_dist(pres, N):
     """Multiplication table of the graded dual up to degree N.
 
     Basis: generator monomials (as exponent tuples on the presentation
     generators) of weighted degree <= N that are standard for the relation
     ideal; product structure constants are read off the coproduct.
     """
-    rel_gb = groebner_basis(pres.relations, budget) if pres.relations else []
-    basis_by_deg = {D: list(standard_monomials(pres.gen_ring, rel_gb, D))
+    basis_by_deg = {D: list(standard_monomials(pres.gen_ring,
+                                               pres.relation_groebner, D))
                     for D in range(0, N + 1, 2)}
-    square = _tensor_square(pres, budget)
+    square = _tensor_square(pres)
     _coproduct_table(pres, square)      # for its counit check
     law_ring, gb2, images = square
     # Delta on a standard monomial: multiply out Delta(gen)^e, then read its
@@ -865,8 +861,7 @@ def truncated_dist(pres, N, budget=200000):
     for D in range(0, N + 1, 2):
         span = _tensor_span(pres, square, D, lambda d: basis_by_deg.get(d, []))
         for m in basis_by_deg[D]:
-            dm = _power_product(m, images, law_ring.one())
-            dm = normal_form(dm, gb2) if gb2 else dm
+            dm = normal_form(_power_product(m, images, law_ring.one()), gb2)
             combo = span.express(dm.terms)
             if combo is None:
                 raise PeelingError(f"distribution extraction failed at {m}")

@@ -18,7 +18,7 @@ import liedual
 from .centralizer import (BadPrimeError, compute_nG, f_form,
                           localization_restriction, present_centralizer)
 from .chevalley import ad_kernel_dim, build_chevalley, principal_e
-from .commalg import BudgetExceeded
+from .commalg import DEFAULT_BUDGET, BudgetExceeded
 from .loop_oracle import adjoint_rep, compare_report, degree_dV
 from .rings import QQ, ring_from_name
 from .root_datum import RootDatumError, load_datum, preset_names
@@ -220,7 +220,7 @@ def build_parser():
             g.add_argument("--preset", choices=preset_names())
             g.add_argument("--datum-file")
         sp.add_argument("--truncate", type=int, default=40)
-        sp.add_argument("--budget", type=int, default=200000)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--out")
         sp.add_argument("--cache")
 

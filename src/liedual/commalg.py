@@ -9,8 +9,10 @@ nonzero entry of the exponent difference being negative.
 import re
 from fractions import Fraction
 
-from .intlinalg import smith_normal_form, invariant_factors  # noqa: F401 (re-export)
 from .rings import RingMismatchError
+
+# S-pairs one groebner_basis call may process before raising BudgetExceeded
+DEFAULT_BUDGET = 200000
 
 
 class BudgetExceeded(RuntimeError):
@@ -319,13 +321,8 @@ class Ideal:
             if g.ring != ring:
                 raise RingMismatchError("generator outside the ring")
 
-    def groebner(self, budget=200000):
-        if not self.gens:
-            return []
-        return groebner_basis(self.gens, budget)
-
-    def dimension(self, budget=200000):
-        gb = self.groebner(budget)
+    def dimension(self):
+        gb = groebner_basis(self.gens)
         if not gb:
             return self.ring.nvars
         return ideal_dimension(gb)
@@ -394,7 +391,7 @@ def s_polynomial(f, g):
     return mf * f - mg * g
 
 
-def groebner_basis(gens, budget=200000):
+def groebner_basis(gens, budget=DEFAULT_BUDGET):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Raises BudgetExceeded if more than `budget` S-pairs are processed.
@@ -624,8 +621,7 @@ def _monomial_ideal_numerator(leads, weights):
     return out
 
 
-def hilbert_series(gens_or_gb, ring=None, truncation=40, budget=200000,
-                   is_groebner=False):
+def hilbert_series(gens_or_gb, ring=None, truncation=40, is_groebner=False):
     """Hilbert series of ring/(gens) for homogeneous generators.
 
     Accepts either raw generators (a Groebner basis is computed) or an
@@ -634,27 +630,21 @@ def hilbert_series(gens_or_gb, ring=None, truncation=40, budget=200000,
     """
     if gens_or_gb:
         ring = gens_or_gb[0].ring
-        for g in gens_or_gb:
-            if not g.is_homogeneous():
-                raise ValueError(f"inhomogeneous generator: {g}")
-        gb = list(gens_or_gb) if is_groebner else groebner_basis(gens_or_gb, budget)
-    else:
-        if ring is None:
-            raise ValueError("zero ideal needs an explicit ring")
-        gb = []
+    elif ring is None:
+        raise ValueError("zero ideal needs an explicit ring")
+    for g in gens_or_gb:
+        if not g.is_homogeneous():
+            raise ValueError(f"inhomogeneous generator: {g}")
+    gb = list(gens_or_gb) if is_groebner else groebner_basis(gens_or_gb)
     leads = [g.leading_monomial() for g in gb]
     numer = _monomial_ideal_numerator(leads, ring.weights)
-    # cancel common (1 - t^d) factors
-    denom = list(ring.weights)
-    changed = True
-    while changed:
-        changed = False
-        for d in sorted(set(denom), reverse=True):
-            factor = [1] + [0] * (d - 1) + [-1]
-            q = _poly_t_divide(numer, factor)
-            if q is not None:
-                numer = q
-                denom.remove(d)
-                changed = True
-                break
+    # cancel common (1 - t^d) factors, largest d first; a division that
+    # fails cannot succeed after further exact divisions, so one pass does
+    denom = []
+    for d in sorted(ring.weights, reverse=True):
+        q = _poly_t_divide(numer, [1] + [0] * (d - 1) + [-1])
+        if q is None:
+            denom.append(d)
+        else:
+            numer = q
     return HilbertSeries.from_rational(numer, denom, truncation)

@@ -351,9 +351,21 @@ def _integer(x, what):
     return x
 
 
+def _integer_rows(rows, what):
+    """rows as a tuple of integer tuples; rows and each row must be lists."""
+    if not isinstance(rows, (list, tuple)):
+        raise RootDatumError(f"{what} {rows!r} is not a list of rows")
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise RootDatumError(f"{what} row {row!r} is not a list")
+    return tuple(tuple(_integer(x, what) for x in row) for row in rows)
+
+
 def _datum_from_doc(doc):
     name = doc.get("name", "datum")
-    cartan = tuple(tuple(_integer(x, "cartan") for x in row) for row in doc["cartan"])
+    if "cartan" not in doc:
+        raise RootDatumError("the datum document has no cartan matrix")
+    cartan = _integer_rows(doc["cartan"], "cartan")
     r = len(cartan)
     c = _integer(doc.get("central_rank", 0), "central_rank")
     n = r + c
@@ -364,7 +376,7 @@ def _datum_from_doc(doc):
     elif lattice == "adjoint":
         B = [[int(i == j) for j in range(n)] for i in range(n)]
     elif isinstance(lattice, dict) and "basis" in lattice:
-        B = [[_integer(x, "lattice basis") for x in row] for row in lattice["basis"]]
+        B = _integer_rows(lattice["basis"], "lattice basis")
     else:
         raise RootDatumError(f"unknown lattice tag {lattice!r}")
     return RootDatum(name, cartan, tuple(tuple(row) for row in B), c)

@@ -15,10 +15,11 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      verify_coassociativity)
 from liedual import centralizer
 from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
+                                 _rename_into, _tensor_square,
                                  ad_exp_layers, adjoint_action,
                                  group_law_coordinates, monomials_of_degree,
                                  peel_unipotent, standard_monomials)
-from liedual.commalg import PolyRing, normal_form
+from liedual.commalg import PolyRing, groebner_basis, normal_form
 from liedual.intlinalg import LinSpan, identity, mat_mul, mat_vec, transpose
 from liedual.loop_oracle import omega_poincare
 
@@ -214,6 +215,7 @@ def test_extraction_matches_full_enumeration(name, ring):
            [str(r) for r in pres.relations])
     assert got == full_enumeration_extraction(pres.uring, pres.groebner,
                                               ring, 40)
+    assert pres.relation_groebner == groebner_basis(pres.relations)
     if (name, ring) == ("G2", GF(2)):
         assert got[2] == ["A^2"]
 
@@ -368,3 +370,41 @@ def test_truncated_dist_mod2_square_vanishes():
     pres = present_centralizer(load_datum("SL2"), GF(2))
     dp = truncated_dist(pres, 8)["dual_product"]
     assert dp((1,), (1,)) == {}
+
+
+@pytest.mark.parametrize("name,ring", [
+    ("SL3", QQ), ("Sp4", GF(5)), ("G2", GF(2)), ("G2", GF(5))])
+def test_tensor_square_basis_is_the_union_of_the_copies(name, ring):
+    pres = present_centralizer(load_datum(name), ring)
+    law_ring, gb2, _ = _tensor_square(pres)
+    assert pres.groebner
+    # the reference runs Buchberger on the union: the reduced basis is unique
+    gb_a = [_rename_into(g, law_ring, "ga") for g in pres.groebner]
+    gb_b = [_rename_into(g, law_ring, "gb") for g in pres.groebner]
+    assert sorted(map(str, gb2)) == sorted(map(str, groebner_basis(gb_a + gb_b)))
+
+
+def test_truncated_dist_with_relations_is_commutative_and_associative():
+    # G2 over F2 has the relation A^2, so the relation basis is not empty
+    pres = present_centralizer(load_datum("G2"), GF(2))
+    assert pres.relation_groebner
+    dist = truncated_dist(pres, 12)
+    dp, R = dist["dual_product"], pres.base
+    basis = [m for ms in dist["basis_by_degree"].values() for m in ms]
+
+    def times(x, y):
+        """Product of two linear combinations of basis elements."""
+        out = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                for m, c in dp(a, b).items():
+                    out[m] = R.add(out.get(m, R.coerce(0)), R.mul(R.mul(ca, cb), c))
+        return {m: c for m, c in out.items() if c}
+
+    one = R.coerce(1)
+    for a in basis:
+        for b in basis:
+            assert dp(a, b) == dp(b, a)
+            for c in basis:
+                left = times(times({a: one}, {b: one}), {c: one})
+                assert left == times({a: one}, times({b: one}, {c: one}))

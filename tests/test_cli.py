@@ -82,6 +82,10 @@ def test_unknown_preset_and_bad_file(capsys, tmp_path):
     bad.write_text(json.dumps({"cartan": [[2.9, -1], [-1, 2]]}))
     code, out, err = run(capsys, "datum-info", "--datum-file", str(bad))
     assert code == EXIT_BAD_INPUT and out == "" and "not an integer" in err
+    # a document without a Cartan matrix is bad input, not a traceback
+    bad.write_text(json.dumps({"name": "x"}))
+    code, out, err = run(capsys, "datum-info", "--datum-file", str(bad))
+    assert code == EXIT_BAD_INPUT and out == "" and "no cartan" in err
 
 
 def test_invalid_truncate(capsys):

@@ -12,6 +12,7 @@ from liedual import (GF, QQ, ZZ, BorelCoordinates, BudgetExceeded,
                      ideal_dimension, invariant_factors, load_datum,
                      normal_form, parse_polynomial, principal_e,
                      ring_from_name, smith_normal_form)
+from liedual.commalg import _monomial_ideal_numerator, _poly_t_divide
 
 RQ = PolyRing(QQ, ("x", "y", "z"))
 R5 = PolyRing(GF(5), ("x", "y", "z"))
@@ -206,6 +207,44 @@ def test_ideal_dimension_matches_subset_search_on_centralizers(name, ring_name):
         assert hs.dimension() == dim
     else:
         assert dim > d.derived_rank
+
+
+def restarting_cancellation(numer, weights):
+    """Reference cancellation of common (1 - t^d) factors: after each exact
+    division, start again from the largest remaining degree."""
+    denom = list(weights)
+    changed = True
+    while changed:
+        changed = False
+        for d in sorted(set(denom), reverse=True):
+            q = _poly_t_divide(numer, [1] + [0] * (d - 1) + [-1])
+            if q is not None:
+                numer = q
+                denom.remove(d)
+                changed = True
+                break
+    return numer, sorted(denom)
+
+
+@st.composite
+def weighted_monomial_ideals(draw):
+    """Weights of 1-5 variables (repeats likely) and monomial generators."""
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    return weights, leads
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_monomial_ideals())
+def test_one_pass_cancellation_matches_the_restarting_loop(case):
+    weights, leads = case
+    ring = PolyRing(QQ, [f"x{i}" for i in range(len(weights))], weights)
+    # monomials are a Groebner basis of the ideal they generate
+    hs = hilbert_series([ring.monomial(m) for m in leads], ring=ring,
+                        truncation=10, is_groebner=True)
+    assert (hs.numer, list(hs.denom_degs)) == restarting_cancellation(
+        _monomial_ideal_numerator(leads, weights), weights)
 
 
 def test_series_dimension_of_the_unit_ideal():

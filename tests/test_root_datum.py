@@ -160,6 +160,13 @@ def test_rejects_bad_cartan():
         load_datum({"name": "bad", "cartan": [[2.9, -1], [-1, 2]]})
     with pytest.raises(RootDatumError, match="not an integer"):
         load_datum({"name": "bad", "cartan": [[2]], "central_rank": 0.5})
+    # a malformed document is refused, not left to a KeyError or TypeError
+    with pytest.raises(RootDatumError, match="no cartan"):
+        load_datum({"name": "x"})
+    with pytest.raises(RootDatumError, match="not a list of rows"):
+        load_datum({"cartan": 5})
+    with pytest.raises(RootDatumError, match="row 5 is not a list"):
+        load_datum({"cartan": [5]})
 
 
 def test_rejects_bad_lattice():
@@ -174,6 +181,10 @@ def test_rejects_bad_lattice():
     with pytest.raises(RootDatumError, match="not an integer"):
         load_datum({"name": "bad", "cartan": [[2]], "lattice": {"basis": [[1.5]]},
                     "central_rank": 0})
+    with pytest.raises(RootDatumError, match="not a list of rows"):
+        load_datum({"cartan": [[2]], "lattice": {"basis": 5}})
+    with pytest.raises(RootDatumError, match="row 5 is not a list"):
+        load_datum({"cartan": [[2]], "lattice": {"basis": [5]}})
 
 
 def test_unknown_preset():
