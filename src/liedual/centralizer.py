@@ -772,48 +772,26 @@ def verify_coassociativity(coords):
 def _tensor_square(pres):
     """The law ring in ga (left) and gb (right) variables, a Groebner basis
     gb2 of two commuting copies of the quotient in it, and the normal form
-    of each generator's image under the group law."""
+    of each generator's image under the group law; checks the counit."""
     coords = pres.coords
+    npos = len(coords.pos)
     law_ring, law = group_law_coordinates(coords)
     # the copies share no variable, so every pair across them has coprime
     # leads (Buchberger's first criterion): the union is the reduced basis
     gb2 = ([_rename_into(g, law_ring, "ga") for g in pres.groebner]
            + [_rename_into(g, law_ring, "gb") for g in pres.groebner])
     law_of_u = dict(zip(coords.u_names, law))
-    images = [normal_form(rep.map_into(law_ring, law_of_u), gb2)
-              for rep in pres.generator_reps]
-    return law_ring, gb2, images
-
-
-def _coproduct_table(pres, square):
-    """Delta on each generator in the tensor basis; checks the counit."""
-    law_ring, gb2, images = square
-    npos = len(pres.coords.pos)
-    right_at_zero = {f"gb{i + 1}": law_ring.zero() for i in range(npos)}
-    gdegs = [dg for _, dg in pres.generators]
-
-    # lexicographic order: it decides which of the dependent products the
-    # tensor basis keeps, so the table depends on it
-    def lex_monomials(D):
-        return [m[::-1] for m in monomials_of_degree(gdegs[::-1], D)]
-
-    table = {}
-    for (gname, gdeg), rep, image in zip(pres.generators, pres.generator_reps, images):
-        # counit: right side at 0 must return the left generator
+    images = []
+    for (gname, _), rep in zip(pres.generators, pres.generator_reps):
+        image = normal_form(rep.map_into(law_ring, law_of_u), gb2)
+        # counit: the right side at 0 (the terms free of gb variables) must
+        # return the left generator
+        at_zero = {m: c for m, c in image.terms.items() if not any(m[npos:])}
         expect = _rename_into(normal_form(rep, pres.groebner), law_ring, "ga")
-        if image.substitute(right_at_zero) != expect:
+        if at_zero != expect.terms:
             raise AssertionError(f"counit fails on {gname}")
-        combo = _tensor_span(pres, square, gdeg, lex_monomials).express(image.terms)
-        if combo is None:
-            raise PeelingError(f"coproduct extraction failed for {gname}")
-        table[gname] = combo
-    return table
-
-
-def coproduct_on_generators(pres):
-    """Delta on each presentation generator, as an element of the tensor
-    square of the generator algebra; verifies the counit on the way."""
-    return _coproduct_table(pres, _tensor_square(pres))
+        images.append(image)
+    return law_ring, gb2, images
 
 
 def _rename_into(poly, big_ring, prefix):
@@ -826,20 +804,47 @@ def _rename_into(poly, big_ring, prefix):
     return Polynomial(big_ring, out)
 
 
-def _tensor_span(pres, square, deg, monomials):
-    """Span of (monomial a)(ga) * (monomial b)(gb) over pairs of total degree
-    deg, reduced mod gb2; each is tagged (a, b), and monomials(D) lists the
-    generator monomials of degree D in the order they are added."""
-    law_ring, gb2, _ = square
-    reps_a = [_rename_into(r, law_ring, "ga") for r in pres.generator_reps]
-    reps_b = [_rename_into(r, law_ring, "gb") for r in pres.generator_reps]
-    span = LinSpan(pres.base)
-    for da in range(0, deg + 1, 2):
-        for ma in monomials(da):
-            for mb in monomials(deg - da):
-                p = _power_product(mb, reps_b, _power_product(ma, reps_a, law_ring.one()))
-                span.add(normal_form(p, gb2).terms, tag=(ma, mb))
-    return span
+def _standard_coproducts(pres, N):
+    """Delta of each relation-standard monomial of degree <= N, as
+    {monomial: {(mono_a, mono_b): coefficient}} in the tensor basis of
+    pairs of such monomials; also returns those monomials by degree."""
+    basis_by_deg = {D: list(standard_monomials(pres.gen_ring,
+                                               pres.relation_groebner, D))
+                    for D in range(0, N + 1, 2)}
+    law_ring, gb2, images = _tensor_square(pres)
+    left, right = {}, {}
+    for ms in basis_by_deg.values():
+        for m in ms:
+            p = _power_product(m, pres.generator_reps, pres.uring.one())
+            p = normal_form(p, pres.groebner)
+            left[m] = _rename_into(p, law_ring, "ga")
+            right[m] = _rename_into(p, law_ring, "gb")
+    table = {}
+    for D, monos in basis_by_deg.items():
+        # the two factors share no variable and are each reduced, so their
+        # product is already a normal form mod gb2
+        span = LinSpan(pres.base)
+        for da in range(0, D + 1, 2):
+            for ma in basis_by_deg[da]:
+                for mb in basis_by_deg[D - da]:
+                    span.add((left[ma] * right[mb]).terms, tag=(ma, mb))
+        for m in monos:
+            dm = normal_form(_power_product(m, images, law_ring.one()), gb2)
+            combo = span.express(dm.terms)
+            if combo is None:
+                raise PeelingError(f"coproduct extraction failed at {m}")
+            table[m] = combo
+    return basis_by_deg, table
+
+
+def coproduct_on_generators(pres):
+    """Delta on each presentation generator, as an element of the tensor
+    square of the generator algebra; verifies the counit on the way."""
+    top = max(dg for _, dg in pres.generators)
+    _, table = _standard_coproducts(pres, top)
+    n = len(pres.generators)
+    return {gname: table[tuple(int(j == i) for j in range(n))]
+            for i, (gname, _) in enumerate(pres.generators)}
 
 
 def truncated_dist(pres, N):
@@ -849,30 +854,13 @@ def truncated_dist(pres, N):
     generators) of weighted degree <= N that are standard for the relation
     ideal; product structure constants are read off the coproduct.
     """
-    basis_by_deg = {D: list(standard_monomials(pres.gen_ring,
-                                               pres.relation_groebner, D))
-                    for D in range(0, N + 1, 2)}
-    square = _tensor_square(pres)
-    _coproduct_table(pres, square)      # for its counit check
-    law_ring, gb2, images = square
-    # Delta on a standard monomial: multiply out Delta(gen)^e, then read its
-    # coefficients on the (mono_a, mono_b) tensor basis
-    mult = {}
-    for D in range(0, N + 1, 2):
-        span = _tensor_span(pres, square, D, lambda d: basis_by_deg.get(d, []))
-        for m in basis_by_deg[D]:
-            dm = normal_form(_power_product(m, images, law_ring.one()), gb2)
-            combo = span.express(dm.terms)
-            if combo is None:
-                raise PeelingError(f"distribution extraction failed at {m}")
-            for (ma, mb), c in combo.items():
-                mult[(ma, mb, m)] = c
+    basis_by_deg, table = _standard_coproducts(pres, N)
     by_pair = {}
-    for (ma, mb, m), c in mult.items():
-        by_pair.setdefault((ma, mb), {})[m] = c
+    for m, combo in table.items():
+        for pair, c in combo.items():
+            by_pair.setdefault(pair, {})[m] = c
 
     def dual_product(ma, mb):
         """delta_ma * delta_mb = sum_m coeff * delta_m."""
         return dict(by_pair.get((ma, mb), {}))
-    return {"basis_by_degree": basis_by_deg, "structure": mult,
-            "dual_product": dual_product}
+    return {"basis_by_degree": basis_by_deg, "dual_product": dual_product}

@@ -212,12 +212,6 @@ class Polynomial:
         lc = self.leading_coeff()
         return Polynomial(self.ring, {m: R.div(c, lc) for m, c in self.terms.items()})
 
-    def substitute(self, assignment):
-        """Map variable names to polynomials or scalars of the same ring."""
-        ring = self.ring
-        return self.map_into(ring, {nm: ring.coerce(assignment.get(nm, ring.gen(nm)))
-                                    for nm in ring.names})
-
     def map_into(self, target_ring, assignment):
         """Ring map: each source variable goes to a target polynomial."""
         out = target_ring.zero()
@@ -320,18 +314,6 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise RingMismatchError("generator outside the ring")
-
-    def dimension(self):
-        gb = groebner_basis(self.gens)
-        if not gb:
-            return self.ring.nvars
-        return ideal_dimension(gb)
-
-    def to_document(self):
-        return {"ring": {"coeff": self.ring.coeff.name,
-                         "names": list(self.ring.names),
-                         "weights": list(self.ring.weights)},
-                "generators": [str(g) for g in self.gens]}
 
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens))})"
@@ -452,29 +434,13 @@ def reduce_basis(G):
 def ideal_dimension(gb):
     """Krull dimension of ring/I from a Groebner basis of I; -1 for the unit ideal.
 
-    It is read off the Hilbert numerator of the leading-term ideal: the
-    series is numer / prod (1 - t^w), so its pole order at t = 1 is nvars
-    minus the multiplicity of t = 1 as a root of numer.  dim R/I equals
-    dim R/in(I) for any global term order (Bayer & Stillman 1992), so this
-    also holds for inhomogeneous I.
+    It is the pole order at t = 1 of the Hilbert series of the leading-term
+    ideal.  dim R/I equals dim R/in(I) for any global term order (Bayer &
+    Stillman 1992), so this also holds for inhomogeneous I.
     """
     if not gb:
         raise ValueError("need at least the ring context; pass the zero ideal as []")
-    ring = gb[0].ring
-    numer = _monomial_ideal_numerator(
-        [g.leading_monomial() for g in gb if not g.is_zero()], ring.weights)
-    return _pole_order_at_one(numer, ring.nvars)
-
-
-def _pole_order_at_one(numer, nfactors):
-    """Pole order at t = 1 of numer / (nfactors factors 1 - t^d); -1 when
-    numer is 0.  Each factor has a simple zero at t = 1, so cancelling
-    common factors leaves it unchanged."""
-    if not any(numer):
-        return -1               # unit ideal: empty spectrum
-    while (q := _poly_t_divide(numer, [1, -1])) is not None:
-        numer, nfactors = q, nfactors - 1
-    return nfactors
+    return _leading_term_series(gb, gb[0].ring, 0).dimension()
 
 
 # ----------------------------------------------------------------------
@@ -482,39 +448,31 @@ def _pole_order_at_one(numer, nfactors):
 
 
 class HilbertSeries:
-    """Truncated integer power series with an optional closed rational form.
+    """The rational function numer / prod (1 - t^d), d in denom_degs, with
+    its power series truncated at degree `truncation`; `numer` is a
+    coefficient list, index = degree."""
 
-    closed form: numerator coefficient list `numer` (index = degree) over
-    the product of (1 - t^d) for d in `denom_degs`.
-    """
-
-    def __init__(self, coeffs, truncation, numer=None, denom_degs=None):
+    def __init__(self, numer, denom_degs, truncation):
+        self.numer = list(numer)
+        self.denom_degs = tuple(sorted(denom_degs))
         self.truncation = truncation
-        self.coeffs = list(coeffs[:truncation + 1])
-        self.coeffs += [0] * (truncation + 1 - len(self.coeffs))
-        self.numer = list(numer) if numer is not None else None
-        self.denom_degs = tuple(sorted(denom_degs)) if denom_degs is not None else None
-        if self.numer is not None:
-            expanded = _expand_rational(self.numer, self.denom_degs, truncation)
-            if expanded != self.coeffs:
-                raise AssertionError("closed form disagrees with series")
-
-    @classmethod
-    def from_rational(cls, numer, denom_degs, truncation):
-        coeffs = _expand_rational(list(numer), denom_degs, truncation)
-        return cls(coeffs, truncation, numer, denom_degs)
+        self.coeffs = _expand_rational(self.numer, self.denom_degs, truncation)
 
     def scaled(self, k):
-        numer = [k * c for c in self.numer] if self.numer is not None else None
-        return HilbertSeries([k * c for c in self.coeffs], self.truncation,
-                             numer, self.denom_degs)
+        return HilbertSeries([k * c for c in self.numer], self.denom_degs,
+                             self.truncation)
 
     def dimension(self):
         """Krull dimension of a graded quotient with this series: the pole
-        order at t = 1 of the closed form; -1 for the zero series."""
-        if self.numer is None:
-            raise ValueError("the dimension needs the closed form")
-        return _pole_order_at_one(self.numer, len(self.denom_degs))
+        order at t = 1; -1 for the zero series.  Each factor 1 - t^d has a
+        simple zero at t = 1, so cancelling common factors leaves it
+        unchanged."""
+        if not any(self.numer):
+            return -1               # unit ideal: empty spectrum
+        numer, order = self.numer, len(self.denom_degs)
+        while (q := _divide_one_minus_t_power(numer, 1)) is not None:
+            numer, order = q, order - 1
+        return order
 
     def truncated(self, N):
         if N > self.truncation:
@@ -534,8 +492,6 @@ class HilbertSeries:
         return None
 
     def closed_form_str(self):
-        if self.numer is None:
-            return None
         num = _poly_in_t_str(self.numer)
         if not self.denom_degs:
             return num
@@ -545,9 +501,7 @@ class HilbertSeries:
         return f"1/({den})"
 
     def __repr__(self):
-        cf = self.closed_form_str()
-        head = " + ".join(f"{c}*t^{k}" for k, c in enumerate(self.coeffs[:6]) if c)
-        return f"HilbertSeries({cf or head + ' + ...'})"
+        return f"HilbertSeries({self.closed_form_str()})"
 
 
 def _poly_in_t_str(coeffs):
@@ -565,35 +519,23 @@ def _poly_in_t_str(coeffs):
 
 def _expand_rational(numer, denom_degs, N):
     coeffs = list(numer[:N + 1]) + [0] * max(0, N + 1 - len(numer))
-    for d in denom_degs or ():
+    for d in denom_degs:
         # multiply by 1/(1 - t^d): prefix-sum with stride d
         for k in range(d, N + 1):
             coeffs[k] += coeffs[k - d]
     return coeffs[:N + 1]
 
 
-def _poly_t_divide(a, b):
-    """Exact division of integer polynomials in t; None if not exact."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    if not a:
-        return [0]
-    if len(a) < len(b):
+def _divide_one_minus_t_power(numer, d):
+    """numer / (1 - t^d) as a coefficient list, or None if it is not a
+    polynomial.  Past deg numer the expansion repeats with period d, so it
+    is a polynomial exactly when its last d coefficients up to deg numer
+    vanish; [0] for the zero polynomial."""
+    n = max((k for k, c in enumerate(numer) if c), default=0)
+    e = _expand_rational(numer, [d], n)
+    if any(e[max(0, n - d + 1):]):
         return None
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        if a[k + len(b) - 1] % b[-1]:
-            return None
-        q[k] = a[k + len(b) - 1] // b[-1]
-        for j, y in enumerate(b):
-            a[k + j] -= q[k] * y
-    if any(a):
-        return None
-    return q
+    return e[:max(1, n - d + 1)]
 
 
 def _monomial_ideal_numerator(leads, weights):
@@ -621,6 +563,23 @@ def _monomial_ideal_numerator(leads, weights):
     return out
 
 
+def _leading_term_series(gb, ring, truncation):
+    """Hilbert series of ring/(leading monomials of gb), with the common
+    (1 - t^d) factors of its closed form cancelled."""
+    numer = _monomial_ideal_numerator([g.leading_monomial() for g in gb if g],
+                                      ring.weights)
+    # cancel largest d first; a division that fails cannot succeed after
+    # further exact divisions, so one pass does
+    denom = []
+    for d in sorted(ring.weights, reverse=True):
+        q = _divide_one_minus_t_power(numer, d)
+        if q is None:
+            denom.append(d)
+        else:
+            numer = q
+    return HilbertSeries(numer, denom, truncation)
+
+
 def hilbert_series(gens_or_gb, ring=None, truncation=40, is_groebner=False):
     """Hilbert series of ring/(gens) for homogeneous generators.
 
@@ -636,15 +595,4 @@ def hilbert_series(gens_or_gb, ring=None, truncation=40, is_groebner=False):
         if not g.is_homogeneous():
             raise ValueError(f"inhomogeneous generator: {g}")
     gb = list(gens_or_gb) if is_groebner else groebner_basis(gens_or_gb)
-    leads = [g.leading_monomial() for g in gb]
-    numer = _monomial_ideal_numerator(leads, ring.weights)
-    # cancel common (1 - t^d) factors, largest d first; a division that
-    # fails cannot succeed after further exact divisions, so one pass does
-    denom = []
-    for d in sorted(ring.weights, reverse=True):
-        q = _poly_t_divide(numer, [1] + [0] * (d - 1) + [-1])
-        if q is None:
-            denom.append(d)
-        else:
-            numer = q
-    return HilbertSeries.from_rational(numer, denom, truncation)
+    return _leading_term_series(gb, ring, truncation)

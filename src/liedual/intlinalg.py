@@ -208,7 +208,9 @@ def smith_normal_form(M):
     """Smith normal form of an integer matrix.
 
     Returns (U, D, V) with D = U*M*V, U and V unimodular, D diagonal with
-    d_1 | d_2 | ... all non-negative.
+    d_1 | d_2 | ... all non-negative.  Each round takes the smallest nonzero
+    entry of the remaining block as pivot and clears its row and column; the
+    pivot shrinks until it divides the whole block, so the rounds end.
     """
     A = [list(map(int, row)) for row in M]
     n = len(A)
@@ -242,69 +244,32 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(n, m):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j] != 0:
-                    if piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]]):
-                        piv = (i, j)
+        # pivot: the smallest nonzero entry of the remaining block
+        piv = min(((abs(A[i][j]), i, j) for i in range(t, n) for j in range(t, m)
+                   if A[i][j]), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    add_row(i, t, -q)
-                    if A[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
-                    if A[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty:
-                break
-        if A[t][t] < 0:
+        swap_rows(t, piv[1])
+        swap_cols(t, piv[2])
+        p = A[t][t]
+        for i in range(t + 1, n):
+            add_row(i, t, -(A[i][t] // p))
+        for j in range(t + 1, m):
+            add_col(j, t, -(A[t][j] // p))
+        if (any(A[i][t] for i in range(t + 1, n))
+                or any(A[t][j] for j in range(t + 1, m))):
+            continue            # a remainder left is smaller than the pivot
+        # d_t | d_{t+1} needs the pivot to divide the whole remaining block:
+        # a row with an entry it does not divide is added to row t, whose
+        # next clearing leaves a remainder smaller than the pivot
+        bad = next((i for i in range(t + 1, n)
+                    if any(A[i][j] % p for j in range(t + 1, m))), None)
+        if bad is not None:
+            add_row(t, bad, 1)
+            continue
+        if p < 0:
             negate_row(t)
         t += 1
-
-    # enforce the divisibility chain
-    k = min(n, m)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b % a != 0:
-                # fold d_{i+1} into row i and rediagonalise the 2x2 block
-                add_row(i, i + 1, 1)
-                while True:
-                    if A[i][i + 1] != 0:
-                        q = A[i][i + 1] // A[i][i] if A[i][i] else 0
-                        add_col(i + 1, i, -q)
-                        if A[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                            continue
-                    if A[i + 1][i] != 0:
-                        q = A[i + 1][i] // A[i][i] if A[i][i] else 0
-                        add_row(i + 1, i, -q)
-                        if A[i + 1][i] != 0:
-                            swap_rows(i, i + 1)
-                            continue
-                    break
-                if A[i][i] < 0:
-                    negate_row(i)
-                if A[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
     D = [[A[i][j] if i == j else 0 for j in range(m)] for i in range(n)]
     return U, D, V
 

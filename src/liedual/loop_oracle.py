@@ -51,8 +51,8 @@ def omega_poincare(d, N=40):
     if d.derived_rank == 0:
         raise PureTorusError("pure torus has no almost-simple derived group")
     pi0 = d.component_group()
-    series = HilbertSeries.from_rational(
-        [pi0.torsion_order], [2 * m for m in d.exponents()], N)
+    series = HilbertSeries([pi0.torsion_order],
+                           [2 * m for m in d.exponents()], N)
     series.free_rank = pi0.free_rank
     return series
 

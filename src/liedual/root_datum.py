@@ -363,11 +363,18 @@ def _integer_rows(rows, what):
 
 def _datum_from_doc(doc):
     name = doc.get("name", "datum")
+    if not isinstance(name, str):
+        raise RootDatumError(f"datum name {name!r} is not a string")
     if "cartan" not in doc:
         raise RootDatumError("the datum document has no cartan matrix")
     cartan = _integer_rows(doc["cartan"], "cartan")
     r = len(cartan)
+    # the lattice bases below index the cartan matrix as square
+    if any(len(row) != r for row in cartan):
+        raise RootDatumError("cartan matrix is not square")
     c = _integer(doc.get("central_rank", 0), "central_rank")
+    if c < 0:
+        raise RootDatumError(f"central_rank {c} is negative")
     n = r + c
     lattice = doc.get("lattice", "simply_connected")
     if lattice == "simply_connected":

@@ -12,7 +12,8 @@ from liedual import (GF, QQ, BorelCoordinates, HilbertSeries,
                      omega_poincare, present_centralizer, principal_e,
                      specialize_eT, truncated_dist)
 from liedual.centralizer import f_form, localization_restriction
-from liedual.commalg import PolyRing, hilbert_series
+from liedual.commalg import (PolyRing, groebner_basis, hilbert_series,
+                             ideal_dimension)
 from liedual.loop_oracle import adjoint_rep, degree_dV, fixed_point_chern_weight
 
 GOOD_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -36,8 +37,7 @@ def test_criterion_02_series_equals_component_scaled_exponent_product():
     for name in ["SL2", "PGL2", "SL3", "Sp4", "Spin5", "G2"]:
         d = load_datum(name)
         z = d.component_group().torsion_order
-        ref = HilbertSeries.from_rational(
-            [z], [2 * m for m in d.exponents()], 40)
+        ref = HilbertSeries([z], [2 * m for m in d.exponents()], 40)
         rings = [QQ] + [GF(p) for p in good_primes(d)]
         for ring in rings:
             pres = present_centralizer(d, ring, truncation=40)
@@ -57,7 +57,8 @@ def test_criterion_03_flat_over_good_primes_and_jumps_at_bad_ones():
         basis = build_chevalley(d.dual_datum())
         coords = BorelCoordinates(basis, GF(p))
         ci = centralizer_ideal(principal_e(basis, d, GF(p)), coords)
-        assert ci.ideal.dimension() > d.derived_rank, (name, p)
+        dim = ideal_dimension(groebner_basis(ci.ideal.gens))
+        assert dim > d.derived_rank, (name, p)
 
 
 def test_criterion_04_integrality_constant_table():

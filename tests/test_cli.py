@@ -86,6 +86,12 @@ def test_unknown_preset_and_bad_file(capsys, tmp_path):
     bad.write_text(json.dumps({"name": "x"}))
     code, out, err = run(capsys, "datum-info", "--datum-file", str(bad))
     assert code == EXIT_BAD_INPUT and out == "" and "no cartan" in err
+    for doc, msg in [({"cartan": [[2], [-1, 2]]}, "not square"),
+                     ({"cartan": [[2]], "central_rank": -1}, "negative"),
+                     ({"cartan": [[2]], "name": 5}, "not a string")]:
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "datum-info", "--datum-file", str(bad))
+        assert code == EXIT_BAD_INPUT and out == "" and msg in err, doc
 
 
 def test_invalid_truncate(capsys):

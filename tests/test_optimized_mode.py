@@ -11,14 +11,21 @@ import liedual
 SCRIPT = """
 from unittest import mock
 
-from liedual import HilbertSeries, build_chevalley, load_datum
+from liedual import QQ, build_chevalley, load_datum, present_centralizer
+from liedual import centralizer
 from liedual.chevalley import ChevalleyBasis
 
 raised = []
-try:
-    HilbertSeries([1, 2], 1, [1], [1])     # 1/(1 - t) is 1 + t, not 1 + 2t
-except AssertionError:
-    raised.append("closed-form")
+pres = present_centralizer(load_datum("SL2"), QQ)
+law_of = centralizer.group_law_coordinates
+def perturbed(coords):                     # the law no longer has a counit
+    ring, law = law_of(coords)
+    return ring, [p + ring.gen("ga1") ** 2 for p in law]
+with mock.patch.object(centralizer, "group_law_coordinates", perturbed):
+    try:
+        centralizer.truncated_dist(pres, 4)
+    except AssertionError:
+        raised.append("counit")
 basis = build_chevalley(load_datum("SL3"))
 with mock.patch.object(ChevalleyBasis, "_compute_N", return_value=7):
     try:
@@ -45,7 +52,7 @@ def run_optimized(*args):
 def test_checks_raise_under_python_O():
     result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "closed-form", "chain"]
+    assert result.stdout.split() == ["False", "counit", "chain"]
 
 
 def test_negative_control_fails_under_python_O():

@@ -167,6 +167,13 @@ def test_rejects_bad_cartan():
         load_datum({"cartan": 5})
     with pytest.raises(RootDatumError, match="row 5 is not a list"):
         load_datum({"cartan": [5]})
+    # refused before an IndexError or AttributeError
+    with pytest.raises(RootDatumError, match="not square"):
+        load_datum({"cartan": [[2], [-1, 2]]})
+    with pytest.raises(RootDatumError, match="central_rank -1 is negative"):
+        load_datum({"cartan": [[2]], "central_rank": -1})
+    with pytest.raises(RootDatumError, match="name 5 is not a string"):
+        load_datum({"cartan": [[2]], "name": 5})
 
 
 def test_rejects_bad_lattice():
