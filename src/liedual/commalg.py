@@ -6,6 +6,7 @@ lexicographic: compare weighted degree first, ties broken by the *last*
 nonzero entry of the exponent difference being negative.
 """
 
+import heapq
 import re
 from fractions import Fraction
 
@@ -336,15 +337,23 @@ def _mono_quot(a, b):
 
 
 def normal_form(f, basis):
-    """Remainder of f on division by the list basis (field coefficients)."""
+    """Remainder of f on division by the list basis (field coefficients).
+
+    The work list is a heap keyed by mono_cmp_key, so the largest monomial
+    pops first.  A reduction step adds only monomials smaller than the one
+    it pops, so a popped monomial never comes back.
+    """
     ring = f.ring
     R = ring.coeff
+    key = ring.mono_cmp_key
     lead = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
     rem = {}
     work = dict(f.terms)
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
     zero = R.coerce(0)
-    while work:
-        m = min(work, key=ring.mono_cmp_key)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
         if c == zero:
             continue
@@ -353,9 +362,11 @@ def normal_form(f, basis):
                 q = _mono_quot(m, lm)
                 factor = R.div(c, g.terms[lm])
                 for m2, c2 in g.terms.items():
-                    mm = tuple(a + b for a, b in zip(q, m2))
-                    if mm == m:
+                    if m2 == lm:
                         continue
+                    mm = tuple(a + b for a, b in zip(q, m2))
+                    if mm not in work:
+                        heapq.heappush(heap, (key(mm), mm))
                     work[mm] = R.sub(work.get(mm, zero), R.mul(factor, c2))
                 break
         else:
@@ -376,7 +387,8 @@ def s_polynomial(f, g):
 def groebner_basis(gens, budget=DEFAULT_BUDGET):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Raises BudgetExceeded if more than `budget` S-pairs are processed.
+    Raises BudgetExceeded if more than `budget` S-pairs are processed; a
+    pair counts when it is popped, also when a criterion skips it.
     """
     ring = gens[0].ring if gens else None
     if ring is not None and not ring.coeff.is_field:
@@ -384,32 +396,40 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
     G = [g.monic() for g in gens if not g.is_zero()]
     if not G:
         return []
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    leads = [g.leading_monomial() for g in G]
+    # normal selection: pop the pair of least lcm degree, keyed once when
+    # the pair is made; (i, j) breaks ties and keeps the lcm out of compares
+    heap = []
+    live = set()
+
+    def add_pairs(t):
+        for k in range(t):
+            lcm = _mono_lcm(leads[k], leads[t])
+            heapq.heappush(heap, (ring.wdeg(lcm), k, t, lcm))
+            live.add((k, t))
+
+    for t in range(1, len(G)):
+        add_pairs(t)
     spent = 0
-    while pairs:
-        # prefer pairs with small lcm degree (normal selection)
-        i, j = min(pairs, key=lambda ij: ring.wdeg(
-            _mono_lcm(G[ij[0]].leading_monomial(), G[ij[1]].leading_monomial())))
-        pairs.discard((i, j))
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        live.discard((i, j))
         spent += 1
         if spent > budget:
             raise BudgetExceeded(f"S-pair budget {budget} exhausted")
-        li, lj = G[i].leading_monomial(), G[j].leading_monomial()
-        lcm = _mono_lcm(li, lj)
-        if lcm == tuple(a + b for a, b in zip(li, lj)):
+        if not any(a and b for a, b in zip(leads[i], leads[j])):
             continue  # coprime leading monomials: S-poly reduces to zero
         # chain criterion
-        if any(k != i and k != j
-               and _mono_divides(G[k].leading_monomial(), lcm)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k in range(len(G))):
+        if any(k != i and k != j and _mono_divides(lk, lcm)
+               and (min(i, k), max(i, k)) not in live
+               and (min(j, k), max(j, k)) not in live
+               for k, lk in enumerate(leads)):
             continue
         r = normal_form(s_polynomial(G[i], G[j]), G)
         if not r.is_zero():
             G.append(r.monic())
-            t = len(G) - 1
-            pairs |= {(k, t) for k in range(t)}
+            leads.append(G[-1].leading_monomial())
+            add_pairs(len(G) - 1)
     return reduce_basis(G)
 
 
@@ -539,27 +559,54 @@ def _divide_one_minus_t_power(numer, d):
 
 
 def _monomial_ideal_numerator(leads, weights):
-    """Numerator of the Hilbert series of R/(leads) over prod (1 - t^w)."""
-    leads = sorted(set(leads))
-    # drop redundant generators
-    leads = [m for m in leads
-             if not any(m != m2 and _mono_divides(m2, m) for m2 in leads)]
-    if not leads:
-        return [1]
+    """Numerator of the Hilbert series of R/(leads) over prod (1 - t^w),
+    without trailing zeros.
+
+    Bigatti's pivot recursion (JPAA 119, 1997): for a pivot p = x_i^e,
+    N(I) = N(I + (p)) + t^wdeg(p) N(I : p).  x_i is the variable found in
+    the most generators that are not pure powers, and e is the median of
+    its exponents there.  A minimal generator that is not a pure power has
+    a smaller x_i exponent than any pure power x_i^a in I, so p is not in I
+    and both I + (p) and I : p are smaller ideals to recurse on.
+    """
+    leads = _minimal_monomials(leads)
     if any(not any(m) for m in leads):
         return [0]  # unit ideal
-    g = leads[-1]
-    rest = leads[:-1]
-    n_rest = _monomial_ideal_numerator(rest, weights)
-    colon = [_mono_quot(_mono_lcm(m, g), g) for m in rest]
-    n_colon = _monomial_ideal_numerator(colon, weights)
-    w = sum(e * wt for e, wt in zip(g, weights))
-    shifted = [0] * w + n_colon
-    out = [0] * max(len(n_rest), len(shifted))
-    for i, x in enumerate(n_rest):
-        out[i] += x
-    for i, x in enumerate(shifted):
-        out[i] -= x
+    mixed = [m for m in leads if sum(1 for e in m if e) > 1]
+    if not mixed:
+        # pairwise disjoint supports: prod (1 - t^wdeg(m))
+        out = [1]
+        for m in leads:
+            out = _add_shifted(out, [-c for c in out],
+                               sum(a * w for a, w in zip(m, weights)))
+        return out
+    counts = [sum(1 for m in mixed if m[i]) for i in range(len(weights))]
+    i = counts.index(max(counts))
+    exps = sorted(m[i] for m in mixed if m[i])
+    e = exps[len(exps) // 2]
+    p = tuple(e if k == i else 0 for k in range(len(weights)))
+    n_sum = _monomial_ideal_numerator(leads + [p], weights)
+    n_colon = _monomial_ideal_numerator(
+        [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in leads], weights)
+    return _add_shifted(n_sum, n_colon, e * weights[i])
+
+
+def _minimal_monomials(monos):
+    """The minimal generators of the monomial ideal that monos generate."""
+    out = []
+    for m in sorted(set(monos), key=sum):
+        if not any(_mono_divides(k, m) for k in out):
+            out.append(m)
+    return out
+
+
+def _add_shifted(a, b, shift):
+    """a + t^shift * b as coefficient lists, trailing zeros dropped."""
+    out = a + [0] * max(0, len(b) + shift - len(a))
+    for k, c in enumerate(b):
+        out[k + shift] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
     return out
 
 

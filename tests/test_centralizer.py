@@ -22,7 +22,7 @@ from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
 from liedual.commalg import (PolyRing, groebner_basis, ideal_dimension,
                              normal_form)
 from liedual.intlinalg import LinSpan, identity, mat_mul, mat_vec, transpose
-from liedual.loop_oracle import omega_poincare
+from liedual.loop_oracle import compare_report, omega_poincare
 
 N_G_TABLE = {
     "SL2": 1, "SL3": 1, "SL4": 1, "SL5": 1, "SL6": 1,
@@ -118,6 +118,20 @@ def test_presentation_matches_oracle_all_small_presets():
             pres = present_centralizer(d, ring, truncation=30)
             assert pres.hilbert.coeffs == oracle.coeffs, (name, ring.name)
             assert pres.krull_dim == d.derived_rank
+
+
+@pytest.mark.parametrize("name,p,n_relations", [
+    ("F4", 5, 0), ("E6sc", 7, 0),                       # the frontier rung
+    # torsion primes of the group: the relation A^2 (A^3 for F4 at 3)
+    ("Spin8", 2, 1), ("SO8", 2, 1), ("Spin10", 2, 1), ("F4", 3, 1),
+    ("SL6", 2, 0), ("SL6", 3, 0), ("Sp6", 3, 0), ("Spin7", 3, 0),
+])
+def test_presentation_passes_the_oracle_at_the_frontier_and_torsion_primes(
+        name, p, n_relations):
+    d = load_datum(name)
+    pres = present_centralizer(d, GF(p), truncation=40)
+    assert compare_report(pres, d, 40)["pass"] is True
+    assert len(pres.relations) == n_relations
 
 
 def test_presented_algebra_reproduces_its_own_series():

@@ -12,7 +12,9 @@ from liedual import (GF, QQ, ZZ, BorelCoordinates, BudgetExceeded,
                      ideal_dimension, invariant_factors, load_datum,
                      normal_form, parse_polynomial, principal_e,
                      ring_from_name, smith_normal_form)
-from liedual.commalg import _divide_one_minus_t_power, _monomial_ideal_numerator
+from liedual.commalg import (_divide_one_minus_t_power, _mono_divides,
+                             _mono_lcm, _mono_quot, _monomial_ideal_numerator,
+                             s_polynomial)
 from liedual.intlinalg import determinant, mat_mul
 
 RQ = PolyRing(QQ, ("x", "y", "z"))
@@ -95,7 +97,6 @@ def test_normal_form_detects_membership():
 def test_groebner_is_confluent():
     x, y, z = RQ.gens()
     gb = groebner_basis([x * y - z, y * z - x, x * z - y])
-    from liedual.commalg import s_polynomial
     for i, f in enumerate(gb):
         for g in gb[i + 1:]:
             assert normal_form(s_polynomial(f, g), gb).is_zero()
@@ -107,6 +108,29 @@ def test_groebner_deterministic():
     a = [str(p) for p in groebner_basis(gens)]
     b = [str(p) for p in groebner_basis(list(gens))]
     assert a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_groebner_basis_does_not_depend_on_the_generator_order(data):
+    """The reduced basis is unique, so a pair the heap or the chain
+    criterion wrongly drops shows as a difference between two orders, or
+    as an S-polynomial of the result that does not reduce to zero."""
+    gens = data.draw(small_ideals())
+    gb = groebner_basis(gens)
+    shuffled = data.draw(st.permutations(gens))
+    assert [str(g) for g in gb] == [str(g) for g in groebner_basis(shuffled)]
+    for i, f in enumerate(gb):
+        for g in gb[i + 1:]:
+            assert normal_form(s_polynomial(f, g), gb).is_zero()
+
+
+def test_budget_counts_pairs_that_a_criterion_skips():
+    # the three pairs are coprime and none is reduced, yet each one counts
+    x, y, z = RQ.gens()
+    with pytest.raises(BudgetExceeded):
+        groebner_basis([x, y, z], budget=2)
+    assert [str(g) for g in groebner_basis([x, y, z], budget=3)] == ["z", "y", "x"]
 
 
 def test_groebner_matches_sympy():
@@ -271,12 +295,55 @@ def restarting_cancellation(numer, weights):
 
 
 @st.composite
-def weighted_monomial_ideals(draw):
+def weighted_monomial_ideals(draw, max_gens=5):
     """Weights of 1-5 variables (repeats likely) and monomial generators."""
     n = draw(st.integers(1, 5))
     weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=max_gens))
     return weights, leads
+
+
+def last_generator_numerator(leads, weights):
+    """Reference Hilbert numerator of R/(leads) over prod (1 - t^w), trailing
+    zeros dropped: split on the last minimal generator g, with J the ideal
+    of the others, N(I) = N(J) - t^wdeg(g) N(J : g)."""
+    leads = sorted(set(leads))
+    leads = [m for m in leads
+             if not any(m != m2 and _mono_divides(m2, m) for m2 in leads)]
+    if not leads:
+        return [1]
+    if any(not any(m) for m in leads):
+        return [0]  # unit ideal
+    g = leads[-1]
+    rest = leads[:-1]
+    n_rest = last_generator_numerator(rest, weights)
+    colon = [_mono_quot(_mono_lcm(m, g), g) for m in rest]
+    n_colon = last_generator_numerator(colon, weights)
+    w = sum(e * wt for e, wt in zip(g, weights))
+    shifted = [0] * w + n_colon
+    out = [0] * max(len(n_rest), len(shifted))
+    for i, x in enumerate(n_rest):
+        out[i] += x
+    for i, x in enumerate(shifted):
+        out[i] -= x
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_monomial_ideals(max_gens=8))
+@example(([1, 1], [(2, 0), (0, 3)]))                    # pure powers only
+# x is the most frequent variable and also has the pure power x^3
+@example(([1, 2, 1], [(3, 0, 0), (1, 1, 0), (2, 0, 1), (1, 0, 2)]))
+@example(([2, 3], [(0, 0), (1, 2)]))                    # the unit ideal
+@example(([1, 2, 3], []))                               # the zero ideal
+# redundant and duplicate generators
+@example(([1, 1, 2], [(1, 1, 0), (1, 1, 0), (2, 1, 1), (0, 2, 0), (0, 3, 1)]))
+def test_pivot_numerator_matches_the_last_generator_split(case):
+    weights, leads = case
+    assert _monomial_ideal_numerator(leads, weights) == last_generator_numerator(
+        leads, weights)
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,7 +355,7 @@ def test_one_pass_cancellation_matches_the_restarting_loop(case):
     hs = hilbert_series([ring.monomial(m) for m in leads], ring=ring,
                         truncation=10, is_groebner=True)
     assert (hs.numer, list(hs.denom_degs)) == restarting_cancellation(
-        _monomial_ideal_numerator(leads, weights), weights)
+        last_generator_numerator(leads, weights), weights)
 
 
 def test_series_dimension_of_the_unit_ideal():
