@@ -1,6 +1,6 @@
 """The equivariant deformation e^T and its specializations: generic torus
-parameters give a regular semisimple element; failures lie exactly on the
-discriminant locus.
+parameters give a regular semisimple element; failures lie exactly where the
+Weyl discriminant prod_alpha alpha(h) vanishes.
 
 Run:  python3 demos/05_equivariant_specialization.py
 """
@@ -23,16 +23,16 @@ for _ in range(12):
     s = [rng.randrange(-5, 6) for _ in range(d.rank)]
     _, report = specialize_eT(eT, s)
     tag = "regular semisimple" if report["regular_semisimple"] \
-        else f"degenerate (discriminant = {report['discriminant']})"
+        else f"degenerate (Weyl discriminant = {report['discriminant']})"
     print(f"  s = {s}: kernel dim {report['kernel_dim']}, {tag}")
     if report["regular_semisimple"]:
         hits += 1
     else:
         assert report["discriminant"] == 0
         misses += 1
-print(f"\n{hits} generic points, {misses} on the discriminant locus")
+print(f"\n{hits} generic points, {misses} where the Weyl discriminant vanishes")
 
-# the diagonal s1 = s2 is always degenerate for SL3
-_, report = specialize_eT(eT, [2, 2])
+# alpha_2(h) = 0 at s = [1, 2]: a wall of the Weyl chamber for SL3
+_, report = specialize_eT(eT, [1, 2])
 assert not report["regular_semisimple"] and report["discriminant"] == 0
-print("the diagonal s1 = s2 lies on the discriminant locus, as expected")
+print("s = [1, 2] lies on the wall alpha_2(h) = 0, as expected")

@@ -10,12 +10,12 @@ the positive roots in (height, lex) order; u_alpha carries degree
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, prod
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, HilbertSeries, Ideal, PolyRing,
                       Polynomial, groebner_basis, hilbert_series, normal_form)
-from .intlinalg import LinSpan, determinant, identity, mat_mul, mat_vec
+from .intlinalg import LinSpan, identity, mat_mul, mat_vec
 from .rings import GF, QQ, ZZ
 
 
@@ -25,6 +25,14 @@ class BadPrimeError(ValueError):
 
 class PeelingError(RuntimeError):
     """Unipotent coordinates could not be re-extracted from a matrix."""
+
+
+def _require_good_prime(d, ring):
+    """BadPrimeError unless every squared coroot length is a unit of the ring."""
+    if not all(ring.is_unit(ring.coerce(c)) for c in d.coroot_length_sq()):
+        raise BadPrimeError(
+            f"characteristic {ring.characteristic} divides the length ratio "
+            f"{d.length_ratio()} of {d.name}")
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +141,6 @@ class CentralizerIdeal:
     ideal: Ideal
     mode: str                 # "unipotent" | "laurent" | "equivariant"
     zcenter: object           # FiniteAbelianGroup for the split-off torus part
-    coords: BorelCoordinates
 
 
 def centralizer_ideal(e_like, coords):
@@ -159,11 +166,11 @@ def centralizer_ideal(e_like, coords):
         target = _lie_vector(e_like, ring)
         v = adjoint_action(basis, _factors(coords, ring), target, ring)
         return CentralizerIdeal(Ideal(ring, [a - b for a, b in zip(v, target)]),
-                                "unipotent", g_center, coords)
+                                "unipotent", g_center)
     # bad prime: keep the torus variables, normalising by unit monomials
     ring = coords.bring
     gens = _borel_equations(coords, ring, _lie_vector(e_like, ring))
-    return CentralizerIdeal(Ideal(ring, gens), "laurent", g_center, coords)
+    return CentralizerIdeal(Ideal(ring, gens), "laurent", g_center)
 
 
 def _borel_equations(coords, ring, target):
@@ -248,116 +255,34 @@ def _equivariant_ideal(eT, coords):
     a_polys = [ring.gen(nm) for nm in eT.a_names]
     gens = _borel_equations(coords, ring, _eT_vector(eT, ring, a_polys))
     return CentralizerIdeal(Ideal(ring, gens), "equivariant",
-                            coords.basis.datum.center(), coords)
+                            coords.basis.datum.center())
 
 
 def specialize_eT(eT, s):
     """Integer point of Spec R_T -> Lie element plus a regularity report.
 
-    The report carries dim ker(ad), the discriminant of the nonzero part of
-    the ad-characteristic polynomial, and the regular-semisimple verdict.
+    e^T(s) = e + h with e in the positive nilradical, so the t^r coefficient
+    of det(t - ad e^T(s)) is the Weyl discriminant prod_alpha alpha(h) over
+    all roots; the element is regular semisimple exactly when it is nonzero
+    (Bourbaki, Lie VII, section 2).  The report carries dim ker(ad), the
+    discriminant and that verdict.
     """
     basis = eT.basis
-    n = eT.datum.rank
-    coeffs = dict(eT.e_part.coefficients)
-    for k in range(n):
-        acc = Fraction(0)
-        for l in range(n):
-            acc += eT.f_matrix[k][l] * s[l]
-        if acc:
-            coeffs[("h", k)] = coeffs.get(("h", k), Fraction(0)) + acc
-    elem = LieElement(basis, coeffs, QQ)
-    kdim = ad_kernel_dim(basis, elem, QQ)
-    char = _char_poly(basis.ad_matrix(elem))
     r = eT.datum.rank
-    # t^r always divides the ad-characteristic polynomial
-    if any(char[:r]):
-        raise AssertionError("0-multiplicity below the rank")
-    q = char[r:]
-    # verdict: kernel of rank size, nonzero part separable and invertible,
-    # decided by Euclidean gcd; the Sylvester-resultant discriminant below
-    # is computed independently and must vanish exactly on failures
-    separable = q[0] != 0 and _is_squarefree(q)
-    disc = _discriminant(q)
-    report = {
-        "kernel_dim": kdim,
-        "discriminant": q[0] * disc,
-        "regular_semisimple": separable and kdim == r,
-    }
-    return elem, report
-
-
-def _is_squarefree(q):
-    """gcd(q, q') is constant, by the Euclidean algorithm over Q."""
-    a = [Fraction(c) for c in q]
-    b = [Fraction(k * c) for k, c in enumerate(q)][1:]
-    while True:
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            return len(a) <= 1
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        # a = a - (lead a / lead b) x^(da-db) * b
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-
-
-def _char_poly(M):
-    """char(t) = det(tI - M) coefficients [c_0, ..., c_n], exact."""
-    n = len(M)
-    M = [[Fraction(x) for x in row] for row in M]
-    # Faddeev-LeVerrier
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    N = identity(n, QQ)
-    for k in range(1, n + 1):
-        MN = mat_mul(M, N)
-        c = -sum(MN[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        N = [[MN[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
-
-
-def _discriminant(q):
-    """Discriminant of the polynomial with coefficient list q (low first)."""
-    while q and q[-1] == 0:
-        q = q[:-1]
-    m = len(q) - 1
-    if m <= 0:
-        return Fraction(0)
-    dq = [k * q[k] for k in range(1, m + 1)]
-    res = _resultant(q, dq)
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * res / q[-1]
-
-
-def _resultant(a, b):
-    """Resultant via the Sylvester matrix, exact over Q."""
-    while a and a[-1] == 0:
-        a = a[:-1]
-    while b and b[-1] == 0:
-        b = b[:-1]
-    m, n = len(a) - 1, len(b) - 1
-    if m < 0 or n < 0:
-        return Fraction(0)
-    size = m + n
-    if size == 0:
-        return Fraction(1)
-    S = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        for k, c in enumerate(reversed(a)):
-            S[i][i + k] = Fraction(c)
-    for i in range(m):
-        for k, c in enumerate(reversed(b)):
-            S[n + i][i + k] = Fraction(c)
-    return determinant(S)
+    h = [sum(eT.f_matrix[k][l] * s[l] for l in range(r)) for k in range(r)]
+    coeffs = dict(eT.e_part.coefficients)
+    coeffs.update((("h", k), c) for k, c in enumerate(h) if c)
+    elem = LieElement(basis, coeffs, QQ)
+    disc = prod((sum(basis.pairing(rt.coeffs, k) * c for k, c in enumerate(h))
+                 for rt in basis.roots), start=Fraction(1))
+    kdim = ad_kernel_dim(basis, elem, QQ)
+    # independent path: a regular semisimple element has an r-dimensional
+    # centralizer
+    if disc and kdim != r:
+        raise AssertionError(
+            f"nonzero Weyl discriminant but dim ker ad = {kdim} != rank {r}")
+    return elem, {"kernel_dim": kdim, "discriminant": disc,
+                  "regular_semisimple": disc != 0}
 
 
 def localization_restriction(d, lam):
@@ -483,11 +408,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
-    lengths = d.coroot_length_sq()
-    if not all(ring.is_unit(ring.coerce(c)) for c in lengths):
-        raise BadPrimeError(
-            f"characteristic {ring.characteristic} divides the length ratio "
-            f"{d.length_ratio()} of {d.name}")
+    _require_good_prime(d, ring)
     basis = build_chevalley(d.dual_datum())
     coords = BorelCoordinates(basis, ring)
     e = principal_e(basis, d, ring)
@@ -646,9 +567,7 @@ class GroupPoints:
         self.p = p
         self.d = d
         self.ring = ring = GF(p)
-        lengths = d.coroot_length_sq()
-        if not all(ring.is_unit(ring.coerce(c)) for c in lengths):
-            raise BadPrimeError(f"p = {p} divides the length ratio of {d.name}")
+        _require_good_prime(d, ring)
         self.basis = build_chevalley(d.dual_datum())
         self.coords = BorelCoordinates(self.basis, ring)
         self.e_vec = [0] * self.basis.dim

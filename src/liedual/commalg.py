@@ -459,7 +459,8 @@ def ideal_dimension(gb):
     Stillman 1992), so this also holds for inhomogeneous I.
     """
     if not gb:
-        raise ValueError("need at least the ring context; pass the zero ideal as []")
+        raise ValueError("an empty basis carries no ring: pass the zero "
+                         "polynomial of the ring for the zero ideal")
     return _leading_term_series(gb, gb[0].ring, 0).dimension()
 
 

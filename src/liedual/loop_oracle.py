@@ -46,15 +46,13 @@ def adjoint_rep(d):
 def omega_poincare(d, N=40):
     """|pi_0 torsion| * prod 1/(1 - t^{2 m_i}), truncated at N.
 
-    A central torus contributes a free rank annotation, not a series factor.
+    A central torus contributes no series factor; its free rank stays on
+    d.component_group().
     """
     if d.derived_rank == 0:
         raise PureTorusError("pure torus has no almost-simple derived group")
-    pi0 = d.component_group()
-    series = HilbertSeries([pi0.torsion_order],
-                           [2 * m for m in d.exponents()], N)
-    series.free_rank = pi0.free_rank
-    return series
+    return HilbertSeries([d.component_group().torsion_order],
+                         [2 * m for m in d.exponents()], N)
 
 
 def degree_dV(d, rep):

@@ -21,7 +21,8 @@ from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
                                  peel_unipotent, standard_monomials)
 from liedual.commalg import (PolyRing, groebner_basis, ideal_dimension,
                              normal_form)
-from liedual.intlinalg import LinSpan, identity, mat_mul, mat_vec, transpose
+from liedual.intlinalg import (LinSpan, identity, mat_mul, mat_vec, rank,
+                               transpose)
 from liedual.loop_oracle import compare_report, omega_poincare
 
 N_G_TABLE = {
@@ -112,9 +113,6 @@ def test_presentation_matches_oracle_all_small_presets():
         d = load_datum(name)
         oracle = omega_poincare(d, 30)
         for ring in [QQ, GF(5), GF(7)]:
-            if hasattr(ring, "char") and ring.char and \
-                    d.length_ratio() % ring.char == 0:
-                continue
             pres = present_centralizer(d, ring, truncation=30)
             assert pres.hilbert.coeffs == oracle.coeffs, (name, ring.name)
             assert pres.krull_dim == d.derived_rank
@@ -255,12 +253,52 @@ def test_specialization_verdict_matches_discriminant():
                 assert report["kernel_dim"] == d.rank
 
 
-def test_specialization_fails_on_diagonal():
-    d = load_datum("SL3")
-    eT = build_eT(d)
+def test_specialization_off_and_on_the_sl3_walls():
+    eT = build_eT(load_datum("SL3"))
+    # alpha(h) = -3, -3, -6 on the positive roots: all nonzero, although two
+    # eigenvalues of ad coincide
     _, report = specialize_eT(eT, [3, 3])
-    assert report["discriminant"] == 0
-    assert not report["regular_semisimple"]
+    assert report["regular_semisimple"] and report["kernel_dim"] == 2
+    # alpha_2(h) = 0 at [1, 2] and (alpha_1 + alpha_2)(h) = 0 at [1, -1]
+    for s in ([1, 2], [1, -1]):
+        _, report = specialize_eT(eT, s)
+        assert report["discriminant"] == 0
+        assert not report["regular_semisimple"]
+
+
+@pytest.mark.parametrize("name,points", [
+    ("SL3", [[3, 3], [1, 2], [2, -5]]),
+    ("Sp4", [[1, 1], [2, -1], [3, 0]]),
+    ("G2", [[1, 1], [2, -3], [1, 0]]),
+])
+def test_discriminant_is_the_rank_coefficient_of_the_ad_charpoly(name, points):
+    sympy = pytest.importorskip("sympy")
+    d = load_datum(name)
+    eT = build_eT(d)
+    t = sympy.Symbol("t")
+    for s in points:
+        elem, report = specialize_eT(eT, s)
+        char = sympy.Matrix(eT.basis.ad_matrix(elem)).charpoly(t).as_expr()
+        coeff = sympy.Poly(char, t).coeff_monomial(t ** d.rank)
+        assert report["discriminant"] == Fraction(int(coeff.p), int(coeff.q)), s
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "Sp4", "Spin5",
+                                  "G2"])
+def test_regular_semisimple_iff_rank_kernel_and_ad_squared_keeps_rank(name):
+    # rank(ad x) = rank((ad x)^2) says the eigenvalue 0 of ad x has no
+    # nilpotent part; with a kernel of dimension rank, 0 then has multiplicity
+    # exactly rank, i.e. the t^rank coefficient of the charpoly is nonzero
+    rng = random.Random(name)
+    d = load_datum(name)
+    eT = build_eT(d)
+    for _ in range(10):
+        s = [rng.randrange(-3, 4) for _ in range(d.rank)]
+        elem, report = specialize_eT(eT, s)
+        A = [[QQ.coerce(c) for c in row] for row in eT.basis.ad_matrix(elem)]
+        expect = (report["kernel_dim"] == d.rank
+                  and rank(A) == rank(mat_mul(A, A)))
+        assert report["regular_semisimple"] == expect, s
 
 
 def exp_adjoint_matrix(basis, root_coeffs, u, ring):

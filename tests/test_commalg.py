@@ -166,6 +166,13 @@ def test_ideal_dimension():
     assert ideal_dimension(groebner_basis([x])) == 2
     assert ideal_dimension(groebner_basis([x, y])) == 1
     assert ideal_dimension(groebner_basis([x * y])) == 2
+    assert ideal_dimension([RQ.zero()]) == 3
+
+
+def test_ideal_dimension_refuses_an_empty_basis():
+    # [] carries no ring to count the variables of
+    with pytest.raises(ValueError, match="no ring"):
+        ideal_dimension([])
 
 
 def subset_dimension(gb):

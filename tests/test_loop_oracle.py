@@ -38,9 +38,8 @@ def test_omega_poincare_component_scaling():
     assert hs.coeffs == [3 * c for c in base.coeffs]
 
 
-def test_omega_poincare_free_rank_annotation():
+def test_omega_poincare_central_torus_adds_no_factor():
     hs = omega_poincare(load_datum("GL2"), 10)
-    assert hs.free_rank == 1
     assert hs.coeffs == brute_series_coeffs([2], 10)
 
 
