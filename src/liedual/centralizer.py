@@ -15,7 +15,7 @@ from math import gcd, prod
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, HilbertSeries, Ideal, PolyRing,
                       Polynomial, groebner_basis, hilbert_series, normal_form)
-from .intlinalg import LinSpan, identity, mat_mul, mat_vec
+from .intlinalg import LinSpan, identity
 from .rings import GF, QQ, ZZ
 
 
@@ -37,34 +37,45 @@ def _require_good_prime(d, ring):
 
 # ----------------------------------------------------------------------
 # divided powers of ad(x_alpha) and the adjoint action of exp
+#
+# On a Chevalley basis ad(x_alpha)^k / k! is an integer matrix (Kostant's
+# Z-form).  It is kept by columns: a layer is a list over the basis indices
+# j of the tuple of nonzero (i, c), c the (i, j) entry.  ad(x_alpha) has at
+# most one nonzero entry in each column but that of x_{-alpha}, which holds
+# the coroot, so building and applying a layer costs O(dim), not O(dim^2).
 
 
 def ad_exp_layers(basis, root_coeffs):
-    """[ad(x_a)^k / k!] as integer matrices until nilpotency kills them."""
+    """[ad(x_a)^k / k! for k = 1, 2, ...] as integer columns, up to the last
+    nonzero power; layer[j] is the tuple of nonzero (i, c) of column j."""
     cache = basis.__dict__.setdefault("_exp_layers", {})
     if root_coeffs in cache:
         return cache[root_coeffs]
-    x = LieElement(basis, {("x", root_coeffs): 1}, ZZ)
-    A = basis.ad_matrix(x)
-    layers = [identity(basis.dim)]
-    k = 0
-    while True:
+    x = ("x", root_coeffs)
+    ad = [tuple((basis.key_index(out), ZZ.coerce(c))
+                for out, c in basis.bracket_keys(x, key).items())
+          for key in basis.basis_keys()]
+    layers, layer, k = [], ad, 1
+    while any(layer):
+        layers.append(layer)
         k += 1
-        nxt = mat_mul(A, layers[-1], ZZ)
-        # divide by k (building ad^k/k! from ad^{k-1}/(k-1)!)
-        done = True
-        for row in nxt:
-            for j, c in enumerate(row):
+        # ad^k/k! e_j = (1/k) sum_m (ad^{k-1}/(k-1)!)_{mj} ad e_m
+        nxt = []
+        for col in layer:
+            acc = {}
+            for m, c in col:
+                for i, a in ad[m]:
+                    acc[i] = acc.get(i, 0) + a * c
+            out = []
+            for i, c in acc.items():
                 if c:
                     q, r = divmod(c, k)
                     if r:
                         raise AssertionError(
                             f"non-integral divided power at root {root_coeffs}")
-                    row[j] = q
-                    done = False
-        if done:
-            break
-        layers.append(nxt)
+                    out.append((i, q))
+            nxt.append(tuple(out))
+        layer = nxt
     cache[root_coeffs] = layers
     return layers
 
@@ -72,15 +83,25 @@ def ad_exp_layers(basis, root_coeffs):
 def adjoint_action(basis, factors, v, ring):
     """Ad(exp(u_1 x_1) ... exp(u_m x_m)) v over the ring, for the factors
     [(root_1, u_1), ..., (root_m, u_m)].  They act right to left, each as
-    v -> sum_k u^k ad(x_root)^k / k! v on the integer layers."""
+    v -> v + sum_k u^k ad(x_root)^k / k! v: the nonzero entries v_j are
+    scattered along column j of each integer layer."""
+    add, mul = ring.add, ring.mul
     for rt, u in reversed(factors):
         if not u:
             continue
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
         out, upow = list(v), ring.coerce(1)
-        for M in ad_exp_layers(basis, rt.coeffs)[1:]:
-            upow = ring.mul(upow, u)
-            out = [ring.add(a, ring.mul(upow, b)) if b else a
-                   for a, b in zip(out, mat_vec(M, v, ring))]
+        for layer in ad_exp_layers(basis, rt.coeffs):
+            upow = mul(upow, u)
+            # the layer's product with v first, summed over j in order, so
+            # each component keeps the terms and term order of a mat_vec
+            w = {}
+            for j, x in nonzero:
+                for i, c in layer[j]:
+                    w[i] = add(w[i], mul(c, x)) if i in w else mul(c, x)
+            for i, b in w.items():
+                if b:
+                    out[i] = add(out[i], mul(upow, b))
         v = out
     return v
 

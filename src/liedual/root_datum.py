@@ -203,6 +203,7 @@ class RootDatum:
             return self._cache["roots"]
         r, n = self.derived_rank, self.rank
         d = self.symmetrizer()
+        simple_coroots = self.simple_coroots
 
         def ip(a, b):  # 2*(a, b) in the symmetrised form
             return sum(a[i] * d[i] * self.cartan[i][j] * b[j]
@@ -221,7 +222,7 @@ class RootDatum:
             for i, ci in enumerate(coroot_coeffs):
                 if ci:
                     for j in range(n):
-                        coroot[j] += ci * self.simple_coroots[i][j]
+                        coroot[j] += ci * simple_coroots[i][j]
             out.append(Root(tuple(coeffs), vector, tuple(coroot), h))
         out.sort(key=lambda rt: (rt.height <= 0, abs(rt.height),
                                  tuple(-x for x in rt.coeffs) if rt.height < 0 else rt.coeffs))

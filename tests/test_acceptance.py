@@ -14,6 +14,7 @@ from liedual import (GF, QQ, BorelCoordinates, HilbertSeries,
 from liedual.centralizer import f_form, localization_restriction
 from liedual.commalg import (PolyRing, groebner_basis, hilbert_series,
                              ideal_dimension)
+from liedual.intlinalg import mat_mul, rank
 from liedual.loop_oracle import adjoint_rep, degree_dV, fixed_point_chern_weight
 
 GOOD_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -101,19 +102,20 @@ def test_criterion_06_equivariant_form_consistency():
 
 
 def test_criterion_07_generic_specialization_is_regular_semisimple():
+    # independent criterion: x is regular semisimple exactly when
+    # dim ker(ad x) = rank and rank(ad x) = rank((ad x)^2)
     rng = random.Random(2026)
     for name in ["SL2", "SL3", "Spin5"]:
         d = load_datum(name)
         eT = build_eT(d)
         for _ in range(20):
             s = [rng.randrange(-9, 10) for _ in range(d.rank)]
-            _, report = specialize_eT(eT, s)
-            if report["regular_semisimple"]:
-                assert report["kernel_dim"] == d.rank
-                assert report["discriminant"] != 0
-            else:
-                # failures must land on the discriminant locus
-                assert report["discriminant"] == 0
+            elem, report = specialize_eT(eT, s)
+            A = [[QQ.coerce(c) for c in row] for row in eT.basis.ad_matrix(elem)]
+            assert report["kernel_dim"] == eT.basis.dim - rank(A), s
+            expect = (report["kernel_dim"] == d.rank
+                      and rank(A) == rank(mat_mul(A, A)))
+            assert report["regular_semisimple"] == expect, s
 
 
 def test_criterion_08_group_points_close_under_the_law():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from functools import partial, reduce
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
+from liedual import (GF, QQ, ZZ, BadPrimeError, BorelCoordinates, LieElement,
                      brute_force_group_check, build_chevalley, build_eT,
                      centralizer_ideal, compute_nG,
                      coproduct_on_generators, f_form, load_datum,
@@ -240,6 +241,18 @@ def test_presentation_with_two_generators_in_one_degree():
     assert pres.relations == []
 
 
+def rank_verdict(basis, elem):
+    """(dim ker ad x, whether x is regular semisimple) from ranks over QQ.
+
+    rank(ad x) = rank((ad x)^2) says the eigenvalue 0 of ad x has no
+    nilpotent part; with a kernel of dimension rank, 0 then has multiplicity
+    exactly rank, i.e. the t^rank coefficient of the charpoly is nonzero."""
+    A = [[QQ.coerce(c) for c in row] for row in basis.ad_matrix(elem)]
+    kernel_dim = basis.dim - rank(A)
+    return kernel_dim, (kernel_dim == basis.n
+                        and rank(A) == rank(mat_mul(A, A)))
+
+
 def test_specialization_verdict_matches_discriminant():
     rng = random.Random(11)
     for name in ["SL2", "SL3", "Spin5"]:
@@ -248,9 +261,8 @@ def test_specialization_verdict_matches_discriminant():
         for _ in range(12):
             s = [rng.randrange(-6, 7) for _ in range(d.rank)]
             elem, report = specialize_eT(eT, s)
-            assert report["regular_semisimple"] == (report["discriminant"] != 0)
-            if report["regular_semisimple"]:
-                assert report["kernel_dim"] == d.rank
+            verdict = rank_verdict(eT.basis, elem)
+            assert (report["kernel_dim"], report["regular_semisimple"]) == verdict, s
 
 
 def test_specialization_off_and_on_the_sl3_walls():
@@ -286,34 +298,50 @@ def test_discriminant_is_the_rank_coefficient_of_the_ad_charpoly(name, points):
 @pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "Sp4", "Spin5",
                                   "G2"])
 def test_regular_semisimple_iff_rank_kernel_and_ad_squared_keeps_rank(name):
-    # rank(ad x) = rank((ad x)^2) says the eigenvalue 0 of ad x has no
-    # nilpotent part; with a kernel of dimension rank, 0 then has multiplicity
-    # exactly rank, i.e. the t^rank coefficient of the charpoly is nonzero
     rng = random.Random(name)
     d = load_datum(name)
     eT = build_eT(d)
     for _ in range(10):
         s = [rng.randrange(-3, 4) for _ in range(d.rank)]
         elem, report = specialize_eT(eT, s)
-        A = [[QQ.coerce(c) for c in row] for row in eT.basis.ad_matrix(elem)]
-        expect = (report["kernel_dim"] == d.rank
-                  and rank(A) == rank(mat_mul(A, A)))
-        assert report["regular_semisimple"] == expect, s
+        verdict = rank_verdict(eT.basis, elem)
+        assert (report["kernel_dim"], report["regular_semisimple"]) == verdict, s
 
 
 def exp_adjoint_matrix(basis, root_coeffs, u, ring):
-    """Reference: the matrix sum_k u^k ad(x_root)^k / k! of Ad(exp(u x_root))."""
-    n = basis.dim
-    out = [[ring.coerce(0)] * n for _ in range(n)]
+    """Reference: the matrix 1 + sum_k u^k ad(x_root)^k / k! of
+    Ad(exp(u x_root)), densified from the layer columns."""
+    out = identity(basis.dim, ring)
     upow = ring.coerce(1)
-    for k, M in enumerate(ad_exp_layers(basis, root_coeffs)):
-        if k:
-            upow = ring.mul(upow, u)
-        for i, row in enumerate(M):
-            for j, c in enumerate(row):
-                if c:
-                    out[i][j] = ring.add(out[i][j], ring.mul(ring.coerce(c), upow))
+    for layer in ad_exp_layers(basis, root_coeffs):
+        upow = ring.mul(upow, u)
+        for j, col in enumerate(layer):
+            for i, c in col:
+                out[i][j] = ring.add(out[i][j], ring.mul(ring.coerce(c), upow))
     return out
+
+
+@pytest.mark.parametrize("name", ["SL3", "G2", "Sp4", "F4"])
+def test_divided_power_layers_match_dense_powers_of_ad(name):
+    # ad(x_a)^k / k! from the dense matrix of ad(x_a) over QQ, against the
+    # column layers; the first vanishing power must match too
+    basis = build_chevalley(load_datum(name))
+    dim = basis.dim
+    for rt in basis.roots:
+        x = LieElement(basis, {("x", rt.coeffs): 1}, ZZ)
+        A = [[QQ.coerce(c) for c in row] for row in basis.ad_matrix(x)]
+        layers = ad_exp_layers(basis, rt.coeffs)
+        power = identity(dim, QQ)
+        for k, layer in enumerate(layers, start=1):
+            power = mat_mul(A, power, QQ)
+            dense = [[QQ.coerce(0)] * dim for _ in range(dim)]
+            for j, col in enumerate(layer):
+                for i, c in col:
+                    assert isinstance(c, int) and c
+                    dense[i][j] = QQ.coerce(c)
+            assert dense == [[a / factorial(k) for a in row] for row in power], \
+                (rt.coeffs, k)
+        assert layers and not any(map(any, mat_mul(A, power, QQ))), rt.coeffs
 
 
 def unipotent_matrix(coords, ring, uvals):
