@@ -16,7 +16,7 @@ from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, HilbertSeries, Ideal, PolyRing,
                       Polynomial, groebner_basis, hilbert_series, normal_form)
 from .intlinalg import LinSpan, identity
-from .rings import GF, QQ, ZZ
+from .rings import GF, QQ
 
 
 class BadPrimeError(ValueError):
@@ -40,9 +40,11 @@ def _require_good_prime(d, ring):
 #
 # On a Chevalley basis ad(x_alpha)^k / k! is an integer matrix (Kostant's
 # Z-form).  It is kept by columns: a layer is a list over the basis indices
-# j of the tuple of nonzero (i, c), c the (i, j) entry.  ad(x_alpha) has at
-# most one nonzero entry in each column but that of x_{-alpha}, which holds
-# the coroot, so building and applying a layer costs O(dim), not O(dim^2).
+# j of the tuple of nonzero (i, c), c the (i, j) entry.  Layer 1 is
+# basis.ad_columns, read straight from the basis's integer tables of N and
+# <beta, h_k>.  ad(x_alpha) has at most one nonzero entry in each column but
+# that of x_{-alpha}, which holds the coroot, so building and applying a
+# layer costs O(dim), not O(dim^2).
 
 
 def ad_exp_layers(basis, root_coeffs):
@@ -51,10 +53,7 @@ def ad_exp_layers(basis, root_coeffs):
     cache = basis.__dict__.setdefault("_exp_layers", {})
     if root_coeffs in cache:
         return cache[root_coeffs]
-    x = ("x", root_coeffs)
-    ad = [tuple((basis.key_index(out), ZZ.coerce(c))
-                for out, c in basis.bracket_keys(x, key).items())
-          for key in basis.basis_keys()]
+    ad = basis.ad_columns(("x", root_coeffs))
     layers, layer, k = [], ad, 1
     while any(layer):
         layers.append(layer)

@@ -8,10 +8,13 @@ and x_beta (one per root).  Structure constants are integers:
     [x_beta, x_gamma]    = N(beta, gamma) x_{beta+gamma},  |N| = p + 1
 
 with signs fixed by the extraspecial-pair convention for the canonical
-(height, lex) positive-root order.
+(height, lex) positive-root order.  Each basis fills three integer tables
+once: the squared length (beta, beta) and the pairings <beta, h_k> of every
+root, and N for every ordered pair of roots whose sum is a root.  Brackets,
+ad matrices and the columns of ad(x_beta) all read these tables.
 """
 
-from fractions import Fraction
+from operator import add, mul, sub
 
 from .intlinalg import inverse, is_integral, mat_vec, rank, to_int, transpose
 from .rings import QQ, RingMismatchError, ZZ
@@ -24,18 +27,17 @@ class ChevalleyBasis:
         self.n = datum.rank
         self.dim = self.n + len(self.roots)
         self._root_index = {rt.coeffs: i for i, rt in enumerate(self.roots)}
-        self._pos_order = {rt.coeffs: i for i, rt in enumerate(datum.positive_roots())}
-        d = datum.symmetrizer()
-        C = datum.cartan
-        r = datum.derived_rank
-
-        def ip(a, b):
-            return sum(a[i] * d[i] * C[i][j] * b[j]
-                       for i in range(r) for j in range(r))
-
-        self._ip = ip
-        self._root_set = set(self._root_index)
-        self._N = {}
+        self._minus = {rt.coeffs: tuple(-x for x in rt.coeffs) for rt in self.roots}
+        # (beta, beta) in the symmetrised form, sum_ij b_i d_i C_ij b_j
+        d, C = datum.symmetrizer(), datum.cartan
+        dC = [[di * c for c in row] for di, row in zip(d, C)]
+        self._len_sq = {rt.coeffs: sum(b * sum(map(mul, row, rt.coeffs))
+                                       for b, row in zip(rt.coeffs, dC))
+                        for rt in self.roots}
+        # <beta, h_k> for every root and every row k of the cocharacter basis
+        self._pairing = {rt.coeffs: tuple(sum(map(mul, rt.vector, row))
+                                          for row in datum.cochar_basis)
+                         for rt in self.roots}
         self._coroot_h = {}
         # h-coordinates x of a coroot solve x * B = coroot, so x = B^-T coroot
         B_inv_T = transpose(inverse([list(row) for row in datum.cochar_basis]))
@@ -45,6 +47,8 @@ class ChevalleyBasis:
                 raise AssertionError(
                     f"coroot of {rt.coeffs} outside the cocharacter lattice")
             self._coroot_h[rt.coeffs] = tuple(to_int(coords))
+        self._N = {}
+        self._fill_structure_constants()
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -57,82 +61,89 @@ class ChevalleyBasis:
             return key[1]
         return self.n + self._root_index[key[1]]
 
-    def root_of(self, coeffs):
-        return self.roots[self._root_index[coeffs]]
-
     def pairing(self, coeffs, k):
         """<beta, h_k> for the root with the given simple-root coefficients."""
-        return sum(a * b for a, b in zip(self.root_of(coeffs).vector,
-                                         self.datum.cochar_basis[k]))
+        return self._pairing[coeffs][k]
 
     # -- structure constants ----------------------------------------------
 
     def chain_p(self, a, b):
         """Largest p with b - p*a a root."""
         p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in self._root_set:
+        cur = tuple(map(sub, b, a))
+        while cur in self._root_index:
             p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
+            cur = tuple(map(sub, cur, a))
         return p
 
-    def _extraspecial(self, gamma):
-        """The extraspecial pair (a, b): a + b = gamma with a order-minimal."""
-        for rt in self.datum.positive_roots():
-            a = rt.coeffs
-            b = tuple(g - x for g, x in zip(gamma, a))
-            if b in self._root_set and sum(b) > 0 and self._pos_order[a] < self._pos_order[b]:
-                return a, b
-        raise AssertionError(f"no special pair for {gamma}")
+    def _fill_structure_constants(self):
+        """N for every ordered pair, one positive sum gamma at a time in
+        (height, lex) order.  The first pair a + b = gamma with a before b is
+        extraspecial; every other pair of gamma is computed from it and from
+        pairs with a lower sum.  Each pair (a, b) with c = -gamma fills the
+        twelve entries of its triple a + b + c = 0: the cyclic identity
+        N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b), antisymmetry and
+        N(-x, -y) = -N(x, y)."""
+        L, minus = self._len_sq, self._minus
+        pos = self.datum.positive_roots()
+        order = {rt.coeffs: i for i, rt in enumerate(pos)}
+        for g in pos:
+            pairs = []
+            for rt in pos:
+                if 2 * rt.height > g.height:   # a before b needs ht a <= ht b
+                    break
+                a = rt.coeffs
+                b = tuple(map(sub, g.coeffs, a))
+                if order.get(b, -1) > order[a]:
+                    pairs.append((a, b))
+            c = minus[g.coeffs]
+            for a, b in pairs:
+                n = self._compute_N(a, b, *pairs[0])
+                for x, y, v in ((a, b, n),
+                                (b, c, self._exact(n * L[a], L[c], b, c)),
+                                (c, a, self._exact(n * L[b], L[c], c, a))):
+                    nx, ny = minus[x], minus[y]
+                    self._set_N(x, y, v)
+                    self._set_N(y, x, -v)
+                    self._set_N(nx, ny, -v)
+                    self._set_N(ny, nx, v)
+
+    def _compute_N(self, a, b, a1, b1):
+        """N(a, b) for positive a before b, from the extraspecial pair
+        (a1, b1) of a + b, by the relation on (a, b, -a1, -b1):
+        N(a, b) = (a+b, a+b) / N(a1, b1) * (N(b, -a1) N(a, -b1) / (d1, d1)
+                  + N(-a1, a) N(b, -b1) / (d2, d2)),  d1 = b - a1, d2 = a - a1,
+        where a term whose d is not a root is zero."""
+        if (a, b) == (a1, b1):
+            return self.chain_p(a1, b1) + 1
+        N, L = self._N, self._len_sq
+        na1, nb1 = self._minus[a1], self._minus[b1]
+        d1, d2 = tuple(map(sub, b, a1)), tuple(map(sub, a, a1))
+        t1 = N[b, na1] * N[a, nb1] if d1 in L else 0
+        t2 = N[na1, a] * N[b, nb1] if d2 in L else 0
+        l1, l2 = L.get(d1, 1), L.get(d2, 1)
+        gamma = tuple(map(add, a, b))
+        return self._exact(L[gamma] * (t1 * l2 + t2 * l1), l1 * l2 * N[a1, b1], a, b)
+
+    @staticmethod
+    def _exact(num, den, a, b):
+        """num / den, which is N(a, b); raises unless the division is exact."""
+        q, r = divmod(num, den)
+        if r:
+            raise AssertionError(f"non-integral N({a},{b}) = {num}/{den}")
+        return q
+
+    def _set_N(self, a, b, n):
+        """Store N(a, b) = n after checking |n| = p + 1 on the a-chain
+        through b."""
+        p = self.chain_p(a, b)
+        if abs(n) != p + 1:
+            raise AssertionError(f"N({a},{b}) = {n}, chain gives {p + 1}")
+        self._N[a, b] = n
 
     def N(self, a, b):
         """Structure constant in [x_a, x_b] = N(a,b) x_{a+b}; 0 if a+b not a root."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if s not in self._root_set:
-            return 0
-        if (a, b) in self._N:
-            return self._N[(a, b)]
-        val = self._compute_N(a, b)
-        self._N[(a, b)] = val
-        p = self.chain_p(a, b)
-        if abs(val) != p + 1:
-            raise AssertionError(f"N({a},{b}) = {val}, chain gives {p + 1}")
-        return val
-
-    def _compute_N(self, a, b):
-        ip = self._ip
-        neg = lambda v: tuple(-x for x in v)
-        ha, hb = sum(a), sum(b)
-        if ha < 0 and hb < 0:
-            return -self.N(neg(a), neg(b))
-        if ha > 0 and hb > 0:
-            if self._pos_order[a] > self._pos_order[b]:
-                return -self.N(b, a)
-            gamma = tuple(x + y for x, y in zip(a, b))
-            a1, b1 = self._extraspecial(gamma)
-            if (a, b) == (a1, b1):
-                return self.chain_p(a1, b1) + 1
-            # quadruple relation on (a, b, -a1, -b1), which sums to zero
-            t = Fraction(0)
-            d1 = tuple(x - y for x, y in zip(b, a1))   # b - a1 = -(a - b1)
-            if d1 in self._root_set:
-                t += Fraction(self.N(b, neg(a1)) * self.N(a, neg(b1)), ip(d1, d1))
-            d2 = tuple(x - y for x, y in zip(a, a1))   # a - a1 = -(b - b1)
-            if d2 in self._root_set:
-                t += Fraction(self.N(neg(a1), a) * self.N(b, neg(b1)), ip(d2, d2))
-            val = Fraction(ip(gamma, gamma)) * t / self.N(a1, b1)
-            if val.denominator != 1:
-                raise AssertionError(f"non-integral N({a},{b}) = {val}")
-            return int(val)
-        # mixed signs: rotate the cyclic relation for a + b + c = 0
-        if ha < 0:   # make the first argument positive
-            return -self.N(b, a)
-        c = tuple(-x - y for x, y in zip(a, b))
-        if sum(c) < 0:
-            # (b, c) both negative
-            return Fraction(ip(c, c), ip(a, a)) * self.N(b, c)
-        # c positive, (c, a) both positive
-        return Fraction(ip(c, c), ip(b, b)) * self.N(c, a)
+        return self._N.get((a, b), 0)
 
     def coroot_h(self, coeffs):
         """Coroot of the root, as coefficients on the h-basis."""
@@ -146,44 +157,56 @@ class ChevalleyBasis:
         if t1 == "h" and t2 == "h":
             return {}
         if t1 == "h":
-            c = self.pairing(key2[1], key1[1])
+            c = self._pairing[key2[1]][key1[1]]
             return {key2: c} if c else {}
         if t2 == "h":
-            c = -self.pairing(key1[1], key2[1])
+            c = -self._pairing[key1[1]][key2[1]]
             return {key1: c} if c else {}
         a, b = key1[1], key2[1]
-        if all(x + y == 0 for x, y in zip(a, b)):
-            return {("h", k): c for k, c in enumerate(self.coroot_h(a)) if c}
-        n = self.N(a, b)
-        if n == 0:
-            return {}
-        return {("x", tuple(x + y for x, y in zip(a, b))): n}
+        n = self._N.get((a, b))
+        if n:
+            return {("x", tuple(map(add, a, b))): n}
+        if not any(map(add, a, b)):
+            return {("h", k): c for k, c in enumerate(self._coroot_h[a]) if c}
+        return {}
+
+    def ad_columns(self, key):
+        """ad(key) as integer columns: entry j is the tuple of nonzero (i, c)
+        with c the (i, j) entry, for the basis order of basis_keys()."""
+        n, index = self.n, self._root_index
+        if key[0] == "h":
+            k = key[1]
+            pairs = [self._pairing[rt.coeffs][k] for rt in self.roots]
+            return [()] * n + [((n + j, p),) if p else () for j, p in enumerate(pairs)]
+        a = key[1]
+        i = n + index[a]
+        cols = [((i, -p),) if p else () for p in self._pairing[a]]
+        for rt in self.roots:
+            s = tuple(map(add, a, rt.coeffs))
+            if s in index:
+                cols.append(((n + index[s], self._N[a, rt.coeffs]),))
+            elif any(s):
+                cols.append(())
+            else:
+                cols.append(tuple((k, c) for k, c in enumerate(self._coroot_h[a]) if c))
+        return cols
 
     def ad_matrix(self, elem):
         """Matrix of ad(elem) acting on columns indexed by basis keys."""
-        keys = self.basis_keys()
-        M = [[None] * self.dim for _ in range(self.dim)]
         ring = elem.ring
         zero = ring.coerce(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                M[i][j] = zero
+        M = [[zero] * self.dim for _ in range(self.dim)]
         for key, coeff in elem.coefficients.items():
-            for j, bk in enumerate(keys):
-                for out_key, c in self.bracket_keys(key, bk).items():
-                    i = self.key_index(out_key)
+            for j, col in enumerate(self.ad_columns(key)):
+                for i, c in col:
                     M[i][j] = ring.add(M[i][j], ring.mul(coeff, ring.coerce(c)))
         return M
 
     def structure_constant_table(self):
         """All (alpha, beta, N) triples with nonzero N, for external checking."""
-        out = []
-        for r1 in self.roots:
-            for r2 in self.roots:
-                s = tuple(x + y for x, y in zip(r1.coeffs, r2.coeffs))
-                if s in self._root_set:
-                    out.append((r1.coeffs, r2.coeffs, self.N(r1.coeffs, r2.coeffs)))
-        return out
+        return [(r1.coeffs, r2.coeffs, self._N[r1.coeffs, r2.coeffs])
+                for r1 in self.roots for r2 in self.roots
+                if (r1.coeffs, r2.coeffs) in self._N]
 
     def verify_jacobi(self):
         """Exhaustive Jacobi check on basis triples; raises on failure."""

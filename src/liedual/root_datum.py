@@ -231,7 +231,10 @@ class RootDatum:
         return result
 
     def positive_roots(self):
-        return tuple(rt for rt in self.roots() if rt.positive)
+        if "positive_roots" not in self._cache:
+            self._cache["positive_roots"] = tuple(rt for rt in self.roots()
+                                                  if rt.positive)
+        return self._cache["positive_roots"]
 
     def highest_root(self):
         return max(self.positive_roots(), key=lambda rt: rt.height)
@@ -285,6 +288,11 @@ class RootDatum:
 
     def component_group(self):
         """pi_0 of the loop space side: cocharacter lattice mod coroots."""
+        if "component_group" not in self._cache:
+            self._cache["component_group"] = self._component_group()
+        return self._cache["component_group"]
+
+    def _component_group(self):
         B = [list(row) for row in self.cochar_basis]
         rows = [to_int(solve_left(B, list(alpha))) for alpha in self.simple_coroots]
         if not rows:
@@ -303,7 +311,14 @@ class RootDatum:
     # -- duality ---------------------------------------------------------
 
     def dual_datum(self):
-        """Swap roots and coroots; an involution."""
+        """Swap roots and coroots; an involution.  The dual is computed once
+        per datum and kept without a link back, so dual_datum() of the dual
+        is computed from the dual again."""
+        if "dual_datum" not in self._cache:
+            self._cache["dual_datum"] = self._dual_datum()
+        return self._cache["dual_datum"]
+
+    def _dual_datum(self):
         r, c, n = self.derived_rank, self.central_rank, self.rank
         cartan_t = tuple(tuple(self.cartan[j][i] for j in range(r)) for i in range(r))
         B = [list(row) for row in self.cochar_basis]

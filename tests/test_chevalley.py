@@ -1,11 +1,13 @@
-from fractions import Fraction
+import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import (GF, QQ, ZZ, LieElement, ad_kernel_dim, bracket,
-                     build_chevalley, load_datum, principal_e, simple_sum_e1)
+                     build_chevalley, load_datum, preset_names, principal_e,
+                     simple_sum_e1)
 
 
 def basis_for(name):
@@ -28,7 +30,51 @@ def test_structure_constants_abs_value():
     for name in ["SL3", "Sp4", "G2"]:
         basis = basis_for(name)
         for a, b, n in basis.structure_constant_table():
-            assert abs(n) == basis.chain_p(a, b) + 1
+            assert type(n) is int and abs(n) == basis.chain_p(a, b) + 1
+
+
+def test_every_structure_constant_is_an_int():
+    for name in preset_names():
+        table = basis_for(name).structure_constant_table()
+        assert all(type(n) is int and n for _, _, n in table), name
+
+
+# sha256 of repr(sorted((a, b, N))) over the whole table, first 16 hex digits
+TABLE_DIGESTS = {"F4": (816, "c52fb69f6e82d687"),
+                 "E6sc": (1440, "0abaacb28d7eb749"),
+                 "E7sc": (4032, "8f2e850b0de92402")}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_structure_constant_table_digest(name):
+    table = basis_for(name).structure_constant_table()
+    digest = hashlib.sha256(repr(sorted(table)).encode()).hexdigest()[:16]
+    assert (len(table), digest) == TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "F4"])
+def test_cyclic_identity_on_zero_sum_triples(name):
+    # N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b) for a + b + c = 0,
+    # with (x, x) from the symmetrised Cartan matrix of the basis's datum
+    basis = basis_for(name)
+    dual = basis.datum
+    d, C = dual.symmetrizer(), dual.cartan
+    r = dual.derived_rank
+
+    def length_sq(x):
+        return sum(x[i] * d[i] * C[i][j] * x[j] for i in range(r) for j in range(r))
+
+    roots = {rt.coeffs for rt in dual.roots()}
+    triples = 0
+    for a, b in product(roots, repeat=2):
+        c = tuple(-x - y for x, y in zip(a, b))
+        if c not in roots:
+            continue
+        triples += 1
+        nab, nbc, nca = basis.N(a, b), basis.N(b, c), basis.N(c, a)
+        assert nab * length_sq(a) == nbc * length_sq(c), (a, b)
+        assert nbc * length_sq(b) == nca * length_sq(a), (a, b)
+    assert triples == len(basis.structure_constant_table())
 
 
 def test_structure_constant_ranges():
@@ -41,10 +87,10 @@ def test_antisymmetry_and_negation():
     for name in ["SL3", "G2"]:
         basis = basis_for(name)
         for a, b, n in basis.structure_constant_table():
-            assert basis.N(b, a) == -n
             na = tuple(-x for x in a)
             nb = tuple(-x for x in b)
-            assert basis.N(na, nb) == -n
+            for m in (basis.N(b, a), basis.N(na, nb)):
+                assert type(m) is int and m == -n
 
 
 def test_opposite_root_bracket_is_coroot():
@@ -67,6 +113,22 @@ def test_cartan_acts_by_pairing():
             out = basis.bracket_keys(("h", k), ("x", rt.coeffs))
             expected = sum(a * b for a, b in zip(rt.vector, dual.cochar_basis[k]))
             assert out.get(("x", rt.coeffs), 0) == expected
+            assert type(basis.pairing(rt.coeffs, k)) is int
+
+
+@pytest.mark.parametrize("name", ["SL2", "GL2", "Sp4", "G2", "PSO8", "F4"])
+def test_ad_columns_match_brackets(name):
+    # column j of ad(key) is [key, basis_keys()[j]], entry by entry
+    basis = basis_for(name)
+    keys = basis.basis_keys()
+    for key in keys:
+        cols = basis.ad_columns(key)
+        assert len(cols) == basis.dim
+        for col, other in zip(cols, keys):
+            expected = {basis.key_index(k): c
+                        for k, c in basis.bracket_keys(key, other).items()}
+            assert dict(col) == expected and len(col) == len(expected)
+            assert all(type(c) is int and c for _, c in col)
 
 
 def test_principal_e_coefficients():

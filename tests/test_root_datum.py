@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual import (GF, FiniteAbelianGroup, RootDatumError, load_datum,
-                     present_centralizer, preset_names)
+from liedual import (GF, FiniteAbelianGroup, RootDatum, RootDatumError,
+                     load_datum, present_centralizer, preset_names)
 from liedual.intlinalg import determinant, is_integral, solve_left
 from liedual.loop_oracle import compare_report
 from liedual.root_datum import (_cartan_A, _cartan_B, _cartan_C, _cartan_G2,
@@ -125,6 +125,30 @@ def test_dual_is_involution():
         dd = d.dual_datum().dual_datum()
         assert dd.cartan == d.cartan
         assert dd.cochar_basis == d.cochar_basis
+
+
+def test_dual_and_pi0_are_kept_on_the_datum_without_a_link_back():
+    for name in preset_names():
+        d = load_datum(name)
+        dual = d.dual_datum()
+        assert d.dual_datum() is dual
+        back = dual.dual_datum()
+        assert back is not d
+        assert ((back.name, back.cartan, back.cochar_basis, back.central_rank)
+                == (d.name, d.cartan, d.cochar_basis, d.central_rank)), name
+        assert d.component_group() is d.component_group()
+        # a fresh copy of the datum, with nothing cached, agrees
+        fresh = RootDatum(d.name, d.cartan, d.cochar_basis, d.central_rank)
+        assert fresh.dual_datum() == dual and fresh.dual_datum() is not dual
+        assert fresh.component_group() == d.component_group()
+
+
+def test_positive_roots_are_kept_on_the_datum():
+    for name in ["SL2", "SL3", "G2", "GL2", "F4"]:
+        d = load_datum(name)
+        pos = d.positive_roots()
+        assert d.positive_roots() is pos
+        assert pos == tuple(rt for rt in d.roots() if rt.positive)
 
 
 def test_dual_swaps_center_and_pi0():
