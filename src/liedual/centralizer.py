@@ -13,8 +13,9 @@ from itertools import product as iter_product
 from math import gcd, prod
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
-from .commalg import (DEFAULT_BUDGET, HilbertSeries, Ideal, PolyRing,
-                      Polynomial, groebner_basis, hilbert_series, normal_form)
+from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
+                      PolyRing, Polynomial, groebner_basis, hilbert_series,
+                      normal_form)
 from .intlinalg import LinSpan, identity
 from .rings import GF, QQ
 
@@ -464,13 +465,15 @@ def _extract_presentation(uring, gb, hs_u):
     # less of its last generator.  A normal form modulo a Groebner basis is
     # unique, so this equals the product reduced in any other order.
     products = {(): uring.one()}
+    gb_index = DivisorIndex(gb)
 
     def product(m):
         while m and not m[-1]:
             m = m[:-1]
         p = products.get(m)
         if p is None:
-            p = normal_form(product(m[:-1] + (m[-1] - 1,)) * reps[len(m) - 1], gb)
+            p = normal_form(product(m[:-1] + (m[-1] - 1,)) * reps[len(m) - 1],
+                            gb_index)
             products[m] = p
         return p
 
@@ -719,14 +722,15 @@ def _tensor_square(pres):
     # leads (Buchberger's first criterion): the union is the reduced basis
     gb2 = ([_rename_into(g, law_ring, "ga") for g in pres.groebner]
            + [_rename_into(g, law_ring, "gb") for g in pres.groebner])
+    gb_index, gb2_index = DivisorIndex(pres.groebner), DivisorIndex(gb2)
     law_of_u = dict(zip(coords.u_names, law))
     images = []
     for (gname, _), rep in zip(pres.generators, pres.generator_reps):
-        image = normal_form(rep.map_into(law_ring, law_of_u), gb2)
+        image = normal_form(rep.map_into(law_ring, law_of_u), gb2_index)
         # counit: the right side at 0 (the terms free of gb variables) must
         # return the left generator
         at_zero = {m: c for m, c in image.terms.items() if not any(m[npos:])}
-        expect = _rename_into(normal_form(rep, pres.groebner), law_ring, "ga")
+        expect = _rename_into(normal_form(rep, gb_index), law_ring, "ga")
         if at_zero != expect.terms:
             raise AssertionError(f"counit fails on {gname}")
         images.append(image)
@@ -751,11 +755,12 @@ def _standard_coproducts(pres, N):
                                                pres.relation_groebner, D))
                     for D in range(0, N + 1, 2)}
     law_ring, gb2, images = _tensor_square(pres)
+    gb_index, gb2_index = DivisorIndex(pres.groebner), DivisorIndex(gb2)
     left, right = {}, {}
     for ms in basis_by_deg.values():
         for m in ms:
             p = _power_product(m, pres.generator_reps, pres.uring.one())
-            p = normal_form(p, pres.groebner)
+            p = normal_form(p, gb_index)
             left[m] = _rename_into(p, law_ring, "ga")
             right[m] = _rename_into(p, law_ring, "gb")
     table = {}
@@ -768,7 +773,7 @@ def _standard_coproducts(pres, N):
                 for mb in basis_by_deg[D - da]:
                     span.add((left[ma] * right[mb]).terms, tag=(ma, mb))
         for m in monos:
-            dm = normal_form(_power_product(m, images, law_ring.one()), gb2)
+            dm = normal_form(_power_product(m, images, law_ring.one()), gb2_index)
             combo = span.express(dm.terms)
             if combo is None:
                 raise PeelingError(f"coproduct extraction failed at {m}")

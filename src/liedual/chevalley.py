@@ -16,7 +16,7 @@ ad matrices and the columns of ad(x_beta) all read these tables.
 
 from operator import add, mul, sub
 
-from .intlinalg import inverse, is_integral, mat_vec, rank, to_int, transpose
+from .intlinalg import is_integral, rank, solve_left, to_int
 from .rings import QQ, RingMismatchError, ZZ
 
 
@@ -38,15 +38,26 @@ class ChevalleyBasis:
         self._pairing = {rt.coeffs: tuple(sum(map(mul, rt.vector, row))
                                           for row in datum.cochar_basis)
                          for rt in self.roots}
+        # h-coordinates x of a coroot solve x * B = coroot.  One solve per
+        # simple coroot; the coroot of beta is the integer combination
+        # sum_i (2 b_i d_i / (beta, beta)) alpha_i^vee of the simple ones,
+        # and x * B = coroot is checked in integers
+        B = [list(row) for row in datum.cochar_basis]
+        simple_h = [solve_left(B, list(alpha)) for alpha in datum.simple_coroots]
+        if not is_integral(simple_h):
+            raise AssertionError("simple coroot outside the cocharacter lattice")
+        simple_h = to_int(simple_h)
         self._coroot_h = {}
-        # h-coordinates x of a coroot solve x * B = coroot, so x = B^-T coroot
-        B_inv_T = transpose(inverse([list(row) for row in datum.cochar_basis]))
         for rt in self.roots:
-            coords = mat_vec(B_inv_T, list(rt.coroot))
-            if not is_integral(coords):
+            cr = [divmod(2 * b * di, self._len_sq[rt.coeffs])
+                  for b, di in zip(rt.coeffs, d)]
+            x = [sum(c * xi[k] for (c, _), xi in zip(cr, simple_h))
+                 for k in range(self.n)]
+            if (any(r for _, r in cr)
+                    or [sum(map(mul, x, col)) for col in zip(*B)] != list(rt.coroot)):
                 raise AssertionError(
                     f"coroot of {rt.coeffs} outside the cocharacter lattice")
-            self._coroot_h[rt.coeffs] = tuple(to_int(coords))
+            self._coroot_h[rt.coeffs] = tuple(x)
         self._N = {}
         self._fill_structure_constants()
 

@@ -4,11 +4,21 @@ Krull dimension and Hilbert series of graded quotients.
 Monomials are exponent tuples; the term order is weighted graded reverse
 lexicographic: compare weighted degree first, ties broken by the *last*
 nonzero entry of the exponent difference being negative.
+
+Division looks for a divisor through a DivisorIndex: each leading monomial
+of the basis carries its support mask, bit i set where exponent i is
+nonzero (Bachmann & Schoenemann's short exponent vector, ISSAC 1998, one
+bit per variable).  A monomial divides m only if its mask lies inside
+mask(m), so one AND rejects most candidates before the exponents are
+compared; the test is only a necessary condition, so the first divisor in
+basis order, and with it every remainder, is the one a plain scan finds.
 """
 
 import heapq
 import re
 from fractions import Fraction
+from itertools import compress
+from operator import add, le, mul, sub
 
 from .rings import RingMismatchError
 
@@ -31,6 +41,7 @@ class PolyRing:
             raise ValueError("need one positive weight per variable")
         self.nvars = len(self.names)
         self._index = {nm: i for i, nm in enumerate(self.names)}
+        self._bits = tuple(1 << i for i in range(self.nvars))
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.coeff == other.coeff
@@ -43,11 +54,15 @@ class PolyRing:
         return f"{self.coeff}[{', '.join(self.names)}]"
 
     def wdeg(self, exps):
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
 
     def mono_cmp_key(self, exps):
         """Sort key putting larger monomials first under weighted grevlex."""
-        return (-self.wdeg(exps), tuple(reversed(exps)))
+        return (-self.wdeg(exps), exps[::-1])
+
+    def support_mask(self, exps):
+        """The int with bit i set exactly where exps[i] is nonzero."""
+        return sum(compress(self._bits, exps))
 
     def zero(self):
         return Polynomial(self, {})
@@ -151,7 +166,7 @@ class Polynomial:
         zero = R.coerce(0)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 out[m] = R.add(out.get(m, zero), R.mul(c1, c2))
         return Polynomial(self.ring, out)
 
@@ -325,19 +340,60 @@ class Ideal:
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
+
+class DivisorIndex:
+    """The leading monomials of a basis in basis order, each with its
+    support mask, for finding the first one that divides a monomial.
+
+    entries[k] is (mask, leading monomial, polynomial) for the k-th nonzero
+    polynomial.  Build one index per basis and pass it to every normal_form
+    by that basis; add() grows it with the basis.
+    """
+
+    def __init__(self, basis=()):
+        self.entries = []
+        for g in basis:
+            self.add(g)
+
+    def add(self, g):
+        if g:
+            lm = g.leading_monomial()
+            self.entries.append((g.ring.support_mask(lm), lm, g))
+
+    def without(self, k):
+        """The index of the basis with its k-th entry left out."""
+        out = DivisorIndex()
+        out.entries = self.entries[:k] + self.entries[k + 1:]
+        return out
+
+    def divisor(self, m, mask):
+        """The first entry's (leading monomial, polynomial) whose monomial
+        divides m, or None; mask is the support mask of m."""
+        outside = ~mask
+        for lmask, lm, g in self.entries:
+            if not lmask & outside and _mono_divides(lm, m):
+                return lm, g
+        return None
 
 
 def normal_form(f, basis):
-    """Remainder of f on division by the list basis (field coefficients).
+    """Remainder of f on division by basis (field coefficients).
+
+    basis is a list of polynomials or a DivisorIndex of one; a caller that
+    reduces many polynomials by the same basis builds the index once.  The
+    reducer of a term m is the first basis element whose leading monomial
+    divides m.  Candidates are filtered by support mask first: a lead whose
+    mask has a bit outside mask(m) cannot divide m.
 
     The work list is a heap keyed by mono_cmp_key, so the largest monomial
     pops first.  A reduction step adds only monomials smaller than the one
@@ -346,7 +402,8 @@ def normal_form(f, basis):
     ring = f.ring
     R = ring.coeff
     key = ring.mono_cmp_key
-    lead = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
+    support = ring.support_mask
+    index = basis if isinstance(basis, DivisorIndex) else DivisorIndex(basis)
     rem = {}
     work = dict(f.terms)
     heap = [(key(m), m) for m in work]
@@ -357,20 +414,20 @@ def normal_form(f, basis):
         c = work.pop(m)
         if c == zero:
             continue
-        for lm, g in lead:
-            if _mono_divides(lm, m):
-                q = _mono_quot(m, lm)
-                factor = R.div(c, g.terms[lm])
-                for m2, c2 in g.terms.items():
-                    if m2 == lm:
-                        continue
-                    mm = tuple(a + b for a, b in zip(q, m2))
-                    if mm not in work:
-                        heapq.heappush(heap, (key(mm), mm))
-                    work[mm] = R.sub(work.get(mm, zero), R.mul(factor, c2))
-                break
-        else:
+        found = index.divisor(m, support(m))
+        if found is None:
             rem[m] = c
+            continue
+        lm, g = found
+        q = _mono_quot(m, lm)
+        factor = R.div(c, g.terms[lm])
+        for m2, c2 in g.terms.items():
+            if m2 == lm:
+                continue
+            mm = tuple(map(add, q, m2))
+            if mm not in work:
+                heapq.heappush(heap, (key(mm), mm))
+            work[mm] = R.sub(work.get(mm, zero), R.mul(factor, c2))
     return Polynomial(ring, rem)
 
 
@@ -396,7 +453,10 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
     G = [g.monic() for g in gens if not g.is_zero()]
     if not G:
         return []
-    leads = [g.leading_monomial() for g in G]
+    # every g in G is nonzero, so entry k of the index is G[k]; it grows
+    # with G, and each S-polynomial is reduced by it
+    index = DivisorIndex(G)
+    leads = index.entries
     # normal selection: pop the pair of least lcm degree, keyed once when
     # the pair is made; (i, j) breaks ties and keeps the lcm out of compares
     heap = []
@@ -404,7 +464,7 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
 
     def add_pairs(t):
         for k in range(t):
-            lcm = _mono_lcm(leads[k], leads[t])
+            lcm = _mono_lcm(leads[k][1], leads[t][1])
             heapq.heappush(heap, (ring.wdeg(lcm), k, t, lcm))
             live.add((k, t))
 
@@ -417,18 +477,20 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
         spent += 1
         if spent > budget:
             raise BudgetExceeded(f"S-pair budget {budget} exhausted")
-        if not any(a and b for a, b in zip(leads[i], leads[j])):
+        mask_i, mask_j = leads[i][0], leads[j][0]
+        if not mask_i & mask_j:
             continue  # coprime leading monomials: S-poly reduces to zero
-        # chain criterion
-        if any(k != i and k != j and _mono_divides(lk, lcm)
+        # chain criterion; mask_i | mask_j is the support mask of the lcm
+        outside = ~(mask_i | mask_j)
+        if any(k != i and k != j and not mk & outside and _mono_divides(lk, lcm)
                and (min(i, k), max(i, k)) not in live
                and (min(j, k), max(j, k)) not in live
-               for k, lk in enumerate(leads)):
+               for k, (mk, lk, _) in enumerate(leads)):
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), G)
+        r = normal_form(s_polynomial(G[i], G[j]), index)
         if not r.is_zero():
             G.append(r.monic())
-            leads.append(G[-1].leading_monomial())
+            index.add(G[-1])
             add_pairs(len(G) - 1)
     return reduce_basis(G)
 
@@ -437,16 +499,16 @@ def reduce_basis(G):
     """Minimal, fully inter-reduced monic basis, deterministically sorted."""
     G = [g.monic() for g in G if not g.is_zero()]
     G.sort(key=lambda g: g.ring.mono_cmp_key(g.leading_monomial()), reverse=True)
-    minimal = []
+    minimal = DivisorIndex()
     for g in G:
         lm = g.leading_monomial()
-        if not any(_mono_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
+        if minimal.divisor(lm, g.ring.support_mask(lm)) is None:
+            minimal.add(g)
     out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
+    for i, (_, _, g) in enumerate(minimal.entries):
         # g's lead survives (no other lead divides it); tail gets reduced
-        out.append(normal_form(g, others).monic() if others else g)
+        out.append(normal_form(g, minimal.without(i)).monic()
+                   if len(minimal.entries) > 1 else g)
     out.sort(key=lambda g: g.ring.mono_cmp_key(g.leading_monomial()), reverse=True)
     return out
 
@@ -594,10 +656,15 @@ def _monomial_ideal_numerator(leads, weights):
 
 def _minimal_monomials(monos):
     """The minimal generators of the monomial ideal that monos generate."""
-    out = []
+    out, masks = [], []
+    bits = [1 << i for i in range(len(monos[0]))] if monos else []
     for m in sorted(set(monos), key=sum):
-        if not any(_mono_divides(k, m) for k in out):
+        mask = sum(compress(bits, m))     # as in PolyRing.support_mask
+        outside = ~mask
+        if not any(not k_mask & outside and _mono_divides(k, m)
+                   for k_mask, k in zip(masks, out)):
             out.append(m)
+            masks.append(mask)
     return out
 
 

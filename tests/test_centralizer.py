@@ -121,8 +121,10 @@ def test_presentation_matches_oracle_all_small_presets():
 
 @pytest.mark.parametrize("name,p,n_relations", [
     ("F4", 5, 0), ("E6sc", 7, 0),                       # the frontier rung
-    # torsion primes of the group: the relation A^2 (A^3 for F4 at 3)
+    # torsion primes of the group: the relation A^2 (A^3 for F4 and E7sc at
+    # 3; A^2, B^2 and C^2 for E7sc at 2)
     ("Spin8", 2, 1), ("SO8", 2, 1), ("Spin10", 2, 1), ("F4", 3, 1),
+    ("E7sc", 2, 3), ("E7sc", 3, 1),
     ("SL6", 2, 0), ("SL6", 3, 0), ("Sp6", 3, 0), ("Spin7", 3, 0),
 ])
 def test_presentation_passes_the_oracle_at_the_frontier_and_torsion_primes(

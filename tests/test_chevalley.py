@@ -1,5 +1,7 @@
 import hashlib
+from dataclasses import replace
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from liedual import (GF, QQ, ZZ, LieElement, ad_kernel_dim, bracket,
                      build_chevalley, load_datum, preset_names, principal_e,
                      simple_sum_e1)
+from liedual.intlinalg import is_integral, solve_left
+from liedual.root_datum import RootDatum
 
 
 def basis_for(name):
@@ -38,6 +42,31 @@ def test_every_structure_constant_is_an_int():
         table = basis_for(name).structure_constant_table()
         assert all(type(n) is int and n for _, _, n in table), name
 
+
+def test_coroot_h_solves_x_times_b_on_every_preset():
+    # reference: one Fraction solve of x * B = coroot per root
+    for name in preset_names():
+        for d in (load_datum(name), load_datum(name).dual_datum()):
+            basis = build_chevalley(d)
+            B = [list(row) for row in d.cochar_basis]
+            for rt in d.roots():
+                x = solve_left(B, list(rt.coroot))
+                assert is_integral(x), (name, rt.coeffs)
+                got = basis.coroot_h(rt.coeffs)
+                assert all(type(c) is int for c in got)
+                assert list(got) == x, (name, rt.coeffs)
+
+
+@pytest.mark.parametrize("name", ["SL3", "G2", "GL2"])
+def test_a_coroot_off_its_combination_raises(name):
+    d = load_datum(name)
+    roots = d.roots()
+    k = len(roots) - 1                  # the last negative root
+    bad = replace(roots[k], coroot=tuple(2 * c for c in roots[k].coroot))
+    wrong = roots[:k] + (bad,)
+    with mock.patch.object(RootDatum, "roots", lambda self: wrong):
+        with pytest.raises(AssertionError, match="outside the cocharacter lattice"):
+            build_chevalley(d)
 
 # sha256 of repr(sorted((a, b, N))) over the whole table, first 16 hex digits
 TABLE_DIGESTS = {"F4": (816, "c52fb69f6e82d687"),

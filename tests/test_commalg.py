@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,8 +13,10 @@ from liedual import (GF, QQ, ZZ, BorelCoordinates, BudgetExceeded,
                      ideal_dimension, invariant_factors, load_datum,
                      normal_form, parse_polynomial, principal_e,
                      ring_from_name, smith_normal_form)
-from liedual.commalg import (_divide_one_minus_t_power, _mono_divides,
-                             _mono_lcm, _mono_quot, _monomial_ideal_numerator,
+from liedual.commalg import (DivisorIndex, Polynomial,
+                             _divide_one_minus_t_power, _minimal_monomials,
+                             _mono_divides, _mono_lcm, _mono_quot,
+                             _monomial_ideal_numerator, reduce_basis,
                              s_polynomial)
 from liedual.intlinalg import determinant, mat_mul
 
@@ -124,6 +127,183 @@ def test_groebner_basis_does_not_depend_on_the_generator_order(data):
         for g in gb[i + 1:]:
             assert normal_form(s_polynomial(f, g), gb).is_zero()
 
+
+# ----------------------------------------------------------------------
+# the divisor index against a plain first-divisor scan
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def plain_division(f, basis):
+    """Reference remainder: take the largest remaining term, reduce it by
+    the first basis element whose leading monomial divides it, else move it
+    to the remainder; no masks, no heap."""
+    R = f.ring.coeff
+    zero = R.coerce(0)
+    leads = [(g.leading_monomial(), g) for g in basis if g]
+    work, rem = dict(f.terms), {}
+    while work:
+        m = min(work, key=f.ring.mono_cmp_key)
+        c = work.pop(m)
+        for lm, g in leads:
+            if divides(lm, m):
+                q = tuple(a - b for a, b in zip(m, lm))
+                factor = R.div(c, g.terms[lm])
+                for m2, c2 in g.terms.items():
+                    if m2 != lm:
+                        mm = tuple(a + b for a, b in zip(q, m2))
+                        v = R.sub(work.get(mm, zero), R.mul(factor, c2))
+                        if v == zero:
+                            work.pop(mm, None)
+                        else:
+                            work[mm] = v
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def plain_reduce_basis(G):
+    """Reference for reduce_basis: the minimal leads by a plain divisor
+    filter, each tail reduced by plain_division."""
+    key = G[0].ring.mono_cmp_key
+    G = sorted((g.monic() for g in G if g), key=lambda g: key(g.leading_monomial()),
+               reverse=True)
+    minimal = []
+    for g in G:
+        if not any(divides(h.leading_monomial(), g.leading_monomial())
+                   for h in minimal):
+            minimal.append(g)
+    out = [Polynomial(g.ring, plain_division(g, minimal[:i] + minimal[i + 1:])).monic()
+           for i, g in enumerate(minimal)]
+    return sorted(out, key=lambda g: key(g.leading_monomial()), reverse=True)
+
+
+@st.composite
+def division_problems(draw):
+    """A basis and a polynomial built from multiples of it, in a ring of
+    3, 5 or 72 variables, weighted or not.  Monomials live on a few
+    variables drawn once per problem; with 72 variables one of them is the
+    last, so the support masks reach past bit 64."""
+    nvars = draw(st.sampled_from([3, 5, 72]))
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    ring = PolyRing(GF(7), [f"x{i}" for i in range(nvars)], weights)
+    pool = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=4))
+    pool = sorted(pool | {nvars - 1})
+
+    def monomial():
+        exps = [0] * nvars
+        for i in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            exps[i] += 1
+        return tuple(exps)
+
+    def poly(max_terms):
+        return Polynomial(ring, {monomial(): draw(st.integers(1, 6))
+                                 for _ in range(draw(st.integers(1, max_terms)))})
+
+    basis = [poly(3) for _ in range(draw(st.integers(1, 6)))]
+    f = poly(4)
+    for g in basis:
+        if draw(st.booleans()):
+            f = f + poly(2) * g
+    return basis, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_problems())
+def test_masked_division_matches_the_plain_first_divisor_scan(case):
+    basis, f = case
+    expect = plain_division(f, basis)
+    assert normal_form(f, basis).terms == expect
+    assert normal_form(f, DivisorIndex(basis)).terms == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_problems())
+def test_reduce_basis_matches_the_plain_divisor_filter(case):
+    basis, _ = case
+    assert ([str(g) for g in reduce_basis(basis)]
+            == [str(g) for g in plain_reduce_basis(basis)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_monomials_match_the_plain_divisor_filter(data):
+    nvars = data.draw(st.sampled_from([2, 4, 70]))
+    pool = sorted(data.draw(st.sets(st.integers(0, nvars - 1), max_size=4))
+                  | {nvars - 1})
+    monos = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        exps = [0] * nvars
+        for i in data.draw(st.lists(st.sampled_from(pool), max_size=4)):
+            exps[i] += 1
+        monos.append(tuple(exps))
+    expect = {m for m in monos
+              if not any(k != m and divides(k, m) for k in monos)}
+    got = _minimal_monomials(monos)
+    assert len(got) == len(expect) and set(got) == expect
+    assert [sum(m) for m in got] == sorted(sum(m) for m in got)
+
+
+def test_support_masks_past_64_variables():
+    ring = PolyRing(QQ, [f"x{i}" for i in range(70)])
+    m = tuple(int(i in (0, 65, 69)) for i in range(70))
+    assert ring.support_mask(m) == 1 | 1 << 65 | 1 << 69
+    x = ring.gens()
+    g = x[65] * x[69] - x[0]            # lead x65*x69, mask bits 65 and 69
+    assert normal_form(x[0] * x[65], [g]) == x[0] * x[65]
+    assert normal_form(x[65] ** 2 * x[69], [g]) == x[0] * x[65]
+
+
+def unipotent_or_laurent_ideal(name, ring_name):
+    d = load_datum(name)
+    ring = ring_from_name(ring_name)
+    basis = build_chevalley(d.dual_datum())
+    coords = BorelCoordinates(basis, ring)
+    return centralizer_ideal(principal_e(basis, d, ring), coords)
+
+
+# (size, sha256 of the newline-joined str of the reduced basis, first 16 hex
+# digits), pinned from the plain-scan implementation (commit a02ccf0): the
+# masks may only skip work, never change a basis
+GROEBNER_DIGESTS = {
+    ("SL4", "Q"): (3, "76e4dd122d4eab2a"),
+    ("Sp6", "F5"): (9, "3430c35afbbac0a5"),
+    ("Spin7", "Q"): (9, "d603733ea662f354"),
+    ("SL5", "F7"): (6, "15824c9321f6f97e"),
+    ("Spin8", "F5"): (11, "ea919a9253eeb686"),
+    ("F4", "F5"): (48, "f2144a518745c735"),
+    ("E6sc", "F7"): (59, "76a8bb18a9ed7463"),
+    ("G2", "F2"): (4, "fd99cb95e0e13035"),
+    ("Spin8", "F2"): (8, "2ff78defb7aadeaf"),
+    ("F4", "F3"): (22, "7d76804cff7bc301"),
+    ("SO7", "F2"): (19, "a440306cd2648a48"),        # Laurent ideals
+    ("G2", "F3"): (5, "66a732b771a2f2d4"),
+}
+
+
+@pytest.mark.parametrize("name,ring_name", sorted(GROEBNER_DIGESTS))
+def test_reduced_groebner_basis_digest(name, ring_name):
+    gb = groebner_basis(unipotent_or_laurent_ideal(name, ring_name).ideal.gens)
+    digest = hashlib.sha256("\n".join(map(str, gb)).encode()).hexdigest()[:16]
+    assert (len(gb), digest) == GROEBNER_DIGESTS[name, ring_name]
+
+
+@pytest.mark.parametrize("name,ring_name,pairs", [
+    ("Spin8", "F5", 120),
+    ("SO7", "F2", 406),                                 # Laurent
+])
+def test_s_pair_count(name, ring_name, pairs):
+    # every pair made is popped and counted, so the count pins how the
+    # basis grew, with the coprime and chain criteria in place
+    gens = unipotent_or_laurent_ideal(name, ring_name).ideal.gens
+    groebner_basis(gens, budget=pairs)
+    with pytest.raises(BudgetExceeded):
+        groebner_basis(gens, budget=pairs - 1)
 
 def test_budget_counts_pairs_that_a_criterion_skips():
     # the three pairs are coprime and none is reduced, yet each one counts
