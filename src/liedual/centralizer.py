@@ -14,8 +14,8 @@ from math import gcd, prod
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
-                      PolyRing, Polynomial, groebner_basis, hilbert_series,
-                      normal_form)
+                      PolyRing, Polynomial, _expand_rational, groebner_basis,
+                      hilbert_series, normal_form)
 from .intlinalg import LinSpan, identity
 from .rings import GF, QQ
 
@@ -457,15 +457,39 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
 
 def _extract_presentation(uring, gb, hs_u):
     ring, truncation = uring.coeff, hs_u.truncation
-    # h_D = hs_u.coeffs[D] is the dimension of the degree-D piece of the
-    # quotient: both phases stop as soon as a span reaches it
-    reps = []        # representative polynomial (a standard monomial)
+    one = ring.coerce(1)
+    gb_index = DivisorIndex(gb)
+    # generators: a basis of the indecomposables m/(m^2 + I) of each degree,
+    # m the ideal of the variables (graded Nakayama).  Write an element of
+    # I_D as sum g*f_g over gb, f_g homogeneous.  A g of positive degree
+    # below D has f_g in m, so g*f_g lies in m^2; modulo m^2 the element is a
+    # combination of the linear parts of the degree-D elements of gb.  So the
+    # generators of degree D are the variables of weight D, in index order,
+    # that are independent of those linear parts and of each other; each is
+    # its own representative.  A variable that a lead divides is skipped:
+    # it reduces to lower terms, and the unit ideal gives no generators.
+    linear = {}
+    for g in gb:
+        linear.setdefault(g.total_degree(), []).append(
+            {m: c for m, c in g.terms.items() if sum(m) == 1})
+    gens, reps = [], []     # (name, degree), representative polynomial
+    for D in range(2, truncation + 1, 2):
+        span = LinSpan(ring)
+        for vec in linear.get(D, ()):
+            span.add(vec)
+        for i, w in enumerate(uring.weights):
+            if w != D:
+                continue
+            m = tuple(int(j == i) for j in range(uring.nvars))
+            if (gb_index.divisor(m, uring.support_mask(m)) is None
+                    and span.add({m: one})):
+                gens.append((GENERATOR_NAMES[len(gens)], D))
+                reps.append(uring.monomial(m))
     # normal forms of generator products, keyed by the exponent tuple with
     # trailing zeros stripped; each is built from the product with one factor
     # less of its last generator.  A normal form modulo a Groebner basis is
     # unique, so this equals the product reduced in any other order.
     products = {(): uring.one()}
-    gb_index = DivisorIndex(gb)
 
     def product(m):
         while m and not m[-1]:
@@ -477,34 +501,16 @@ def _extract_presentation(uring, gb, hs_u):
             products[m] = p
         return p
 
-    # generators: degree by degree, new generators where products of older
-    # ones fail to span the graded piece of the quotient
-    gens = []        # (name, degree)
-    for D in range(2, truncation + 1, 2):
-        h = hs_u.coeffs[D]
-        span = LinSpan(ring)
-        for combo in monomials_of_degree([dg for _, dg in gens], D):
-            if span.rank() == h:
-                break
-            span.add(product(combo).terms)
-        if span.rank() == h:
-            continue
-        # the standard monomials are a basis of the piece, so this search
-        # ends with rank h
-        for m in standard_monomials(uring, gb, D):
-            if span.add({m: ring.coerce(1)}):
-                gens.append((GENERATOR_NAMES[len(gens)], D))
-                reps.append(uring.monomial(m))
-                if span.rank() == h:
-                    break
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
-    # relations: kernel of gen_ring -> quotient, minimalised degree by degree
+    # relations: kernel of gen_ring -> quotient, minimalised degree by degree.
+    # The generator monomials of degree D span the h_D-dimensional piece, so
+    # the kernel has dimension (their number) - h_D; products are normal-formed
+    # only in degrees where that kernel is not all multiples of older relations
+    n_monos = _expand_rational([1], gen_ring.weights, truncation)
     rels = []
     for D in range(2, truncation + 1, 2):
-        monos = monomials_of_degree(gen_ring.weights, D)
-        # the images of monos span the h_D-dimensional piece
-        kernel_dim = len(monos) - hs_u.coeffs[D]
-        if not kernel_dim:
+        kernel_dim = n_monos[D] - hs_u.coeffs[D]
+        if kernel_dim <= 0:
             continue
         # multiples of existing relations in this degree
         old = LinSpan(ring)
@@ -517,6 +523,7 @@ def _extract_presentation(uring, gb, hs_u):
                 old.add(prod.terms)
         if old.rank() == kernel_dim:
             continue
+        monos = monomials_of_degree(gen_ring.weights, D)
         # kernel vectors via tagged elimination: image keys (1, mono) sort
         # above tag keys (0, mono), so rows landing entirely in tags are
         # exactly the linear dependencies among the images

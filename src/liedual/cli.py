@@ -61,14 +61,24 @@ def _cache_key(parts):
 
 def _cache_get(args, key):
     """The cached document, or None on a miss.  A missing, unreadable or
-    corrupt entry is a miss: the caller recomputes and overwrites it."""
+    corrupt entry is a miss, and so is one without the command's shape: its
+    schema and command must match and, for centralizer, verdict.pass must be
+    a bool.  On a miss the caller recomputes and overwrites the entry."""
     if not args.cache:
         return None
     try:
         doc = json.loads((Path(args.cache) / f"{key}.json").read_text())
     except (OSError, ValueError):
         return None
-    return doc if isinstance(doc, dict) else None
+    if not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION
+            and doc.get("command") == args.command):
+        return None
+    if args.command == "centralizer":
+        verdict = doc.get("verdict")
+        if not (isinstance(verdict, dict)
+                and isinstance(verdict.get("pass"), bool)):
+            return None
+    return doc
 
 
 def _cache_put(args, key, doc):

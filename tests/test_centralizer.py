@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import partial, reduce
@@ -12,7 +14,8 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      centralizer_ideal, compute_nG,
                      coproduct_on_generators, f_form, load_datum,
                      localization_restriction, present_centralizer,
-                     principal_e, specialize_eT, truncated_dist,
+                     principal_e, ring_from_name, specialize_eT,
+                     truncated_dist,
                      verify_coassociativity)
 from liedual import centralizer
 from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
@@ -20,8 +23,8 @@ from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
                                  ad_exp_layers, adjoint_action,
                                  group_law_coordinates, monomials_of_degree,
                                  peel_unipotent, standard_monomials)
-from liedual.commalg import (PolyRing, groebner_basis, ideal_dimension,
-                             normal_form)
+from liedual.commalg import (PolyRing, groebner_basis, hilbert_series,
+                             ideal_dimension, normal_form)
 from liedual.intlinalg import (LinSpan, identity, mat_mul, mat_vec, rank,
                                transpose)
 from liedual.loop_oracle import compare_report, omega_poincare
@@ -223,21 +226,95 @@ def full_enumeration_extraction(uring, gb, ring, truncation):
     return gens, [str(r) for r in reps], [str(r) for r in rels]
 
 
-@pytest.mark.parametrize("name,ring", [
-    ("SL3", QQ), ("G2", GF(2)), ("Sp4", GF(5)), ("SL4", GF(5))])
+# (name, ring) -> (truncation, relations)
+EXTRACTION_CASES = {
+    ("SL3", QQ): (40, []),
+    ("G2", GF(2)): (40, ["A^2"]),
+    ("Sp4", GF(5)): (40, []),
+    ("SL4", GF(5)): (40, []),
+    # u5 is standard but decomposable: u3^2 + 2*u5 lies in the ideal
+    ("Sp6", GF(5)): (40, []),
+    ("Spin7", QQ): (40, []),            # rational linear parts
+    ("Spin8", GF(5)): (20, []),         # two generators in degree 6
+    ("Spin8", GF(2)): (20, ["A^2"]),
+    ("E6sc", GF(3)): (12, ["A^3"]),
+    ("F4", GF(3)): (14, ["A^3"]),
+}
+
+
+@pytest.mark.parametrize("name,ring", list(EXTRACTION_CASES))
 def test_extraction_matches_full_enumeration(name, ring):
-    pres = present_centralizer(load_datum(name), ring)
+    truncation, relations = EXTRACTION_CASES[name, ring]
+    pres = present_centralizer(load_datum(name), ring, truncation)
     got = (pres.generators, [str(r) for r in pres.generator_reps],
            [str(r) for r in pres.relations])
     assert got == full_enumeration_extraction(pres.uring, pres.groebner,
-                                              ring, 40)
+                                              ring, truncation)
     assert pres.relation_groebner == groebner_basis(pres.relations)
-    if (name, ring) == ("G2", GF(2)):
-        assert got[2] == ["A^2"]
+    assert got[2] == relations
+
+
+# sha256 of the JSON of the presentation document and the generator
+# representatives (first 16 hex digits), pinned from the product-span
+# extraction at commit 698769e: reading the generators off the linear parts
+# of the ideal must pick the same representatives and relations
+PRESENTATION_DIGESTS = {
+    ("SL4", "Q"): "e71ebddc269e3fcb",
+    ("SL4", "F5"): "3a53d75999478c2d",
+    ("Sp6", "Q"): "48c670e75ac0855a",
+    ("Sp6", "F5"): "97f7f80f90262b60",
+    ("Spin7", "Q"): "48c670e75ac0855a",
+    ("Spin7", "F5"): "97f7f80f90262b60",
+    ("SL5", "Q"): "23fbf33026837044",
+    ("SL5", "F7"): "742000c82fbab8fa",
+    ("Spin8", "Q"): "c2685b287d4bf272",
+    ("Spin8", "F5"): "d3254a6a736cc7a6",
+    ("G2", "F2"): "ea742016ccb897c2",       # relation A^2
+    ("Spin8", "F2"): "54e2c181cb80dc6b",    # relation A^2
+    ("E6sc", "F2"): "236d1c5f568cd14b",     # relation A^2
+    ("E6sc", "F3"): "9eaad0222c3398d6",     # relation A^3
+    ("F4", "F3"): "d8aefbcf3d48f8bd",       # relation A^3
+    ("F4", "F5"): "db659bc93bfabd5b",
+    ("E6sc", "F7"): "35e4cc4d22c7659f",
+}
+
+
+@pytest.mark.parametrize("name,ring_name", sorted(PRESENTATION_DIGESTS))
+def test_presentation_digest(name, ring_name):
+    pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
+    doc = json.dumps([pres.to_document(), [str(r) for r in pres.generator_reps]],
+                     sort_keys=True)
+    digest = hashlib.sha256(doc.encode()).hexdigest()[:16]
+    assert digest == PRESENTATION_DIGESTS[name, ring_name]
+
+
+def hand_built_ideal(which):
+    """A Groebner basis in k[x, y, z] with weights 2, 2, 4."""
+    R = PolyRing(QQ, ["x", "y", "z"], [2, 2, 4])
+    x, y, z = R.gens()
+    gens = {"linear": [x * x + z, y ** 3], "zero": [], "unit": [R.one()]}
+    return R, groebner_basis(gens[which])
+
+
+@pytest.mark.parametrize("which,generators,reps,relations", [
+    # z is standard (the lead of x^2 + z is x^2) but decomposable: the
+    # linear part z of x^2 + z puts it in the span, so it is no generator
+    ("linear", [("A", 2), ("B", 2)], ["x", "y"], ["B^3"]),
+    ("zero", [("A", 2), ("B", 2), ("C", 4)], ["x", "y", "z"], []),
+    ("unit", [], [], []),
+])
+def test_extraction_on_hand_built_ideals(which, generators, reps, relations):
+    R, gb = hand_built_ideal(which)
+    hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
+    gens, got_reps, _, rels = centralizer._extract_presentation(R, gb, hs)
+    assert gens == generators
+    assert [str(r) for r in got_reps] == reps
+    assert [str(r) for r in rels] == relations
+    assert (gens, reps, relations) == full_enumeration_extraction(R, gb, QQ, 12)
 
 
 def test_presentation_with_two_generators_in_one_degree():
-    # the h_D stop must not end degree 6 at its first new generator
+    # degree 6 holds two independent standard variables: both are generators
     pres = present_centralizer(load_datum("Spin8"), GF(5))
     assert [dg for _, dg in pres.generators] == [2, 6, 6, 10]
     assert pres.relations == []

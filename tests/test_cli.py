@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import liedual
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
                          EXIT_PASS, MAX_TRUNCATE, main)
@@ -150,6 +152,29 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
     # the corrupt entry was overwritten with the recomputed document
     assert list(cache.iterdir()) == [entry]
     assert json.loads(entry.read_text()) == json.loads(first[1])
+
+
+@pytest.mark.parametrize("entry_doc", [
+    {"schema": 1},
+    {"schema": 1, "command": "datum-info", "verdict": {"pass": True}},
+    {"schema": 2, "command": "centralizer", "verdict": {"pass": True}},
+    {"schema": 1, "command": "centralizer", "verdict": {"pass": "yes"}},
+    {"schema": 1, "command": "centralizer", "verdict": [True]},
+    [],
+])
+def test_cache_entry_without_the_command_shape_is_a_miss(capsys, tmp_path,
+                                                         entry_doc):
+    argv = ["centralizer", "--preset", "SL2", "--ring", "Q"]
+    uncached = run(capsys, *argv)
+    cache = tmp_path / "cache"
+    run(capsys, *argv, "--cache", str(cache))
+    (entry,) = cache.iterdir()
+    entry.write_text(json.dumps(entry_doc))
+    again = run(capsys, *argv, "--cache", str(cache))
+    assert again == uncached and uncached[0] == EXIT_PASS
+    # the malformed entry was overwritten with the recomputed document
+    assert list(cache.iterdir()) == [entry]
+    assert json.loads(entry.read_text()) == json.loads(uncached[1])
 
 
 def test_cache_key_depends_on_config(capsys, tmp_path):
