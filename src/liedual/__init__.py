@@ -15,10 +15,9 @@ from .centralizer import (BadPrimeError, BorelCoordinates,
                           brute_force_group_check, build_eT,
                           centralizer_ideal, compute_nG,
                           coproduct_on_generators, f_form,
-                          localization_restriction, present_centralizer,
-                          specialize_eT, truncated_dist,
+                          present_centralizer, specialize_eT, truncated_dist,
                           verify_coassociativity)
-from .loop_oracle import (WeightedRep, adjoint_rep, compare_report, degree_dV,
-                          fixed_point_chern_weight, omega_poincare)
+from .loop_oracle import (basic_form, compare_report, omega_poincare,
+                          pi0_order)
 
 __version__ = "1.0.0"

@@ -306,20 +306,6 @@ def specialize_eT(eT, s):
                   "regular_semisimple": disc != 0}
 
 
-def localization_restriction(d, lam):
-    """(-2/(theta,theta)_Kil) * sum_beta <beta, lam> beta, in root coordinates."""
-    theta = d.highest_root().coroot
-    kil_tt = d.killing_form(theta, theta)
-    n = d.rank
-    out = [Fraction(0)] * n
-    for rt in d.roots():
-        c = sum(x * y for x, y in zip(rt.vector, lam))
-        if c:
-            for j in range(n):
-                out[j] += Fraction(-2 * c, kil_tt) * rt.vector[j]
-    return out
-
-
 # ----------------------------------------------------------------------
 # monomials by degree
 

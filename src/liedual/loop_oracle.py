@@ -1,46 +1,23 @@
 """Topology-side oracle: Poincare series of the based loop space from the
-exponents, component algebra, and line-bundle degree constants.
+exponents, and the classical constants the datum's own invariants are
+checked against.
 
 The loop-space series itself is classical (exponents formula); it serves as
 the independent comparison target for the centralizer presentations.
+``basic_form`` reads the form f up to sign off the symmetrizer, not off the
+roots, and ``pi0_order`` reads |pi_0| off determinants, not off the Smith
+normal form of ``component_group``.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from .commalg import HilbertSeries
+from .intlinalg import determinant, solve_left
 
 
 class PureTorusError(ValueError):
     pass
-
-
-@dataclass
-class WeightedRep:
-    """A representation described by its torus weights.
-
-    weights: list of (character vector in root coordinates, multiplicity).
-    """
-    weights: list
-    self_dual: bool = False
-
-    def __post_init__(self):
-        if any(m <= 0 for _, m in self.weights):
-            raise ValueError("multiplicities must be positive")
-        if self.self_dual:
-            bag = {}
-            for w, m in self.weights:
-                bag[tuple(w)] = bag.get(tuple(w), 0) + m
-            for w, m in bag.items():
-                if bag.get(tuple(-x for x in w), 0) != m:
-                    raise ValueError("weight multiset is not symmetric under negation")
-
-
-def adjoint_rep(d):
-    """Adjoint representation: all roots once, zero weight with rank multiplicity."""
-    weights = [(rt.vector, 1) for rt in d.roots()]
-    weights.append(((0,) * d.rank, d.rank))
-    return WeightedRep(weights, self_dual=True)
 
 
 def omega_poincare(d, N=40):
@@ -55,33 +32,24 @@ def omega_poincare(d, N=40):
                          [2 * m for m in d.exponents()], N)
 
 
-def degree_dV(d, rep):
-    """d_V = (1/2) sum over weights of dim * <chi, theta>^2.
-
-    theta is the coroot of the highest root.
-    """
-    theta = d.highest_root().coroot
-    total = 0
-    for chi, mult in rep.weights:
-        if len(chi) != d.rank:
-            raise ValueError("weight outside the character lattice")
-        pairing = sum(a * b for a, b in zip(chi, theta))
-        total += mult * pairing * pairing
-    if total % 2:
-        raise ValueError("half-sum is not integral: invalid weight multiset")
-    return total // 2
+def basic_form(d):
+    """The invariant form with short coroots of squared length 2, on the
+    cocharacter basis: (alpha_i^vee, alpha_j^vee) = L_i <alpha_i, alpha_j^vee>
+    with L = d.coroot_length_sq() (Kac, Infinite-dimensional Lie algebras,
+    6.2).  Central coordinates pair to 0."""
+    L, C, r = d.coroot_length_sq(), d.cartan, d.derived_rank
+    xs = [solve_left(C, list(row[:r])) for row in d.cochar_basis]
+    return [[sum(x[i] * L[i] * C[j][i] * y[j]
+                 for i in range(r) for j in range(r)) for y in xs] for x in xs]
 
 
-def fixed_point_chern_weight(d, rep, lam):
-    """-sum over weights of dim * <chi, lam> * chi, in root coordinates."""
-    n = d.rank
-    out = [Fraction(0)] * n
-    for chi, mult in rep.weights:
-        c = sum(a * b for a, b in zip(chi, lam))
-        if c:
-            for j in range(n):
-                out[j] -= mult * c * Fraction(chi[j])
-    return out
+def pi0_order(d):
+    """|torsion of X_* / Z Phi^vee| as the gcd of the r x r minors of the
+    simple coroots in cocharacter coordinates."""
+    B = [list(row) for row in d.cochar_basis]
+    rows = [solve_left(B, list(alpha)) for alpha in d.simple_coroots]
+    return gcd(*(int(determinant([[row[c] for c in cols] for row in rows]))
+                 for cols in combinations(range(d.rank), d.derived_rank)))
 
 
 def compare_report(pres, d, N=40):

@@ -13,7 +13,7 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      brute_force_group_check, build_chevalley, build_eT,
                      centralizer_ideal, compute_nG,
                      coproduct_on_generators, f_form, load_datum,
-                     localization_restriction, present_centralizer,
+                     present_centralizer,
                      principal_e, ring_from_name, specialize_eT,
                      truncated_dist,
                      verify_coassociativity)
@@ -27,7 +27,7 @@ from liedual.commalg import (PolyRing, groebner_basis, hilbert_series,
                              ideal_dimension, normal_form)
 from liedual.intlinalg import (LinSpan, identity, mat_mul, mat_vec, rank,
                                transpose)
-from liedual.loop_oracle import compare_report, omega_poincare
+from liedual.loop_oracle import basic_form, compare_report, omega_poincare
 
 N_G_TABLE = {
     "SL2": 1, "SL3": 1, "SL4": 1, "SL5": 1, "SL6": 1,
@@ -56,13 +56,10 @@ def test_f_form_is_symmetric_and_integral_after_scaling():
 
 
 def test_localization_matches_f():
+    # f is minus the basic form, which is read off the symmetrizer
     for name in ["SL2", "PGL2", "SL3", "Sp4", "PSp4", "G2", "Spin7", "GL2"]:
         d = load_datum(name)
-        F = f_form(d)
-        for i, lam in enumerate(d.cochar_basis):
-            loc = localization_restriction(d, lam)
-            for j, mu in enumerate(d.cochar_basis):
-                assert sum(a * b for a, b in zip(loc, mu)) == F[i][j]
+        assert f_form(d) == [[-x for x in row] for row in basic_form(d)], name
 
 
 def test_bad_prime_refusal():
@@ -444,8 +441,11 @@ def test_adjoint_action_matches_matrix_products(name, ring):
     # the u ring of the unipotent ideal and the z, zi, u ring of the Laurent one
     for R in (coords.uring, coords.bring):
         target = _lie_vector(e, R)
-        uvals = [R.gen(nm) for nm in coords.u_names]
-        expect = mat_vec(unipotent_matrix(coords, R, uvals), target, R)
+        # the dense matrices of the exp factors, applied right to left
+        expect = target
+        for rt, nm in reversed(list(zip(coords.pos, coords.u_names))):
+            factor = exp_adjoint_matrix(basis, rt.coeffs, R.gen(nm), R)
+            expect = mat_vec(factor, expect, R)
         assert adjoint_action(basis, _factors(coords, R), target, R) == expect
 
 

@@ -5,6 +5,7 @@ import pytest
 import liedual
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
                          EXIT_PASS, MAX_TRUNCATE, main)
+from liedual.root_datum import FiniteAbelianGroup, RootDatum
 
 
 def run(capsys, *argv):
@@ -94,6 +95,21 @@ def test_unknown_preset_and_bad_file(capsys, tmp_path):
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "datum-info", "--datum-file", str(bad))
         assert code == EXIT_BAD_INPUT and out == "" and msg in err, doc
+
+
+def test_datum_file_that_is_a_directory_is_bad_input(capsys, tmp_path):
+    code, out, err = run(capsys, "datum-info", "--datum-file", str(tmp_path))
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err.startswith("bad input:") and "Traceback" not in err
+
+
+def test_cache_that_is_a_file_is_bad_input(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    code, out, err = run(capsys, "datum-info", "--preset", "SL2",
+                         "--cache", str(cache))
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err.startswith("bad input:") and "Traceback" not in err
 
 
 def test_invalid_truncate(capsys):
@@ -217,6 +233,41 @@ def test_check_all_negative_control(capsys):
     assert code == EXIT_MISMATCH
     assert any(ln.startswith("FAIL") and "Jacobi" in ln
                for ln in out.splitlines())
+
+
+def _only_failure(capsys, preset):
+    code, out, _ = run(capsys, "check-all", "--presets", preset,
+                       "--ring", "F5", "--truncate", "10")
+    assert code == EXIT_MISMATCH
+    (failed,) = [ln for ln in out.splitlines() if ln.startswith("FAIL ")]
+    return failed
+
+
+def test_check_all_fails_the_d_ad_line_alone_under_a_doubled_rho(
+        capsys, monkeypatch):
+    two_rho = RootDatum.two_rho
+    monkeypatch.setattr(RootDatum, "two_rho",
+                        lambda self: tuple(2 * x for x in two_rho(self)))
+    assert _only_failure(capsys, "SL3") == \
+        "FAIL SL3: d_Ad = (theta,theta)_Kil / 2 = 2 h^vee"
+
+
+def test_check_all_fails_the_f_line_alone_under_unit_coroot_lengths(
+        capsys, monkeypatch):
+    monkeypatch.setattr(RootDatum, "coroot_length_sq",
+                        lambda self: [1] * self.derived_rank)
+    assert _only_failure(capsys, "G2") == "FAIL G2: f = -basic form"
+
+
+def test_check_all_fails_the_pi0_line_alone_under_an_extra_z2(
+        capsys, monkeypatch):
+    # the center of the dual is a component group too, so comparing with it
+    # would let this mutant pass
+    component_group = RootDatum.component_group
+    monkeypatch.setattr(RootDatum, "component_group", lambda self: (
+        FiniteAbelianGroup((2,) + component_group(self).invariant_factors)))
+    assert _only_failure(capsys, "PGL3") == \
+        "FAIL PGL3: |pi0| = gcd of coroot minors"
 
 
 def test_check_all_reports_budget_per_check(capsys):

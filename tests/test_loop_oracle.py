@@ -1,11 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
-from liedual import (QQ, WeightedRep, adjoint_rep, compare_report, degree_dV,
-                     fixed_point_chern_weight, load_datum, omega_poincare,
-                     present_centralizer)
-from liedual.centralizer import localization_restriction
+from liedual import (QQ, build_chevalley, compare_report, load_datum,
+                     omega_poincare, present_centralizer)
 from liedual.loop_oracle import PureTorusError
 
 
@@ -57,44 +53,22 @@ def test_pure_torus_rejected():
         omega_poincare(TorusStub(), 10)
 
 
-def test_weighted_rep_validation():
-    with pytest.raises(ValueError):
-        WeightedRep([((1, 0), 0)])
-    with pytest.raises(ValueError):
-        WeightedRep([((1, 0), 1)], self_dual=True)
-    WeightedRep([((1, 0), 1), ((-1, 0), 1)], self_dual=True)
-
-
-def test_adjoint_rep_dimension():
+def test_adjoint_dimension_is_rank_times_coxeter_number_plus_one():
+    # dim g = r (h + 1), h = 1 + height of the highest root
     for name, dim in [("SL2", 3), ("SL3", 8), ("G2", 14)]:
-        rep = adjoint_rep(load_datum(name))
-        assert sum(m for _, m in rep.weights) == dim
+        d = load_datum(name)
+        assert len(d.roots()) + d.rank == dim
+        assert d.rank * (d.highest_root().height + 2) == dim
+        assert build_chevalley(d.dual_datum()).dim == dim
 
 
-def test_degree_dV_adjoint_identity():
+def test_adjoint_degree_is_twice_the_dual_coxeter_number():
+    # d_Ad = (theta, theta)_Kil / 2 against 2 h^vee = <2 rho, theta^vee> + 2
     for name in ["SL2", "PGL2", "SL3", "Sp4", "Spin7", "Sp6", "Spin8",
                  "F4", "G2", "SL5"]:
         d = load_datum(name)
         theta = d.highest_root().coroot
-        assert degree_dV(d, adjoint_rep(d)) == d.killing_form(theta, theta) // 2
-
-
-def test_degree_dV_rejects_odd_sum():
-    d = load_datum("SL3")
-    # <alpha_1, theta> = 1, so a single alpha_1 weight gives an odd total
-    with pytest.raises(ValueError):
-        degree_dV(d, WeightedRep([((1, 0), 1)]))
-
-
-def test_chern_weight_proportional_to_localization():
-    for name in ["SL2", "PGL2", "SL3", "Sp4", "G2"]:
-        d = load_datum(name)
-        rep = adjoint_rep(d)
-        dV = degree_dV(d, rep)
-        for lam in d.cochar_basis:
-            ch = fixed_point_chern_weight(d, rep, lam)
-            loc = localization_restriction(d, lam)
-            assert [Fraction(x, dV) for x in ch] == [Fraction(x) for x in loc]
+        assert d.killing_form(theta, theta) // 2 == d.two_rho_degree(theta) + 2
 
 
 def test_compare_report_pass_and_fields():
