@@ -10,7 +10,8 @@ the positive roots in (height, lex) order; u_alpha carries degree
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, prod
+from math import lcm, prod
+from operator import add
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
@@ -37,73 +38,65 @@ def _require_good_prime(d, ring):
 
 
 # ----------------------------------------------------------------------
-# divided powers of ad(x_alpha) and the adjoint action of exp
+# the adjoint action of exp
 #
 # On a Chevalley basis ad(x_alpha)^k / k! is an integer matrix (Kostant's
-# Z-form).  It is kept by columns: a layer is a list over the basis indices
-# j of the tuple of nonzero (i, c), c the (i, j) entry.  Layer 1 is
-# basis.ad_columns, read straight from the basis's integer tables of N and
-# <beta, h_k>.  ad(x_alpha) has at most one nonzero entry in each column but
-# that of x_{-alpha}, which holds the coroot, so building and applying a
-# layer costs O(dim), not O(dim^2).
-
-
-def ad_exp_layers(basis, root_coeffs):
-    """[ad(x_a)^k / k! for k = 1, 2, ...] as integer columns, up to the last
-    nonzero power; layer[j] is the tuple of nonzero (i, c) of column j."""
-    cache = basis.__dict__.setdefault("_exp_layers", {})
-    if root_coeffs in cache:
-        return cache[root_coeffs]
-    ad = basis.ad_columns(("x", root_coeffs))
-    layers, layer, k = [], ad, 1
-    while any(layer):
-        layers.append(layer)
-        k += 1
-        # ad^k/k! e_j = (1/k) sum_m (ad^{k-1}/(k-1)!)_{mj} ad e_m
-        nxt = []
-        for col in layer:
-            acc = {}
-            for m, c in col:
-                for i, a in ad[m]:
-                    acc[i] = acc.get(i, 0) + a * c
-            out = []
-            for i, c in acc.items():
-                if c:
-                    q, r = divmod(c, k)
-                    if r:
-                        raise AssertionError(
-                            f"non-integral divided power at root {root_coeffs}")
-                    out.append((i, q))
-            nxt.append(tuple(out))
-        layer = nxt
-    cache[root_coeffs] = layers
-    return layers
+# Z-form); basis.divided_powers gives all k by columns, walking the
+# alpha-string through each x_beta.  adjoint_action scatters v along them
+# over any ring; at the generic point a term kernel scatters exponent dicts.
 
 
 def adjoint_action(basis, factors, v, ring):
     """Ad(exp(u_1 x_1) ... exp(u_m x_m)) v over the ring, for the factors
     [(root_1, u_1), ..., (root_m, u_m)].  They act right to left, each as
     v -> v + sum_k u^k ad(x_root)^k / k! v: the nonzero entries v_j are
-    scattered along column j of each integer layer."""
+    scattered along column j of the divided powers."""
     add, mul = ring.add, ring.mul
     for rt, u in reversed(factors):
         if not u:
             continue
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
-        out, upow = list(v), ring.coerce(1)
-        for layer in ad_exp_layers(basis, rt.coeffs):
-            upow = mul(upow, u)
-            # the layer's product with v first, summed over j in order, so
-            # each component keeps the terms and term order of a mat_vec
-            w = {}
-            for j, x in nonzero:
-                for i, c in layer[j]:
-                    w[i] = add(w[i], mul(c, x)) if i in w else mul(c, x)
-            for i, b in w.items():
-                if b:
-                    out[i] = add(out[i], mul(upow, b))
+        cols = basis.divided_powers(rt.coeffs)
+        out, upow = list(v), [ring.coerce(1)]
+        for j, x in enumerate(v):
+            if x:
+                for k, i, c in cols[j]:
+                    while len(upow) <= k:
+                        upow.append(mul(upow[-1], u))
+                    out[i] = add(out[i], mul(upow[k], mul(c, x)))
         v = out
     return v
+
+
+def _generic_action(coords, ring, target):
+    """Ad(U) target at the generic point U = prod exp(u_alpha x_alpha), as
+    one {exponent tuple: coefficient} dict per component.
+
+    The factors act right to left and u_alpha is a fresh variable, so the
+    factor of alpha sees only monomials free of u_alpha, and its k-th
+    divided power writes u_alpha^k into each by setting one exponent."""
+    add, mul = ring.coeff.add, ring.coeff.mul
+    slots = [ring._index[nm] for nm in coords.u_names]
+    v = [dict(x.terms) for x in target]
+    if any(m[t] for w in v for m in w for t in slots):
+        raise ValueError("the target of the generic point involves a u variable")
+    for rt, t in reversed(list(zip(coords.pos, slots))):
+        cols = coords.basis.divided_powers(rt.coeffs)
+        # the terms before this factor, read while it writes into v
+        for col, terms in [(col, list(w.items())) for col, w in zip(cols, v) if col and w]:
+            for m, x in terms:
+                head, tail = m[:t], m[t + 1:]
+                for k, i, c in col:
+                    mk, cx, w = head + (k,) + tail, mul(c, x), v[i]
+                    w[mk] = add(w[mk], cx) if mk in w else cx
+    return v
+
+
+def _difference(ring, terms, p):
+    """The polynomial with the given terms, minus p; reuses terms."""
+    sub, neg = ring.coeff.sub, ring.coeff.neg
+    for m, c in p.terms.items():
+        terms[m] = sub(terms[m], c) if m in terms else neg(c)
+    return Polynomial(ring, terms)
 
 
 # ----------------------------------------------------------------------
@@ -127,15 +120,13 @@ class BorelCoordinates:
                               self.z_names + self.zi_names + self.u_names,
                               [1] * (2 * self.n) + self.u_weights)
 
-    def root_weight_monomial(self, root, ring):
-        """alpha(t) as a monomial in z / zi variables of the given ring."""
-        out = ring.one()
-        for k in range(self.n):
+    def root_weight_exponents(self, root, ring):
+        """alpha(t) as the exponents of a z / zi monomial of the given ring."""
+        exps = [0] * ring.nvars
+        for k, z, zi in zip(range(self.n), self.z_names, self.zi_names):
             m = self.basis.pairing(root.coeffs, k)
-            name = self.z_names[k] if m >= 0 else self.zi_names[k]
-            for _ in range(abs(m)):
-                out = out * ring.gen(name)
-        return out
+            exps[ring._index[z if m >= 0 else zi]] = abs(m)
+        return tuple(exps)
 
 
 def _factors(coords, ring, prefix="u"):
@@ -185,9 +176,10 @@ def centralizer_ideal(e_like, coords):
     if units:
         ring = coords.uring
         target = _lie_vector(e_like, ring)
-        v = adjoint_action(basis, _factors(coords, ring), target, ring)
-        return CentralizerIdeal(Ideal(ring, [a - b for a, b in zip(v, target)]),
-                                "unipotent", g_center)
+        v = _generic_action(coords, ring, target)
+        return CentralizerIdeal(
+            Ideal(ring, [_difference(ring, w, b) for w, b in zip(v, target)]),
+            "unipotent", g_center)
     # bad prime: keep the torus variables, normalising by unit monomials
     ring = coords.bring
     gens = _borel_equations(coords, ring, _lie_vector(e_like, ring))
@@ -198,13 +190,16 @@ def _borel_equations(coords, ring, target):
     """Components of Ad(t) Ad(U) target - target, then z_k * zi_k - 1.
 
     Ad(t) scales each root component by alpha(t), a monomial in the z and zi
-    variables, and fixes the h components (which come first in the basis).
+    variables, so it adds alpha's exponents to each monomial; it fixes the h
+    components (which come first in the basis).
     """
     n = coords.n
-    v = adjoint_action(coords.basis, _factors(coords, ring), target, ring)
-    gens = [v[k] - target[k] for k in range(n)]
+    v = _generic_action(coords, ring, target)
+    gens = [_difference(ring, v[k], target[k]) for k in range(n)]
     for i, rt in enumerate(coords.basis.roots, start=n):
-        gens.append(coords.root_weight_monomial(rt, ring) * v[i] - target[i])
+        shift = coords.root_weight_exponents(rt, ring)
+        gens.append(_difference(ring, {tuple(map(add, m, shift)): c
+                                       for m, c in v[i].items()}, target[i]))
     for z, zi in zip(coords.z_names, coords.zi_names):
         gens.append(ring.gen(z) * ring.gen(zi) - ring.one())
     return gens
@@ -226,11 +221,7 @@ def f_form(d):
 
 def compute_nG(d):
     """Least positive n with n * f_form integral on the cocharacter lattice."""
-    n = 1
-    for row in f_form(d):
-        for x in row:
-            n = n * x.denominator // gcd(n, x.denominator)
-    return n
+    return lcm(*(x.denominator for row in f_form(d) for x in row))
 
 
 @dataclass
@@ -253,16 +244,11 @@ def build_eT(d, basis=None):
 
 def _eT_vector(eT, ring, a_polys):
     """e + sum_kl F[k][l] h_k a_l as a coefficient vector over the ring."""
-    basis = eT.basis
     v = _lie_vector(eT.e_part, ring)
-    n = eT.datum.rank
-    for k in range(n):
-        acc = ring.zero()
-        for l in range(n):
-            c = eT.f_matrix[k][l]
-            if c:
-                acc = acc + a_polys[l].scale(c)
-        v[basis.key_index(("h", k))] = v[basis.key_index(("h", k))] + acc
+    for k, row in enumerate(eT.f_matrix):
+        i = eT.basis.key_index(("h", k))
+        for c, a in zip(row, a_polys):
+            v[i] = v[i] + a.scale(c)
     return v
 
 

@@ -11,12 +11,12 @@ with signs fixed by the extraspecial-pair convention for the canonical
 (height, lex) positive-root order.  Each basis fills three integer tables
 once: the squared length (beta, beta) and the pairings <beta, h_k> of every
 root, and N for every ordered pair of roots whose sum is a root.  Brackets,
-ad matrices and the columns of ad(x_beta) all read these tables.
+ad matrices and the divided powers of ad(x_beta) all read these tables.
 """
 
 from operator import add, mul, sub
 
-from .intlinalg import is_integral, rank, solve_left, to_int
+from .intlinalg import is_integral, rank, solve_left_rows, to_int
 from .rings import QQ, RingMismatchError, ZZ
 
 
@@ -38,12 +38,12 @@ class ChevalleyBasis:
         self._pairing = {rt.coeffs: tuple(sum(map(mul, rt.vector, row))
                                           for row in datum.cochar_basis)
                          for rt in self.roots}
-        # h-coordinates x of a coroot solve x * B = coroot.  One solve per
-        # simple coroot; the coroot of beta is the integer combination
-        # sum_i (2 b_i d_i / (beta, beta)) alpha_i^vee of the simple ones,
-        # and x * B = coroot is checked in integers
+        # h-coordinates x of a coroot solve x * B = coroot.  One elimination
+        # of B solves for every simple coroot; the coroot of beta is the
+        # integer combination sum_i (2 b_i d_i / (beta, beta)) alpha_i^vee of
+        # the simple ones, and x * B = coroot is checked in integers
         B = [list(row) for row in datum.cochar_basis]
-        simple_h = [solve_left(B, list(alpha)) for alpha in datum.simple_coroots]
+        simple_h = solve_left_rows(B, [list(alpha) for alpha in datum.simple_coroots])
         if not is_integral(simple_h):
             raise AssertionError("simple coroot outside the cocharacter lattice")
         simple_h = to_int(simple_h)
@@ -60,6 +60,7 @@ class ChevalleyBasis:
             self._coroot_h[rt.coeffs] = tuple(x)
         self._N = {}
         self._fill_structure_constants()
+        self._divided = {}      # root -> divided_powers columns, filled on demand
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -184,22 +185,48 @@ class ChevalleyBasis:
     def ad_columns(self, key):
         """ad(key) as integer columns: entry j is the tuple of nonzero (i, c)
         with c the (i, j) entry, for the basis order of basis_keys()."""
-        n, index = self.n, self._root_index
-        if key[0] == "h":
-            k = key[1]
-            pairs = [self._pairing[rt.coeffs][k] for rt in self.roots]
-            return [()] * n + [((n + j, p),) if p else () for j, p in enumerate(pairs)]
-        a = key[1]
-        i = n + index[a]
-        cols = [((i, -p),) if p else () for p in self._pairing[a]]
-        for rt in self.roots:
-            s = tuple(map(add, a, rt.coeffs))
-            if s in index:
-                cols.append(((n + index[s], self._N[a, rt.coeffs]),))
-            elif any(s):
-                cols.append(())
-            else:
-                cols.append(tuple((k, c) for k, c in enumerate(self._coroot_h[a]) if c))
+        if key[0] == "x":
+            return [tuple((i, c) for k, i, c in col if k == 1)
+                    for col in self.divided_powers(key[1])]
+        n, k = self.n, key[1]
+        pairs = [self._pairing[rt.coeffs][k] for rt in self.roots]
+        return [()] * n + [((n + j, p),) if p else () for j, p in enumerate(pairs)]
+
+    def divided_powers(self, a):
+        """ad(x_a)^k / k! for all k >= 1 as integer columns (Kostant's
+        Z-form), computed once per root: entry j is the tuple of (k, i, c),
+        k ascending, c the nonzero (i, j) entry of the k-th power.  h_k goes
+        to -<a, h_k> x_a.  x_b with b != -a walks the a-string b + a, b + 2a,
+        ... with c_k = c_{k-1} N(a, b + (k-1)a) / k.  x_{-a} goes to h_a,
+        then to -<a, h_a>/2 x_a, with <a, h_a> = 2 checked on the tables."""
+        if a in self._divided:
+            return self._divided[a]
+        n, index, pairing = self.n, self._root_index, self._pairing[a]
+        ia = n + index[a]
+        # the basis index of the a-string successor of each x_b, with N(a, b)
+        step = {}
+        for j, rt in enumerate(self.roots, start=n):
+            nab = self._N.get((a, rt.coeffs))
+            if nab:
+                step[j] = (n + index[tuple(map(add, a, rt.coeffs))], nab)
+        cols = [((1, ia, -p),) if p else () for p in pairing] + [()] * len(self.roots)
+        for j in step:
+            col, i, c, k = [], j, 1, 0
+            while i in step:
+                i, nab = step[i]
+                k += 1
+                c, r = divmod(c * nab, k)
+                if r:
+                    raise AssertionError(f"non-integral divided power at root {a}")
+                col.append((k, i, c))
+            cols[j] = tuple(col)
+        h = self._coroot_h[a]
+        s = sum(map(mul, h, pairing))
+        if s != 2:
+            raise AssertionError(f"<{a}, h_a> = {s} at x_-a, not 2")
+        cols[n + index[self._minus[a]]] = (
+            tuple((1, k, x) for k, x in enumerate(h) if x) + ((2, ia, -s // 2),))
+        self._divided[a] = cols
         return cols
 
     def ad_matrix(self, elem):

@@ -569,10 +569,7 @@ class HilbertSeries:
 
     def first_difference(self, other):
         N = min(self.truncation, other.truncation)
-        for k in range(N + 1):
-            if self.coeffs[k] != other.coeffs[k]:
-                return k
-        return None
+        return next((k for k in range(N + 1) if self.coeffs[k] != other.coeffs[k]), None)
 
     def closed_form_str(self):
         num = _poly_in_t_str(self.numer)

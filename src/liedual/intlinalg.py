@@ -187,10 +187,16 @@ def determinant(A, ring=QQ):
 
 def solve_left(B, v, ring=QQ):
     """Solve x*B = v (row-vector convention) for B with independent rows."""
-    x = _independent_rows(B, ring).express(_sparse(v, ring))
-    if x is None:
+    return solve_left_rows(B, [v], ring)[0]
+
+
+def solve_left_rows(B, V, ring=QQ):
+    """solve_left for each row v of V, against one elimination of B."""
+    span = _independent_rows(B, ring)
+    xs = [span.express(_sparse(v, ring)) for v in V]
+    if None in xs:
         raise ValueError("vector is outside the row space")
-    return _dense(x, len(B), ring)
+    return [_dense(x, len(B), ring) for x in xs]
 
 
 def inverse(A, ring=QQ):

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd
 
 from .commalg import HilbertSeries
-from .intlinalg import determinant, solve_left
+from .intlinalg import determinant, solve_left_rows
 
 
 class PureTorusError(ValueError):
@@ -38,7 +38,7 @@ def basic_form(d):
     with L = d.coroot_length_sq() (Kac, Infinite-dimensional Lie algebras,
     6.2).  Central coordinates pair to 0."""
     L, C, r = d.coroot_length_sq(), d.cartan, d.derived_rank
-    xs = [solve_left(C, list(row[:r])) for row in d.cochar_basis]
+    xs = solve_left_rows(C, [list(row[:r]) for row in d.cochar_basis])
     return [[sum(x[i] * L[i] * C[j][i] * y[j]
                  for i in range(r) for j in range(r)) for y in xs] for x in xs]
 
@@ -47,7 +47,7 @@ def pi0_order(d):
     """|torsion of X_* / Z Phi^vee| as the gcd of the r x r minors of the
     simple coroots in cocharacter coordinates."""
     B = [list(row) for row in d.cochar_basis]
-    rows = [solve_left(B, list(alpha)) for alpha in d.simple_coroots]
+    rows = solve_left_rows(B, [list(alpha) for alpha in d.simple_coroots])
     return gcd(*(int(determinant([[row[c] for c in cols] for row in rows]))
                  for cols in combinations(range(d.rank), d.derived_rank)))
 

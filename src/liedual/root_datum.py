@@ -22,11 +22,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .intlinalg import (determinant, inverse, invariant_factors, is_integral,
-                        mat_mul, rank, smith_normal_form, solve_left, to_int,
-                        transpose)
+                        mat_mul, rank, smith_normal_form, solve_left_rows,
+                        to_int, transpose)
 
 
 class RootDatumError(ValueError):
@@ -45,11 +45,7 @@ class FiniteAbelianGroup:
 
     @property
     def torsion_order(self):
-        order = 1
-        for d in self.invariant_factors:
-            if d:
-                order *= d
-        return order
+        return prod(d for d in self.invariant_factors if d)
 
     def __str__(self):
         if not self.invariant_factors:
@@ -76,13 +72,9 @@ def _symmetrizer(cartan):
                 todo.append(j)
     if any(x is None for x in d):
         raise RootDatumError("Dynkin diagram is disconnected")
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = gcd(*ints)
     return [x // g for x in ints]
 
 
@@ -121,13 +113,9 @@ def _enumerate_root_coeffs(cartan):
         for beta in frontier:
             for i in range(r):
                 pairing = sum(beta[j] * cartan[i][j] for j in range(r))
-                refl = list(beta)
-                refl[i] -= pairing
-                refl = tuple(refl)
-                if refl not in roots:
-                    new.add(refl)
-        roots |= new
-        frontier = new
+                new.add(beta[:i] + (beta[i] - pairing,) + beta[i + 1:])
+        frontier = new - roots
+        roots |= frontier
     return roots
 
 
@@ -163,10 +151,8 @@ class RootDatum:
             raise RootDatumError("cochar_basis must be integral (inside the coweight lattice)")
         if rank(B) != n:
             raise RootDatumError("cochar_basis is singular")
-        for alpha in self.simple_coroots:
-            x = solve_left(B, list(alpha))
-            if not is_integral(x):
-                raise RootDatumError("coroot lattice is not contained in the cocharacter lattice")
+        if not is_integral(solve_left_rows(B, [list(a) for a in self.simple_coroots])):
+            raise RootDatumError("coroot lattice is not contained in the cocharacter lattice")
 
     # -- basic shape ---------------------------------------------------
 
@@ -294,7 +280,7 @@ class RootDatum:
 
     def _component_group(self):
         B = [list(row) for row in self.cochar_basis]
-        rows = [to_int(solve_left(B, list(alpha))) for alpha in self.simple_coroots]
+        rows = to_int(solve_left_rows(B, [list(a) for a in self.simple_coroots]))
         if not rows:
             return FiniteAbelianGroup((0,) * self.rank)
         facs = [d for d in invariant_factors(rows) if d != 1]
@@ -304,9 +290,6 @@ class RootDatum:
     def center(self):
         """Center of the group: character lattice of the dual mod its roots."""
         return self.dual_datum().component_group()
-
-    def center_order(self):
-        return self.center().torsion_order
 
     # -- duality ---------------------------------------------------------
 

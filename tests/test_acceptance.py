@@ -144,7 +144,7 @@ def test_criterion_10_component_group_matches_center_of_dual():
         d = load_datum(name)
         dual = d.dual_datum()
         order = d.component_group().torsion_order
-        assert order == pi0_order(d) == dual.center_order(), name
+        assert order == pi0_order(d) == dual.center().torsion_order, name
         # and the identification is an involution
         back = dual.dual_datum()
         assert back.cartan == d.cartan and back.cochar_basis == d.cochar_basis

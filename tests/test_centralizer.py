@@ -13,18 +13,18 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      brute_force_group_check, build_chevalley, build_eT,
                      centralizer_ideal, compute_nG,
                      coproduct_on_generators, f_form, load_datum,
-                     present_centralizer,
+                     present_centralizer, preset_names,
                      principal_e, ring_from_name, specialize_eT,
                      truncated_dist,
                      verify_coassociativity)
 from liedual import centralizer
-from liedual.centralizer import (GENERATOR_NAMES, _factors, _lie_vector,
-                                 _rename_into, _tensor_square,
-                                 ad_exp_layers, adjoint_action,
+from liedual.centralizer import (GENERATOR_NAMES, _factors, _generic_action,
+                                 _lie_vector, _rename_into, _tensor_square,
+                                 adjoint_action,
                                  group_law_coordinates, monomials_of_degree,
                                  peel_unipotent, standard_monomials)
-from liedual.commalg import (PolyRing, groebner_basis, hilbert_series,
-                             ideal_dimension, normal_form)
+from liedual.commalg import (PolyRing, Polynomial, groebner_basis,
+                             hilbert_series, ideal_dimension, normal_form)
 from liedual.intlinalg import (LinSpan, identity, mat_mul, mat_vec, rank,
                                transpose)
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
@@ -386,15 +386,21 @@ def test_regular_semisimple_iff_rank_kernel_and_ad_squared_keeps_rank(name):
 
 def exp_adjoint_matrix(basis, root_coeffs, u, ring):
     """Reference: the matrix 1 + sum_k u^k ad(x_root)^k / k! of
-    Ad(exp(u x_root)), densified from the layer columns."""
+    Ad(exp(u x_root)), densified from the divided-power columns."""
     out = identity(basis.dim, ring)
-    upow = ring.coerce(1)
-    for layer in ad_exp_layers(basis, root_coeffs):
-        upow = ring.mul(upow, u)
-        for j, col in enumerate(layer):
-            for i, c in col:
-                out[i][j] = ring.add(out[i][j], ring.mul(ring.coerce(c), upow))
+    for j, col in enumerate(basis.divided_powers(root_coeffs)):
+        for k, i, c in col:
+            out[i][j] = ring.add(out[i][j], ring.mul(ring.coerce(c), u ** k))
     return out
+
+
+def divided_power_layers(basis, root_coeffs):
+    """The columns of each ad(x_root)^k / k!, k = 1, 2, ..., split off the
+    divided-power columns: layer k - 1 holds the (i, c) of each column."""
+    cols = basis.divided_powers(root_coeffs)
+    top = max(k for col in cols for k, _, _ in col)
+    return [[tuple((i, c) for kk, i, c in col if kk == k) for col in cols]
+            for k in range(1, top + 1)]
 
 
 @pytest.mark.parametrize("name", ["SL3", "G2", "Sp4", "F4"])
@@ -410,7 +416,7 @@ def test_divided_power_layers_match_dense_powers_of_ad(name):
         for j, key in enumerate(keys):
             for out, c in basis.bracket_keys(("x", rt.coeffs), key).items():
                 A[basis.key_index(out)][j] = QQ.coerce(c)
-        layers = ad_exp_layers(basis, rt.coeffs)
+        layers = divided_power_layers(basis, rt.coeffs)
         power = identity(dim, QQ)
         for k, layer in enumerate(layers, start=1):
             power = mat_mul(A, power, QQ)
@@ -447,6 +453,74 @@ def test_adjoint_action_matches_matrix_products(name, ring):
             factor = exp_adjoint_matrix(basis, rt.coeffs, R.gen(nm), R)
             expect = mat_vec(factor, expect, R)
         assert adjoint_action(basis, _factors(coords, R), target, R) == expect
+        # the term kernel of the generic point, too
+        assert [Polynomial(R, w) for w in _generic_action(coords, R, target)] == expect
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_generic_action_matches_adjoint_action(name):
+    # the term kernel against the generic action on polynomial u, on the u
+    # ring of the unipotent ideal and the z, zi, u ring of the Laurent one
+    d = load_datum(name)
+    basis = build_chevalley(d.dual_datum())
+    coords = BorelCoordinates(basis, GF(7))
+    e = principal_e(basis, d, GF(7))
+    for R in (coords.uring, coords.bring):
+        target = _lie_vector(e, R)
+        expect = adjoint_action(basis, _factors(coords, R), target, R)
+        assert [Polynomial(R, w) for w in _generic_action(coords, R, target)] == expect
+
+
+def test_generic_action_refuses_a_target_with_u():
+    coords = BorelCoordinates(build_chevalley(load_datum("SL3")), QQ)
+    target = [coords.uring.zero()] * coords.basis.dim
+    target[-1] = coords.uring.gen("u2")
+    with pytest.raises(ValueError, match="involves a u variable"):
+        _generic_action(coords, coords.uring, target)
+
+
+# (mode, number of generators, sha256 of the newline-joined generators) of
+# centralizer_ideal, recorded before the ideal was built on exponent dicts
+PINNED_IDEALS = {
+    ("SL4", "Q"): ("unipotent", 3,
+                   "971cf8585509fc6f5651f6315eb8b4fddb34bda1df17d639042c5719c1483a73"),
+    ("Spin7", "Q"): ("unipotent", 6,
+                     "feaa3be83d40a64a608eb027fc7aa42b453f835d83f27c7e7be442e27735c0ae"),
+    ("SL5", "F7"): ("unipotent", 6,
+                    "82f9513ced03e53967eb806ecf7d21440da657de3a124cbf7ccf8befabfb3678"),
+    ("F4", "F5"): ("unipotent", 20,
+                   "4b22d566af6d96903584cab1ec9eb868123892088aa024e041152fb50060b94e"),
+    ("E6sc", "F7"): ("unipotent", 30,
+                     "e9b5c2c7cf1a052c2f10624dec2c552ef329cdfa7968a92aeef38cfff4698591"),
+    ("SO7", "F2"): ("laurent", 9,
+                    "0e8b07ac18997da2f0ca21fab7792bc9bf44fd7fe2372ff5a0eb460a12eda5b6"),
+    ("G2", "F3"): ("laurent", 5,
+                   "eb1a0a18b915bc9440c836a8451669c3420387c6505bd7541823727e2b30344e"),
+    ("Sp4", "F2"): ("laurent", 4,
+                    "06046d196a18f1ffcad6ad14758d81d2a2f88196030a69b03489277e0c1bab62"),
+    ("SL2", "eT"): ("equivariant", 2,
+                    "acd5cc9496b5e891fa02cd71cbc369bfaf8deb7249646012b5bb03e3a5ef3faf"),
+    ("SL3", "eT"): ("equivariant", 5,
+                    "3e38d584521ef69c182d617aa98df2334b83bb5d2793cfa0f55350bda004959b"),
+    ("G2", "eT"): ("equivariant", 8,
+                   "3952fbf73be871b4c71ef1522b1ab59288e5f2a4be8d5ecb0663be36df31e10e"),
+}
+
+
+@pytest.mark.parametrize("name,ring_name", sorted(PINNED_IDEALS))
+def test_centralizer_ideal_is_pinned(name, ring_name):
+    d = load_datum(name)
+    if ring_name == "eT":               # the equivariant ideal over Q
+        eT = build_eT(d)
+        cid = centralizer_ideal(eT, BorelCoordinates(eT.basis, QQ))
+    else:
+        ring = ring_from_name(ring_name)
+        basis = build_chevalley(d.dual_datum())
+        cid = centralizer_ideal(principal_e(basis, d, ring),
+                                BorelCoordinates(basis, ring))
+    text = "\n".join(map(str, cid.ideal.gens))
+    assert (cid.mode, len(cid.ideal.gens),
+            hashlib.sha256(text.encode()).hexdigest()) == PINNED_IDEALS[name, ring_name]
 
 
 @settings(max_examples=30, deadline=None)

@@ -37,10 +37,21 @@ for key, n in basis._N.items():            # |N| = 1 on every root chain
     basis._N[key] = (n > 0) - (n < 0)
 try:                                       # a B2 chain makes ad(x_a)^2 odd
     for rt in basis.roots:
-        centralizer.ad_exp_layers(basis, rt.coeffs)
+        basis.divided_powers(rt.coeffs)
 except AssertionError as exc:
     if "non-integral divided power" in str(exc):
         raised.append("divided")
+basis = build_chevalley(load_datum("SL3"))
+a = basis.roots[0].coeffs                  # double an entry of h_a that pairs
+h = list(basis._coroot_h[a])               # with a, so <a, h_a> != 2
+k = next(k for k, x in enumerate(h) if x * basis.pairing(a, k))
+h[k] *= 2
+basis._coroot_h[a] = tuple(h)
+try:
+    basis.divided_powers(a)
+except AssertionError as exc:
+    if "at x_-a" in str(exc):
+        raised.append("coroot")
 print(__debug__, *raised)
 """
 
@@ -61,7 +72,8 @@ def run_optimized(*args):
 def test_checks_raise_under_python_O():
     result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "counit", "chain", "divided"]
+    assert result.stdout.split() == ["False", "counit", "chain", "divided",
+                                     "coroot"]
 
 
 def test_negative_control_fails_under_python_O():

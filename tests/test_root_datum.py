@@ -107,7 +107,7 @@ def test_component_group_and_center():
     assert load_datum("PGL2").component_group().torsion_order == 2
     assert load_datum("PSO8").component_group().torsion_order == 4
     for name, z in CENTER_ORDERS.items():
-        assert load_datum(name).center_order() == z, name
+        assert load_datum(name).center().torsion_order == z, name
     assert load_datum("Spin8").center().invariant_factors == (2, 2)
     assert load_datum("SL4").center().invariant_factors == (4,)
 
@@ -155,8 +155,8 @@ def test_dual_swaps_center_and_pi0():
     for name in preset_names():
         d = load_datum(name)
         dual = d.dual_datum()
-        assert d.component_group().torsion_order == dual.center_order()
-        assert d.center_order() == dual.component_group().torsion_order
+        assert d.component_group().torsion_order == dual.center().torsion_order
+        assert d.center().torsion_order == dual.component_group().torsion_order
 
 
 def test_document_round_trip():
@@ -284,7 +284,7 @@ def random_root_data(draw, types=tuple(CARTANS)):
 def test_random_datum_duality(d):
     dd = d.dual_datum()
     assert dd.dual_datum().cochar_basis == d.cochar_basis
-    assert d.component_group().torsion_order == dd.center_order()
+    assert d.component_group().torsion_order == dd.center().torsion_order
 
 
 @settings(max_examples=15, deadline=None)
