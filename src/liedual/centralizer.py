@@ -15,8 +15,8 @@ from operator import add
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
-                      PolyRing, Polynomial, _expand_rational, groebner_basis,
-                      hilbert_series, normal_form)
+                      PolyRing, Polynomial, groebner_basis, hilbert_series,
+                      normal_form)
 from .intlinalg import LinSpan, identity
 from .rings import GF, QQ
 
@@ -140,11 +140,12 @@ def _factors(coords, ring, prefix="u"):
 
 
 def _lie_vector(elem, ring):
-    """Coefficient vector of a LieElement as constants of a polynomial ring."""
+    """Coefficient vector of a LieElement over a scalar ring, or as constants
+    of a polynomial ring."""
     basis = elem.basis
-    v = [ring.zero()] * basis.dim
+    v = [ring.coerce(0)] * basis.dim
     for key, c in elem.coefficients.items():
-        v[basis.key_index(key)] = ring.const(c)
+        v[basis.key_index(key)] = ring.coerce(c)
     return v
 
 
@@ -310,41 +311,10 @@ def monomials_of_degree(weights, D):
 
 def standard_monomials(ring, gb, D):
     """The monomials of weighted degree D that no leading monomial of gb
-    divides, in the order of monomials_of_degree.
-
-    A depth-first search sets the exponents last variable first, each one
-    ascending, and cuts a branch as soon as a leading monomial divides the
-    partial product with the unset exponents taken as 0: every extension of
-    that branch, and of the branches after it, is divisible too.
-    """
-    weights = ring.weights
-    n = len(weights)
-    # (lead, index of its first nonzero exponent): with the exponents from k
-    # on set, a lead divides the partial product iff it fits them and that
-    # index is >= k
-    leads = [(lm, next((i for i, e in enumerate(lm) if e), n))
-             for lm in (g.leading_monomial() for g in gb)]
-    if any(low == n for _, low in leads):
-        return                  # the unit ideal: nothing is standard
-
-    def search(k, rem, live, tail):
-        if k == 0:
-            if rem == 0:
-                yield tail
-            return
-        k -= 1
-        w = weights[k]
-        if k:
-            exps = range(rem // w + 1)
-        else:                   # the first variable takes the rest
-            exps = [rem // w] if rem % w == 0 else []
-        for e in exps:
-            live_e = [(lm, low) for lm, low in live if lm[k] <= e]
-            if any(low >= k for _, low in live_e):
-                break
-            yield from search(k, rem - e * w, live_e, (e,) + tail)
-
-    yield from search(n, D, leads, ())
+    divides, in the order of monomials_of_degree."""
+    index = DivisorIndex(gb)
+    return [m for m in monomials_of_degree(ring.weights, D)
+            if index.divisor(m, ring.support_mask(m)) is None]
 
 
 def _power_product(m, factors, p):
@@ -411,12 +381,10 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     gb = groebner_basis(cid.ideal.gens, budget)
     hs_u = hilbert_series(gb, ring=cid.ideal.ring, truncation=truncation,
                           is_groebner=True)
-    gens, reps, gen_ring, rels = _extract_presentation(cid.ideal.ring, gb, hs_u)
+    gens, reps, gen_ring, rels, rel_gb, hs_rel = _extract_presentation(
+        cid.ideal.ring, gb, hs_u, budget)
     # sanity: the presented algebra reproduces the quotient's Hilbert series
-    rel_gb = groebner_basis(rels, budget)
-    hs_pres = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
-                             is_groebner=True)
-    if hs_pres.coeffs != hs_u.coeffs:
+    if hs_rel.coeffs != hs_u.coeffs:
         raise AssertionError(
             "presentation does not reproduce the quotient Hilbert series")
     return CentralizerPresentation(
@@ -427,7 +395,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
         groebner=gb, relation_groebner=rel_gb, coords=coords)
 
 
-def _extract_presentation(uring, gb, hs_u):
+def _extract_presentation(uring, gb, hs_u, budget):
     ring, truncation = uring.coeff, hs_u.truncation
     one = ring.coerce(1)
     gb_index = DivisorIndex(gb)
@@ -475,46 +443,36 @@ def _extract_presentation(uring, gb, hs_u):
 
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
     # relations: kernel of gen_ring -> quotient, minimalised degree by degree.
-    # The generator monomials of degree D span the h_D-dimensional piece, so
-    # the kernel has dimension (their number) - h_D; products are normal-formed
-    # only in degrees where that kernel is not all multiples of older relations
-    n_monos = _expand_rational([1], gen_ring.weights, truncation)
-    rels = []
+    # gen_ring/(rels) maps onto the quotient, so the relations found so far
+    # leave a kernel in degree D exactly when their series exceeds h_D there;
+    # other degrees are skipped.  A kernel row is a new relation when its
+    # normal form modulo the Groebner basis of the relations so far is nonzero
+    # (ideal membership), and that basis is recomputed with each new relation.
+    rels, rel_gb = [], []
+    hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
+                            is_groebner=True)
     for D in range(2, truncation + 1, 2):
-        kernel_dim = n_monos[D] - hs_u.coeffs[D]
-        if kernel_dim <= 0:
+        if hs_rel.coeffs[D] <= hs_u.coeffs[D]:
             continue
-        # multiples of existing relations in this degree
-        old = LinSpan(ring)
-        for rel in rels:
-            rd = rel.total_degree()
-            if rd > D:
-                continue
-            for m in monomials_of_degree(gen_ring.weights, D - rd):
-                prod = gen_ring.monomial(m) * rel
-                old.add(prod.terms)
-        if old.rank() == kernel_dim:
-            continue
-        monos = monomials_of_degree(gen_ring.weights, D)
         # kernel vectors via tagged elimination: image keys (1, mono) sort
         # above tag keys (0, mono), so rows landing entirely in tags are
         # exactly the linear dependencies among the images
         span = LinSpan(ring)
-        for m in monos:
+        for m in monomials_of_degree(gen_ring.weights, D):
             vec = {(1, mm): c for mm, c in product(m).terms.items()}
-            vec[(0, m)] = ring.coerce(1)
+            vec[(0, m)] = one
             span.add(vec)
         for pivot, (row, _) in sorted(span.rows.items()):
             if all(k[0] == 0 for k in row):
-                relpoly = gen_ring.zero()
-                for (_, m), c in row.items():
-                    relpoly = relpoly + gen_ring.monomial(m, c)
-                if not old.add(relpoly.terms):
-                    continue
-                rels.append(relpoly)
+                relpoly = Polynomial(gen_ring, {m: c for (_, m), c in row.items()})
+                if normal_form(relpoly, rel_gb):
+                    rels.append(relpoly)
+                    rel_gb = groebner_basis(rels, budget)
+        hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
+                                is_groebner=True)
     # product refers to itself: free its memo now, not at the next cyclic GC
     del product
-    return gens, reps, gen_ring, rels
+    return gens, reps, gen_ring, rels, rel_gb, hs_rel
 
 
 # ----------------------------------------------------------------------
@@ -572,9 +530,7 @@ class GroupPoints:
         _require_good_prime(d, ring)
         self.basis = build_chevalley(d.dual_datum())
         self.coords = BorelCoordinates(self.basis, ring)
-        self.e_vec = [0] * self.basis.dim
-        for key, c in principal_e(self.basis, d, ring).coefficients.items():
-            self.e_vec[self.basis.key_index(key)] = c
+        self.e_vec = _lie_vector(principal_e(self.basis, d, ring), ring)
 
     def _root_value(self, rt, z):
         val = 1
@@ -717,13 +673,12 @@ def _tensor_square(pres):
 
 
 def _rename_into(poly, big_ring, prefix):
-    out = {}
-    for m, c in poly.terms.items():
-        exps = [0] * big_ring.nvars
-        for i, e in enumerate(m):
-            exps[big_ring._index[f"{prefix}{i + 1}"]] = e
-        out[tuple(exps)] = c
-    return Polynomial(big_ring, out)
+    """poly with variable i renamed to prefix + str(i + 1) of big_ring, which
+    holds those names as one block in that order."""
+    start = big_ring._index[f"{prefix}1"]
+    head = (0,) * start
+    tail = (0,) * (big_ring.nvars - start - poly.ring.nvars)
+    return Polynomial(big_ring, {head + m + tail: c for m, c in poly.terms.items()})
 
 
 def _standard_coproducts(pres, N):

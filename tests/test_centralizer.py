@@ -23,8 +23,9 @@ from liedual.centralizer import (GENERATOR_NAMES, _factors, _generic_action,
                                  adjoint_action,
                                  group_law_coordinates, monomials_of_degree,
                                  peel_unipotent, standard_monomials)
-from liedual.commalg import (PolyRing, Polynomial, groebner_basis,
-                             hilbert_series, ideal_dimension, normal_form)
+from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, PolyRing,
+                             Polynomial, groebner_basis, hilbert_series,
+                             ideal_dimension, normal_form)
 from liedual.intlinalg import (LinSpan, identity, mat_mul, mat_vec, rank,
                                transpose)
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
@@ -119,20 +120,24 @@ def test_presentation_matches_oracle_all_small_presets():
             assert pres.krull_dim == d.derived_rank
 
 
-@pytest.mark.parametrize("name,p,n_relations", [
-    ("F4", 5, 0), ("E6sc", 7, 0),                       # the frontier rung
-    # torsion primes of the group: the relation A^2 (A^3 for F4 and E7sc at
-    # 3; A^2, B^2 and C^2 for E7sc at 2)
-    ("Spin8", 2, 1), ("SO8", 2, 1), ("Spin10", 2, 1), ("F4", 3, 1),
-    ("E7sc", 2, 3), ("E7sc", 3, 1),
-    ("SL6", 2, 0), ("SL6", 3, 0), ("Sp6", 3, 0), ("Spin7", 3, 0),
-])
+ORACLE_CASES = [
+    ("F4", 5, []), ("E6sc", 7, []),                     # the frontier rung
+    # torsion primes of the group
+    ("Spin8", 2, ["A^2"]), ("SO8", 2, ["A^2"]), ("Spin10", 2, ["A^2"]),
+    ("F4", 3, ["A^3"]), ("E7sc", 2, ["A^2", "B^2", "C^2"]), ("E7sc", 3, ["A^3"]),
+    ("SL6", 2, []), ("SL6", 3, []), ("Sp6", 3, []), ("Spin7", 3, []),
+]
+
+
+@pytest.mark.parametrize("name,p,relations", ORACLE_CASES,
+                         ids=[f"{n}-{p}-{len(r)}" for n, p, r in ORACLE_CASES])
 def test_presentation_passes_the_oracle_at_the_frontier_and_torsion_primes(
-        name, p, n_relations):
+        name, p, relations):
     d = load_datum(name)
     pres = present_centralizer(d, GF(p), truncation=40)
     assert compare_report(pres, d, 40)["pass"] is True
-    assert len(pres.relations) == n_relations
+    assert [str(r) for r in pres.relations] == relations
+    assert pres.relation_groebner == groebner_basis(pres.relations)
 
 
 def test_presented_algebra_reproduces_its_own_series():
@@ -289,7 +294,8 @@ def hand_built_ideal(which):
     """A Groebner basis in k[x, y, z] with weights 2, 2, 4."""
     R = PolyRing(QQ, ["x", "y", "z"], [2, 2, 4])
     x, y, z = R.gens()
-    gens = {"linear": [x * x + z, y ** 3], "zero": [], "unit": [R.one()]}
+    gens = {"linear": [x * x + z, y ** 3], "zero": [], "unit": [R.one()],
+            "two": [x ** 3, y ** 3]}
     return R, groebner_basis(gens[which])
 
 
@@ -299,15 +305,28 @@ def hand_built_ideal(which):
     ("linear", [("A", 2), ("B", 2)], ["x", "y"], ["B^3"]),
     ("zero", [("A", 2), ("B", 2), ("C", 4)], ["x", "y", "z"], []),
     ("unit", [], [], []),
+    # two relations in one degree: the second is tested modulo the first
+    ("two", [("A", 2), ("B", 2), ("C", 4)], ["x", "y", "z"], ["B^3", "A^3"]),
 ])
 def test_extraction_on_hand_built_ideals(which, generators, reps, relations):
     R, gb = hand_built_ideal(which)
     hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
-    gens, got_reps, _, rels = centralizer._extract_presentation(R, gb, hs)
+    gens, got_reps, gen_ring, rels, rel_gb, hs_rel = (
+        centralizer._extract_presentation(R, gb, hs, DEFAULT_BUDGET))
     assert gens == generators
     assert [str(r) for r in got_reps] == reps
     assert [str(r) for r in rels] == relations
     assert (gens, reps, relations) == full_enumeration_extraction(R, gb, QQ, 12)
+    assert rel_gb == groebner_basis(rels)
+    assert hs_rel == hilbert_series(rels, ring=gen_ring, truncation=12)
+
+
+def test_extraction_spends_the_budget_on_the_relation_basis():
+    # the basis of B^3 and A^3 pops one S-pair, more than a budget of 0
+    R, gb = hand_built_ideal("two")
+    hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
+    with pytest.raises(BudgetExceeded):
+        centralizer._extract_presentation(R, gb, hs, 0)
 
 
 def test_presentation_with_two_generators_in_one_degree():
