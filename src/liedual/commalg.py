@@ -123,8 +123,9 @@ class PolyRing:
 
 
 class Polynomial:
-    # _lead is filled by the first leading_monomial() call; nothing changes
-    # terms after construction
+    # _lead is filled by the first leading_monomial() call, or set at birth
+    # by monic() (the input's lead) and normal_form() (the first remainder
+    # term kept); nothing changes terms after construction
     __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
@@ -209,9 +210,6 @@ class Polynomial:
             self._lead = min(self.terms, key=self.ring.mono_cmp_key)
             return self._lead
 
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
-
     def total_degree(self):
         if not self.terms:
             return -1
@@ -222,11 +220,19 @@ class Polynomial:
         return len(degs) <= 1
 
     def monic(self):
+        """self scaled to leading coefficient 1; self itself when it already
+        has it (polynomials are immutable)."""
         if not self.terms:
             return self
         R = self.ring.coeff
-        lc = self.leading_coeff()
-        return Polynomial(self.ring, {m: R.div(c, lc) for m, c in self.terms.items()})
+        lm = self.leading_monomial()
+        lc = self.terms[lm]
+        if lc == 1:
+            return self
+        inv = R.div(R.coerce(1), lc)
+        out = Polynomial(self.ring, {m: R.mul(inv, c) for m, c in self.terms.items()})
+        out._lead = lm
+        return out
 
     def map_into(self, target_ring, assignment):
         """Ring map: each source variable goes to a target polynomial."""
@@ -428,17 +434,29 @@ def normal_form(f, basis):
             if mm not in work:
                 heapq.heappush(heap, (key(mm), mm))
             work[mm] = R.sub(work.get(mm, zero), R.mul(factor, c2))
-    return Polynomial(ring, rem)
+    out = Polynomial(ring, rem)
+    if rem:
+        # terms pop largest first, so the first one kept is the lead
+        out._lead = next(iter(rem))
+    return out
 
 
 def s_polynomial(f, g):
-    ring = f.ring
-    R = ring.coeff
+    """(L/lt(f)) f - (L/lt(g)) g with L the lcm of the leading monomials and
+    lt the leading term, built in one pass over the terms of each; the two
+    leading terms cancel exactly and are skipped."""
+    R = f.ring.coeff
     lf, lg = f.leading_monomial(), g.leading_monomial()
     lcm = _mono_lcm(lf, lg)
-    mf = ring.monomial(_mono_quot(lcm, lf), R.div(R.coerce(1), f.leading_coeff()))
-    mg = ring.monomial(_mono_quot(lcm, lg), R.div(R.coerce(1), g.leading_coeff()))
-    return mf * f - mg * g
+    one, zero = R.coerce(1), R.coerce(0)
+    qf, cf = _mono_quot(lcm, lf), R.div(one, f.terms[lf])
+    out = {tuple(map(add, qf, m)): R.mul(cf, c) for m, c in f.terms.items() if m != lf}
+    qg, cg = _mono_quot(lcm, lg), R.div(one, g.terms[lg])
+    for m, c in g.terms.items():
+        if m != lg:
+            m = tuple(map(add, qg, m))
+            out[m] = R.sub(out.get(m, zero), R.mul(cg, c))
+    return Polynomial(f.ring, out)
 
 
 def groebner_basis(gens, budget=DEFAULT_BUDGET):

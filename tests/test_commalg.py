@@ -118,9 +118,11 @@ def test_groebner_deterministic():
 def test_groebner_basis_does_not_depend_on_the_generator_order(data):
     """The reduced basis is unique, so a pair the heap or the chain
     criterion wrongly drops shows as a difference between two orders, or
-    as an S-polynomial of the result that does not reduce to zero."""
+    as an S-polynomial of the result that does not reduce to zero.  Each
+    element's carried leading monomial is the one a scan gives."""
     gens = data.draw(small_ideals())
     gb = groebner_basis(gens)
+    assert all(g.leading_monomial() == scanned_lead(g) for g in gb)
     shuffled = data.draw(st.permutations(gens))
     assert [str(g) for g in gb] == [str(g) for g in groebner_basis(shuffled)]
     for i, f in enumerate(gb):
@@ -182,16 +184,17 @@ def plain_reduce_basis(G):
 
 
 @st.composite
-def division_problems(draw):
+def division_problems(draw, fields=(GF(7),)):
     """A basis and a polynomial built from multiples of it, in a ring of
-    3, 5 or 72 variables, weighted or not.  Monomials live on a few
-    variables drawn once per problem; with 72 variables one of them is the
-    last, so the support masks reach past bit 64."""
+    3, 5 or 72 variables over one of the fields, weighted or not.  Monomials
+    live on a few variables drawn once per problem; with 72 variables one of
+    them is the last, so the support masks reach past bit 64."""
     nvars = draw(st.sampled_from([3, 5, 72]))
     weights = None
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
-    ring = PolyRing(GF(7), [f"x{i}" for i in range(nvars)], weights)
+    ring = PolyRing(draw(st.sampled_from(fields)), [f"x{i}" for i in range(nvars)],
+                    weights)
     pool = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=4))
     pool = sorted(pool | {nvars - 1})
 
@@ -228,6 +231,55 @@ def test_reduce_basis_matches_the_plain_divisor_filter(case):
     basis, _ = case
     assert ([str(g) for g in reduce_basis(basis)]
             == [str(g) for g in plain_reduce_basis(basis)])
+
+
+def product_form_s_polynomial(f, g):
+    """The S-polynomial as two monomial multiples and a difference."""
+    ring, R = f.ring, f.ring.coeff
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    lcm = _mono_lcm(lf, lg)
+    one = R.coerce(1)
+    return (ring.monomial(_mono_quot(lcm, lf), R.div(one, f.terms[lf])) * f
+            - ring.monomial(_mono_quot(lcm, lg), R.div(one, g.terms[lg])) * g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_problems(fields=(GF(7), QQ)))
+def test_s_polynomial_matches_the_product_form(case):
+    basis, f = case
+    polys = [g for g in basis + [f] if g]
+    for g in polys:
+        for h in polys:
+            assert s_polynomial(g, h).terms == product_form_s_polynomial(g, h).terms
+
+
+def scanned_lead(p):
+    """The leading monomial of p by a scan of all its terms."""
+    return min(p.terms, key=p.ring.mono_cmp_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_problems(fields=(GF(7), QQ)))
+def test_carried_leading_monomials_match_a_scan(case):
+    # monic() and normal_form() hand their result a leading monomial without
+    # scanning it; a wrong one would silently corrupt every criterion
+    basis, f = case
+    R = f.ring.coeff
+    polys = [g for g in basis + [f] if g]
+    out = [normal_form(f, basis)]
+    out += [normal_form(g, basis[:i] + basis[i + 1:]) for i, g in enumerate(basis)]
+    out += [s_polynomial(g, h) for g in polys for h in polys]
+    for g in polys:
+        lc = g.terms[scanned_lead(g)]
+        monic = g.monic()
+        if lc == 1:
+            assert monic is g
+        else:
+            assert monic.terms == {m: R.div(c, lc) for m, c in g.terms.items()}
+        out.append(monic)
+    for p in out:
+        if p:
+            assert p.leading_monomial() == scanned_lead(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,6 +348,8 @@ def test_reduced_groebner_basis_digest(name, ring_name):
 @pytest.mark.parametrize("name,ring_name,pairs", [
     ("Spin8", "F5", 120),
     ("SO7", "F2", 406),                                 # Laurent
+    ("F4", "F5", 2080),                                 # 65 choose 2
+    ("E6sc", "F7", 3570),                               # 85 choose 2
 ])
 def test_s_pair_count(name, ring_name, pairs):
     # every pair made is popped and counted, so the count pins how the
