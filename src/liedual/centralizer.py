@@ -17,7 +17,7 @@ from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
                       PolyRing, Polynomial, groebner_basis, hilbert_series,
                       normal_form)
-from .intlinalg import LinSpan, identity
+from .intlinalg import LinSpan, identity, tagged
 from .rings import GF, QQ
 
 
@@ -317,12 +317,27 @@ def standard_monomials(ring, gb, D):
             if index.divisor(m, ring.support_mask(m)) is None]
 
 
-def _power_product(m, factors, p):
-    """p * prod factors[i]^m[i], one factor at a time."""
-    for f, e in zip(factors, m):
-        for _ in range(e):
-            p = p * f
-    return p
+class _NormalProducts:
+    """Product table: called on an exponent tuple m, the normal form modulo
+    index of prod factors[i]^m[i]; one is the entry of the empty product.
+    Entries are memoised by m with trailing zeros stripped, each built from
+    the one with one factor fewer of its last factor.  A normal form modulo
+    a Groebner basis is unique, so this equals the product reduced in any
+    other order."""
+
+    def __init__(self, factors, index, one):
+        self.factors, self.index = factors, index
+        self.memo = {(): one}
+
+    def __call__(self, m):
+        while m and not m[-1]:
+            m = m[:-1]
+        p = self.memo.get(m)
+        if p is None:
+            p = normal_form(self(m[:-1] + (m[-1] - 1,)) * self.factors[len(m) - 1],
+                            self.index)
+            self.memo[m] = p
+        return p
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +349,6 @@ GENERATOR_NAMES = "ABCDEFGHJKLMNPQRSTUVWXY"
 
 @dataclass
 class CentralizerPresentation:
-    datum: object
     base: object                    # coefficient ring
     zcenter: object                 # FiniteAbelianGroup
     generators: list                # [(name, degree)]
@@ -388,7 +402,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
         raise AssertionError(
             "presentation does not reproduce the quotient Hilbert series")
     return CentralizerPresentation(
-        datum=d, base=ring, zcenter=cid.zcenter,
+        base=ring, zcenter=cid.zcenter,
         generators=gens, generator_reps=reps, relations=rels,
         gen_ring=gen_ring, hilbert=hs_u.scaled(cid.zcenter.torsion_order),
         hilbert_unipotent=hs_u, krull_dim=hs_u.dimension(), uring=cid.ideal.ring,
@@ -425,22 +439,7 @@ def _extract_presentation(uring, gb, hs_u, budget):
                     and span.add({m: one})):
                 gens.append((GENERATOR_NAMES[len(gens)], D))
                 reps.append(uring.monomial(m))
-    # normal forms of generator products, keyed by the exponent tuple with
-    # trailing zeros stripped; each is built from the product with one factor
-    # less of its last generator.  A normal form modulo a Groebner basis is
-    # unique, so this equals the product reduced in any other order.
-    products = {(): uring.one()}
-
-    def product(m):
-        while m and not m[-1]:
-            m = m[:-1]
-        p = products.get(m)
-        if p is None:
-            p = normal_form(product(m[:-1] + (m[-1] - 1,)) * reps[len(m) - 1],
-                            gb_index)
-            products[m] = p
-        return p
-
+    product = _NormalProducts(reps, gb_index, uring.one())
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
     # relations: kernel of gen_ring -> quotient, minimalised degree by degree.
     # gen_ring/(rels) maps onto the quotient, so the relations found so far
@@ -454,24 +453,17 @@ def _extract_presentation(uring, gb, hs_u, budget):
     for D in range(2, truncation + 1, 2):
         if hs_rel.coeffs[D] <= hs_u.coeffs[D]:
             continue
-        # kernel vectors via tagged elimination: image keys (1, mono) sort
-        # above tag keys (0, mono), so rows landing entirely in tags are
-        # exactly the linear dependencies among the images
+        # kernel vectors: the linear dependencies among the product images
         span = LinSpan(ring)
         for m in monomials_of_degree(gen_ring.weights, D):
-            vec = {(1, mm): c for mm, c in product(m).terms.items()}
-            vec[(0, m)] = one
-            span.add(vec)
-        for pivot, (row, _) in sorted(span.rows.items()):
-            if all(k[0] == 0 for k in row):
-                relpoly = Polynomial(gen_ring, {m: c for (_, m), c in row.items()})
-                if normal_form(relpoly, rel_gb):
-                    rels.append(relpoly)
-                    rel_gb = groebner_basis(rels, budget)
+            span.add(tagged(product(m).terms, m, ring))
+        for dep in span.dependencies():
+            relpoly = Polynomial(gen_ring, dep)
+            if normal_form(relpoly, rel_gb):
+                rels.append(relpoly)
+                rel_gb = groebner_basis(rels, budget)
         hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
                                 is_groebner=True)
-    # product refers to itself: free its memo now, not at the next cyclic GC
-    del product
     return gens, reps, gen_ring, rels, rel_gb, hs_rel
 
 
@@ -647,29 +639,30 @@ def verify_coassociativity(coords):
 
 
 def _tensor_square(pres):
-    """The law ring in ga (left) and gb (right) variables, a Groebner basis
-    gb2 of two commuting copies of the quotient in it, and the normal form
-    of each generator's image under the group law; checks the counit."""
+    """The law ring in ga (left) and gb (right) variables, the DivisorIndex
+    of a Groebner basis gb2 of two commuting copies of the quotient in it,
+    and the normal form of each generator's image under the group law;
+    checks the counit."""
     coords = pres.coords
     npos = len(coords.pos)
     law_ring, law = group_law_coordinates(coords)
     # the copies share no variable, so every pair across them has coprime
     # leads (Buchberger's first criterion): the union is the reduced basis
-    gb2 = ([_rename_into(g, law_ring, "ga") for g in pres.groebner]
-           + [_rename_into(g, law_ring, "gb") for g in pres.groebner])
-    gb_index, gb2_index = DivisorIndex(pres.groebner), DivisorIndex(gb2)
-    law_of_u = dict(zip(coords.u_names, law))
+    gb2_index = DivisorIndex(
+        [_rename_into(g, law_ring, "ga") for g in pres.groebner]
+        + [_rename_into(g, law_ring, "gb") for g in pres.groebner])
     images = []
     for (gname, _), rep in zip(pres.generators, pres.generator_reps):
-        image = normal_form(rep.map_into(law_ring, law_of_u), gb2_index)
+        # each generator is a standard variable u_i: its own normal form,
+        # with image law[i]
+        image = normal_form(law[rep.leading_monomial().index(1)], gb2_index)
         # counit: the right side at 0 (the terms free of gb variables) must
         # return the left generator
         at_zero = {m: c for m, c in image.terms.items() if not any(m[npos:])}
-        expect = _rename_into(normal_form(rep, gb_index), law_ring, "ga")
-        if at_zero != expect.terms:
+        if at_zero != _rename_into(rep, law_ring, "ga").terms:
             raise AssertionError(f"counit fails on {gname}")
         images.append(image)
-    return law_ring, gb2, images
+    return law_ring, gb2_index, images
 
 
 def _rename_into(poly, big_ring, prefix):
@@ -688,13 +681,14 @@ def _standard_coproducts(pres, N):
     basis_by_deg = {D: list(standard_monomials(pres.gen_ring,
                                                pres.relation_groebner, D))
                     for D in range(0, N + 1, 2)}
-    law_ring, gb2, images = _tensor_square(pres)
-    gb_index, gb2_index = DivisorIndex(pres.groebner), DivisorIndex(gb2)
+    law_ring, gb2_index, images = _tensor_square(pres)
+    products = _NormalProducts(pres.generator_reps, DivisorIndex(pres.groebner),
+                               pres.uring.one())
+    image_products = _NormalProducts(images, gb2_index, law_ring.one())
     left, right = {}, {}
     for ms in basis_by_deg.values():
         for m in ms:
-            p = _power_product(m, pres.generator_reps, pres.uring.one())
-            p = normal_form(p, gb_index)
+            p = products(m)
             left[m] = _rename_into(p, law_ring, "ga")
             right[m] = _rename_into(p, law_ring, "gb")
     table = {}
@@ -705,10 +699,10 @@ def _standard_coproducts(pres, N):
         for da in range(0, D + 1, 2):
             for ma in basis_by_deg[da]:
                 for mb in basis_by_deg[D - da]:
-                    span.add((left[ma] * right[mb]).terms, tag=(ma, mb))
+                    span.add(tagged((left[ma] * right[mb]).terms, (ma, mb),
+                                    pres.base))
         for m in monos:
-            dm = normal_form(_power_product(m, images, law_ring.one()), gb2_index)
-            combo = span.express(dm.terms)
+            combo = span.express(image_products(m).terms)
             if combo is None:
                 raise PeelingError(f"coproduct extraction failed at {m}")
             table[m] = combo

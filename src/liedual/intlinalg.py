@@ -5,7 +5,8 @@ elements of a ring object with ``coerce``, ``add``, ``sub``, ``mul``,
 ``neg``, ``div`` and ``is_unit``: ints or Fractions for ZZ and QQ, ints for
 F_p, Polynomials for a ``commalg.PolyRing``.  Zero entries are found by
 truthiness.  All row reduction over a field is ``LinSpan``, a sparse echelon
-form; rank, determinant, inverse and ``solve_left`` are read off it.  Smith
+form; rank, determinant, inverse and ``solve_left`` are read off it, the
+last two, like every linear dependency, by tagged elimination.  Smith
 normal form is the one algorithm over Z rather than a field.  Matrices are
 small (a few hundred rows at most), so no numpy.
 """
@@ -74,18 +75,20 @@ class LinSpan:
     """Row space over a field in sparse echelon form; vectors are dicts.
 
     Each stored row has a pivot, its largest key, and is zero at the pivots
-    of all rows stored before it.  A row added with a tag keeps its combo:
-    which tagged inputs, with which coefficients, it is made of.
+    of all rows stored before it.  Linear dependencies are read by tagged
+    elimination: rows added through ``tagged`` carry their input's tag in
+    keys that sort below every image key, so a stored row whose pivot is a
+    tag key is a dependency among the inputs, and ``express`` reads a
+    combination of the inputs off the tag keys a reduction leaves.
     """
 
     def __init__(self, ring):
         self.ring = ring
-        self.rows = {}      # pivot key -> (vector dict, combo dict), in the
-                            # order added, which determinant relies on
+        self.rows = {}      # pivot key -> row dict, in the order added,
+                            # which determinant relies on
 
-    def _reduce(self, vec, combo):
-        """Clear every pivot key from vec; combo, unless None, takes the
-        same row operations on the stored combos."""
+    def _reduce(self, vec):
+        """vec with every pivot key cleared by the stored rows."""
         R = self.ring
         zero = R.coerce(0)
         vec = {k: v for k, v in vec.items() if v}
@@ -96,8 +99,8 @@ class LinSpan:
                     hit = k
                     break
             if hit is None:
-                return vec, combo
-            row, rcombo = self.rows[hit]
+                return vec
+            row = self.rows[hit]
             f = R.div(vec[hit], row[hit])
             for k2, v2 in row.items():
                 nv = R.sub(vec.get(k2, zero), R.mul(f, v2))
@@ -105,40 +108,46 @@ class LinSpan:
                     vec[k2] = nv
                 else:
                     vec.pop(k2, None)
-            if combo is not None:
-                for k2, v2 in rcombo.items():
-                    nv = R.sub(combo.get(k2, zero), R.mul(f, v2))
-                    if nv:
-                        combo[k2] = nv
-                    else:
-                        combo.pop(k2, None)
 
-    def add(self, vec, tag=None):
-        """Insert; returns False if dependent.  combo tracks expressions."""
-        combo = {tag: self.ring.coerce(1)} if tag is not None else None
-        vec, combo = self._reduce(dict(vec), combo)
+    def add(self, vec):
+        """Insert; returns False if vec is in the span already."""
+        vec = self._reduce(vec)
         if not vec:
             return False
-        pivot = max(vec)
-        self.rows[pivot] = (vec, combo or {})
+        self.rows[max(vec)] = vec
         return True
 
     def contains(self, vec):
-        red, _ = self._reduce(dict(vec), None)
-        return not red
+        return not self._reduce(vec)
+
+    def dependencies(self):
+        """The stored rows that are zero on every image key, each as
+        {tag: coefficient}, in increasing pivot order.  With only tagged
+        rows added they are a basis of the linear relations among the
+        inputs, one for each input that depends on those added before."""
+        return [{k[1]: v for k, v in self.rows[p].items()}
+                for p in sorted(p for p in self.rows if p[0] == 0)]
 
     def express(self, vec):
         """Write vec as a combination of tagged inputs (tag -> coefficient),
         or None if vec is outside the span."""
-        red, combo = self._reduce(dict(vec), {})
-        if red:
+        red = self._reduce({(1, k): v for k, v in vec.items()})
+        if any(k[0] for k in red):
             return None
-        # vec = sum f * row over the rows _reduce subtracted, and combo ended
-        # as -sum f * (that row's combo)
-        return {t: self.ring.neg(c) for t, c in combo.items()}
+        # vec = sum f * row over the rows _reduce subtracted, and the tag
+        # keys left hold -sum f * (that row's tag part)
+        return {k[1]: self.ring.neg(c) for k, c in red.items()}
 
     def rank(self):
         return len(self.rows)
+
+
+def tagged(vec, tag, ring):
+    """vec as a LinSpan row for tagged elimination: every key k becomes the
+    image key (1, k), and the tag key (0, tag) is 1."""
+    out = {(1, k): v for k, v in vec.items()}
+    out[(0, tag)] = ring.coerce(1)
+    return out
 
 
 def _sparse(row, ring):
@@ -154,8 +163,9 @@ def _independent_rows(A, ring):
     """LinSpan of the rows of A, row i tagged i; raises if they are dependent."""
     span = LinSpan(ring)
     for i, row in enumerate(A):
-        if not span.add(_sparse(row, ring), tag=i):
-            raise ValueError("matrix is singular")
+        span.add(tagged(_sparse(row, ring), i, ring))
+    if span.dependencies():
+        raise ValueError("matrix is singular")
     return span
 
 
@@ -178,7 +188,7 @@ def determinant(A, ring=QQ):
         if not span.add(_sparse(row, ring)):
             return ring.coerce(0)
     det = ring.coerce(1)
-    for pivot, (row, _) in span.rows.items():
+    for pivot, row in span.rows.items():
         det = ring.mul(det, row[pivot])
     pivots = list(span.rows)
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])

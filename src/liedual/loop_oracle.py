@@ -16,18 +16,12 @@ from .commalg import HilbertSeries
 from .intlinalg import determinant, solve_left_rows
 
 
-class PureTorusError(ValueError):
-    pass
-
-
 def omega_poincare(d, N=40):
     """|pi_0 torsion| * prod 1/(1 - t^{2 m_i}), truncated at N.
 
     A central torus contributes no series factor; its free rank stays on
     d.component_group().
     """
-    if d.derived_rank == 0:
-        raise PureTorusError("pure torus has no almost-simple derived group")
     return HilbertSeries([d.component_group().torsion_order],
                          [2 * m for m in d.exponents()], N)
 

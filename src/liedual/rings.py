@@ -18,7 +18,21 @@ class RingMismatchError(TypeError):
 
 
 class Ring:
+    """Ring operations on Python numbers; PrimeField reduces them mod p."""
+
     is_field = False
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
 
     def __eq__(self, other):
         return type(self) is type(other) and self.__dict__ == other.__dict__
@@ -41,18 +55,6 @@ class IntegerRing(Ring):
             return x.numerator
         return int(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit(self, a):
         return a in (1, -1)
 
@@ -70,18 +72,6 @@ class RationalField(Ring):
 
     def coerce(self, x):
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def is_unit(self, a):
         return a != 0

@@ -218,7 +218,7 @@ def full_enumeration_extraction(uring, gb, ring, truncation):
             vec = {(1, mm): c for mm, c in normal_product(m).terms.items()}
             vec[(0, m)] = ring.coerce(1)
             span.add(vec)
-        for _, (row, _) in sorted(span.rows.items()):
+        for _, row in sorted(span.rows.items()):
             if all(k[0] == 0 for k in row):
                 relpoly = gen_ring.zero()
                 for (_, m), c in row.items():
@@ -645,12 +645,42 @@ def test_truncated_dist_mod2_square_vanishes():
     ("SL3", QQ), ("Sp4", GF(5)), ("G2", GF(2)), ("G2", GF(5))])
 def test_tensor_square_basis_is_the_union_of_the_copies(name, ring):
     pres = present_centralizer(load_datum(name), ring)
-    law_ring, gb2, _ = _tensor_square(pres)
+    law_ring, gb2_index, _ = _tensor_square(pres)
+    gb2 = [g for _, _, g in gb2_index.entries]
     assert pres.groebner
     # the reference runs Buchberger on the union: the reduced basis is unique
     gb_a = [_rename_into(g, law_ring, "ga") for g in pres.groebner]
     gb_b = [_rename_into(g, law_ring, "gb") for g in pres.groebner]
     assert sorted(map(str, gb2)) == sorted(map(str, groebner_basis(gb_a + gb_b)))
+
+
+# (preset, ring, N) -> sha256 (first 16 hex digits) of the repr of the
+# truncated_dist basis, its dual product on every pair of basis monomials
+# and coproduct_on_generators, pinned at commit b979a8d, where the products
+# were formed one factor at a time and expressed through per-row combos
+HOPF_TABLE_DIGESTS = {
+    ("SL2", "Q", 20): "f82852c4cc3b68a0",
+    ("SL2", "F2", 8): "91b3461440ab324b",
+    ("SL3", "Q", 12): "e816cc05748c34f9",
+    ("SL3", "F3", 12): "a42ce6db85ac5271",
+    ("Sp4", "F5", 12): "0aaa979cb7d41fa2",
+    ("G2", "F2", 12): "bde6666080a66a6e",     # relation A^2
+    ("G2", "F5", 12): "718d4ec166f55785",
+}
+
+
+@pytest.mark.parametrize("name,ring_name,N", sorted(HOPF_TABLE_DIGESTS))
+def test_hopf_tables_are_pinned(name, ring_name, N):
+    pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
+    dist = truncated_dist(pres, N)
+    dp = dist["dual_product"]
+    basis = [m for ms in dist["basis_by_degree"].values() for m in ms]
+    text = repr([dist["basis_by_degree"],
+                 [(a, b, sorted(dp(a, b).items())) for a in basis for b in basis],
+                 sorted((g, sorted(c.items()))
+                        for g, c in coproduct_on_generators(pres).items())])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == HOPF_TABLE_DIGESTS[name, ring_name, N]
 
 
 def test_truncated_dist_with_relations_is_commutative_and_associative():

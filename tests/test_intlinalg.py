@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from liedual import GF, QQ, ad_kernel_dim, build_chevalley, load_datum
 from liedual.chevalley import LieElement, principal_e, simple_sum_e1
-from liedual.intlinalg import determinant, inverse, rank, solve_left
+from liedual.intlinalg import (LinSpan, determinant, inverse, rank, solve_left,
+                               tagged)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -60,6 +61,70 @@ def test_echelon_matches_sympy(A, ring, data):
                 min_size=1, max_size=5), st.sampled_from(RINGS))
 def test_rank_of_rectangular_matrices(A, ring):
     assert rank(A, ring) == _sympy_matrix(A, ring).rank()
+
+
+@st.composite
+def rows_with_dependencies(draw):
+    """Random integer rows of one length, some of them repeats or sums of
+    rows drawn before."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "repeat", "sum"])) if rows else "new"
+        if kind == "new":
+            rows.append(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+    return rows
+
+
+def _vector(row, ring):
+    return {j: ring.coerce(x) for j, x in enumerate(row) if x}
+
+
+def _combination(coeffs, A, ring):
+    """sum_t coeffs[t] * A[t] as a sparse vector over the ring."""
+    out = {}
+    for t, c in coeffs.items():
+        for j, x in enumerate(A[t]):
+            out[j] = ring.add(out.get(j, ring.coerce(0)), ring.mul(c, ring.coerce(x)))
+    return {j: x for j, x in out.items() if x}
+
+
+def _tagged_span(A, ring):
+    span = LinSpan(ring)
+    for t, row in enumerate(A):
+        span.add(tagged(_vector(row, ring), t, ring))
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_with_dependencies(), st.sampled_from(RINGS), st.data())
+def test_tagged_elimination_against_sympy(A, ring, data):
+    deps = _tagged_span(A, ring).dependencies()
+    assert len(deps) == len(A) - _sympy_matrix(A, ring).rank()
+    for dep in deps:
+        assert dep and not _combination(dep, A, ring)
+    # a greedy independent subset: express inverts its combinations
+    kept = []
+    for row in A:
+        if _sympy_matrix(kept + [row], ring).rank() > len(kept):
+            kept.append(row)
+    span = _tagged_span(kept, ring)
+    assert not span.dependencies()
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(kept),
+                                max_size=len(kept)))
+    coeffs = {t: ring.coerce(c) for t, c in enumerate(coeffs) if ring.coerce(c)}
+    assert span.express(_combination(coeffs, kept, ring)) == coeffs
+    # and finds no expression outside the span
+    one = ring.coerce(1)
+    for j in range(len(A[0])):
+        e = [int(i == j) for i in range(len(A[0]))]
+        inside = _sympy_matrix(kept + [e], ring).rank() == len(kept)
+        assert (span.express({j: one}) is not None) == inside
 
 
 def _sympy_kernel_dim(basis, elem, ring):

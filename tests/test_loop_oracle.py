@@ -2,7 +2,6 @@ import pytest
 
 from liedual import (QQ, build_chevalley, compare_report, load_datum,
                      omega_poincare, present_centralizer)
-from liedual.loop_oracle import PureTorusError
 
 
 def brute_series_coeffs(degrees, N):
@@ -45,12 +44,6 @@ def test_pure_torus_rejected():
     d = load_datum("SL2")
     with pytest.raises(RootDatumError):
         type(d)("T1", (), ((1,),), central_rank=1)
-
-    class TorusStub:
-        derived_rank = 0
-
-    with pytest.raises(PureTorusError):
-        omega_poincare(TorusStub(), 10)
 
 
 def test_adjoint_dimension_is_rank_times_coxeter_number_plus_one():
