@@ -7,7 +7,7 @@ the positive roots in (height, lex) order; u_alpha carries degree
 2*height(alpha) for the cocharacter grading.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm, prod
@@ -362,6 +362,9 @@ class CentralizerPresentation:
     groebner: list                  # reduced basis of the unipotent ideal
     relation_groebner: list         # reduced basis of the relations
     coords: object
+    # _tensor_square(self), built on first use: the group law behind both
+    # Hopf tables is computed once per presentation
+    _tensor: object = field(default=None, init=False, repr=False, compare=False)
 
     def to_document(self):
         return {
@@ -642,7 +645,9 @@ def _tensor_square(pres):
     """The law ring in ga (left) and gb (right) variables, the DivisorIndex
     of a Groebner basis gb2 of two commuting copies of the quotient in it,
     and the normal form of each generator's image under the group law;
-    checks the counit."""
+    checks the counit.  Built once per presentation and kept on it."""
+    if pres._tensor is not None:
+        return pres._tensor
     coords = pres.coords
     npos = len(coords.pos)
     law_ring, law = group_law_coordinates(coords)
@@ -662,7 +667,8 @@ def _tensor_square(pres):
         if at_zero != _rename_into(rep, law_ring, "ga").terms:
             raise AssertionError(f"counit fails on {gname}")
         images.append(image)
-    return law_ring, gb2_index, images
+    pres._tensor = law_ring, gb2_index, images
+    return pres._tensor
 
 
 def _rename_into(poly, big_ring, prefix):

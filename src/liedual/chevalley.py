@@ -12,11 +12,19 @@ with signs fixed by the extraspecial-pair convention for the canonical
 once: the squared length (beta, beta) and the pairings <beta, h_k> of every
 root, and N for every ordered pair of roots whose sum is a root.  Brackets,
 ad matrices and the divided powers of ad(x_beta) all read these tables.
+
+Inside the basis a root is an integer code, sum_i b_i B^i for its
+coefficients b_i on the simple roots, with B more than three times the
+largest |b_i|.  Codes add like roots, so the a-string successor of b is
+code(a) + code(b), and a sum of two roots has the code of a root only when
+it is that root.  N is one dict keyed by code(a) * span + code(b), span
+more than twice the largest |code|.  The public methods take and return
+coefficient tuples, and every error names roots by them.
 """
 
-from operator import add, mul, sub
+from operator import mul
 
-from .intlinalg import is_integral, rank, solve_left_rows, to_int
+from .intlinalg import LinSpan, is_integral, solve_left_rows, to_int
 from .rings import QQ, RingMismatchError, ZZ
 
 
@@ -26,13 +34,19 @@ class ChevalleyBasis:
         self.roots = datum.roots()
         self.n = datum.rank
         self.dim = self.n + len(self.roots)
-        self._root_index = {rt.coeffs: i for i, rt in enumerate(self.roots)}
-        self._minus = {rt.coeffs: tuple(-x for x in rt.coeffs) for rt in self.roots}
+        # additive root codes and the span of the _N keys (module docstring)
+        base = 3 * max((abs(b) for rt in self.roots for b in rt.coeffs), default=0) + 1
+        powers = [base ** i for i in range(datum.derived_rank)]
+        self._code = {rt.coeffs: sum(map(mul, rt.coeffs, powers)) for rt in self.roots}
+        # code -> coefficients and code -> position, both in root order
+        self._root = dict(zip(self._code.values(), self._code))
+        self._index = {c: i for i, c in enumerate(self._root)}
+        self._span = 2 * max(map(abs, self._root), default=0) + 1
         # (beta, beta) in the symmetrised form, sum_ij b_i d_i C_ij b_j
         d, C = datum.symmetrizer(), datum.cartan
         dC = [[di * c for c in row] for di, row in zip(d, C)]
-        self._len_sq = {rt.coeffs: sum(b * sum(map(mul, row, rt.coeffs))
-                                       for b, row in zip(rt.coeffs, dC))
+        self._len_sq = {self._code[rt.coeffs]: sum(b * sum(map(mul, row, rt.coeffs))
+                                                   for b, row in zip(rt.coeffs, dC))
                         for rt in self.roots}
         # <beta, h_k> for every root and every row k of the cocharacter basis
         self._pairing = {rt.coeffs: tuple(sum(map(mul, rt.vector, row))
@@ -46,15 +60,13 @@ class ChevalleyBasis:
         simple_h = solve_left_rows(B, [list(alpha) for alpha in datum.simple_coroots])
         if not is_integral(simple_h):
             raise AssertionError("simple coroot outside the cocharacter lattice")
-        simple_h = to_int(simple_h)
+        h_cols, B_cols = list(zip(*to_int(simple_h))), list(zip(*B))
         self._coroot_h = {}
         for rt in self.roots:
-            cr = [divmod(2 * b * di, self._len_sq[rt.coeffs])
-                  for b, di in zip(rt.coeffs, d)]
-            x = [sum(c * xi[k] for (c, _), xi in zip(cr, simple_h))
-                 for k in range(self.n)]
-            if (any(r for _, r in cr)
-                    or [sum(map(mul, x, col)) for col in zip(*B)] != list(rt.coroot)):
+            q, r = zip(*(divmod(2 * b * di, self._len_sq[self._code[rt.coeffs]])
+                         for b, di in zip(rt.coeffs, d)))
+            x = [sum(map(mul, q, col)) for col in h_cols]
+            if any(r) or [sum(map(mul, x, col)) for col in B_cols] != list(rt.coroot):
                 raise AssertionError(
                     f"coroot of {rt.coeffs} outside the cocharacter lattice")
             self._coroot_h[rt.coeffs] = tuple(x)
@@ -71,7 +83,7 @@ class ChevalleyBasis:
     def key_index(self, key):
         if key[0] == "h":
             return key[1]
-        return self.n + self._root_index[key[1]]
+        return self.n + self._index[self._code[key[1]]]
 
     def pairing(self, coeffs, k):
         """<beta, h_k> for the root with the given simple-root coefficients."""
@@ -79,83 +91,93 @@ class ChevalleyBasis:
 
     # -- structure constants ----------------------------------------------
 
+    def _key(self, a, b):
+        """The _N key of the ordered pair of roots (a, b), given by codes."""
+        return a * self._span + b
+
     def chain_p(self, a, b):
-        """Largest p with b - p*a a root."""
-        p = 0
-        cur = tuple(map(sub, b, a))
-        while cur in self._root_index:
+        """Largest p with b - p*a a root, for roots a and b."""
+        return self._chain_p(self._code[a], self._code[b])
+
+    def _chain_p(self, a, b):
+        """chain_p for the roots with codes a and b."""
+        p, cur = 0, b - a
+        while cur in self._index:
             p += 1
-            cur = tuple(map(sub, cur, a))
+            cur -= a
         return p
 
     def _fill_structure_constants(self):
         """N for every ordered pair, one positive sum gamma at a time in
-        (height, lex) order.  The first pair a + b = gamma with a before b is
-        extraspecial; every other pair of gamma is computed from it and from
-        pairs with a lower sum.  Each pair (a, b) with c = -gamma fills the
-        twelve entries of its triple a + b + c = 0: the cyclic identity
+        (height, lex) order, on root codes: _N maps the key
+        code(a) * span + code(b) of the pair to N(a, b).  The first pair
+        a + b = gamma with a before b is extraspecial; every other pair of
+        gamma is computed from it and from pairs with a lower sum.  Each pair
+        (a, b) with c = -gamma fills the twelve entries of its triple
+        a + b + c = 0: the cyclic identity
         N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b), antisymmetry and
         N(-x, -y) = -N(x, y)."""
-        L, minus = self._len_sq, self._minus
+        L, code, order = self._len_sq, self._code, self._index
         pos = self.datum.positive_roots()
-        order = {rt.coeffs: i for i, rt in enumerate(pos)}
         for g in pos:
-            pairs = []
+            cg, pairs = code[g.coeffs], []
             for rt in pos:
                 if 2 * rt.height > g.height:   # a before b needs ht a <= ht b
                     break
-                a = rt.coeffs
-                b = tuple(map(sub, g.coeffs, a))
-                if order.get(b, -1) > order[a]:
-                    pairs.append((a, b))
-            c = minus[g.coeffs]
+                # g - a has positive height, so if it is a root it is positive
+                a = code[rt.coeffs]
+                if order.get(cg - a, -1) > order[a]:
+                    pairs.append((a, cg - a))
+            c = -cg
             for a, b in pairs:
                 n = self._compute_N(a, b, *pairs[0])
                 for x, y, v in ((a, b, n),
                                 (b, c, self._exact(n * L[a], L[c], b, c)),
                                 (c, a, self._exact(n * L[b], L[c], c, a))):
-                    nx, ny = minus[x], minus[y]
                     self._set_N(x, y, v)
                     self._set_N(y, x, -v)
-                    self._set_N(nx, ny, -v)
-                    self._set_N(ny, nx, v)
+                    self._set_N(-x, -y, -v)
+                    self._set_N(-y, -x, v)
 
     def _compute_N(self, a, b, a1, b1):
         """N(a, b) for positive a before b, from the extraspecial pair
         (a1, b1) of a + b, by the relation on (a, b, -a1, -b1):
         N(a, b) = (a+b, a+b) / N(a1, b1) * (N(b, -a1) N(a, -b1) / (d1, d1)
                   + N(-a1, a) N(b, -b1) / (d2, d2)),  d1 = b - a1, d2 = a - a1,
-        where a term whose d is not a root is zero."""
+        where a term whose d is not a root is zero.  Roots are given by
+        their codes."""
         if (a, b) == (a1, b1):
-            return self.chain_p(a1, b1) + 1
-        N, L = self._N, self._len_sq
-        na1, nb1 = self._minus[a1], self._minus[b1]
-        d1, d2 = tuple(map(sub, b, a1)), tuple(map(sub, a, a1))
-        t1 = N[b, na1] * N[a, nb1] if d1 in L else 0
-        t2 = N[na1, a] * N[b, nb1] if d2 in L else 0
+            return self._chain_p(a1, b1) + 1
+        N, L, key = self._N, self._len_sq, self._key
+        d1, d2 = b - a1, a - a1
+        t1 = N[key(b, -a1)] * N[key(a, -b1)] if d1 in L else 0
+        t2 = N[key(-a1, a)] * N[key(b, -b1)] if d2 in L else 0
         l1, l2 = L.get(d1, 1), L.get(d2, 1)
-        gamma = tuple(map(add, a, b))
-        return self._exact(L[gamma] * (t1 * l2 + t2 * l1), l1 * l2 * N[a1, b1], a, b)
+        return self._exact(L[a + b] * (t1 * l2 + t2 * l1),
+                           l1 * l2 * N[key(a1, b1)], a, b)
 
-    @staticmethod
-    def _exact(num, den, a, b):
-        """num / den, which is N(a, b); raises unless the division is exact."""
+    def _exact(self, num, den, a, b):
+        """num / den, which is N(a, b) for the roots with codes a and b;
+        raises unless the division is exact."""
         q, r = divmod(num, den)
         if r:
-            raise AssertionError(f"non-integral N({a},{b}) = {num}/{den}")
+            raise AssertionError(
+                f"non-integral N({self._root[a]},{self._root[b]}) = {num}/{den}")
         return q
 
     def _set_N(self, a, b, n):
-        """Store N(a, b) = n after checking |n| = p + 1 on the a-chain
-        through b."""
-        p = self.chain_p(a, b)
+        """Store N(a, b) = n for the roots with codes a and b after checking
+        |n| = p + 1 on the a-chain through b."""
+        p = self._chain_p(a, b)
         if abs(n) != p + 1:
-            raise AssertionError(f"N({a},{b}) = {n}, chain gives {p + 1}")
-        self._N[a, b] = n
+            raise AssertionError(
+                f"N({self._root[a]},{self._root[b]}) = {n}, chain gives {p + 1}")
+        self._N[a * self._span + b] = n
 
     def N(self, a, b):
-        """Structure constant in [x_a, x_b] = N(a,b) x_{a+b}; 0 if a+b not a root."""
-        return self._N.get((a, b), 0)
+        """Structure constant in [x_a, x_b] = N(a,b) x_{a+b} for roots a and b;
+        0 if a+b is not a root."""
+        return self._N.get(self._key(self._code[a], self._code[b]), 0)
 
     def coroot_h(self, coeffs):
         """Coroot of the root, as coefficients on the h-basis."""
@@ -174,12 +196,12 @@ class ChevalleyBasis:
         if t2 == "h":
             c = -self._pairing[key1[1]][key2[1]]
             return {key1: c} if c else {}
-        a, b = key1[1], key2[1]
-        n = self._N.get((a, b))
+        a, b = self._code[key1[1]], self._code[key2[1]]
+        n = self._N.get(self._key(a, b))
         if n:
-            return {("x", tuple(map(add, a, b))): n}
-        if not any(map(add, a, b)):
-            return {("h", k): c for k, c in enumerate(self._coroot_h[a]) if c}
+            return {("x", self._root[a + b]): n}
+        if a + b == 0:
+            return {("h", k): c for k, c in enumerate(self._coroot_h[key1[1]]) if c}
         return {}
 
     def ad_columns(self, key):
@@ -201,14 +223,14 @@ class ChevalleyBasis:
         then to -<a, h_a>/2 x_a, with <a, h_a> = 2 checked on the tables."""
         if a in self._divided:
             return self._divided[a]
-        n, index, pairing = self.n, self._root_index, self._pairing[a]
-        ia = n + index[a]
-        # the basis index of the a-string successor of each x_b, with N(a, b)
-        step = {}
-        for j, rt in enumerate(self.roots, start=n):
-            nab = self._N.get((a, rt.coeffs))
-            if nab:
-                step[j] = (n + index[tuple(map(add, a, rt.coeffs))], nab)
+        n, index, pairing = self.n, self._index, self._pairing[a]
+        ca = self._code[a]
+        ia = n + index[ca]
+        # the basis index of the a-string successor of each x_b, with N(a, b):
+        # the key of (a, b) and the code of b + a are one addition each
+        N, row = self._N, ca * self._span
+        step = {j: (n + index[ca + cb], nab)
+                for j, cb in enumerate(self._root, start=n) if (nab := N.get(row + cb))}
         cols = [((1, ia, -p),) if p else () for p in pairing] + [()] * len(self.roots)
         for j in step:
             col, i, c, k = [], j, 1, 0
@@ -224,7 +246,7 @@ class ChevalleyBasis:
         s = sum(map(mul, h, pairing))
         if s != 2:
             raise AssertionError(f"<{a}, h_a> = {s} at x_-a, not 2")
-        cols[n + index[self._minus[a]]] = (
+        cols[n + index[-ca]] = (
             tuple((1, k, x) for k, x in enumerate(h) if x) + ((2, ia, -s // 2),))
         self._divided[a] = cols
         return cols
@@ -242,9 +264,9 @@ class ChevalleyBasis:
 
     def structure_constant_table(self):
         """All (alpha, beta, N) triples with nonzero N, for external checking."""
-        return [(r1.coeffs, r2.coeffs, self._N[r1.coeffs, r2.coeffs])
-                for r1 in self.roots for r2 in self.roots
-                if (r1.coeffs, r2.coeffs) in self._N]
+        N, key, root = self._N, self._key, self._root
+        return [(root[a], root[b], N[key(a, b)])
+                for a in root for b in root if key(a, b) in N]
 
     def verify_jacobi(self):
         """Exhaustive Jacobi check on basis triples; raises on failure."""
@@ -356,5 +378,17 @@ def simple_sum_e1(basis, ring=ZZ):
 
 
 def ad_kernel_dim(basis, v, ring=QQ):
-    """dim ker(ad v) on the Lie algebra tensored with the given field."""
-    return basis.dim - rank(basis.ad_matrix(v.change_ring(ring)), ring)
+    """dim ker(ad v) on the Lie algebra tensored with the given field: dim
+    minus the rank of the columns of ad(v), each the sum of the sparse
+    ad_columns of v's basis keys scaled by their coefficients."""
+    v = v.change_ring(ring)
+    zero = ring.coerce(0)
+    cols = [{} for _ in range(basis.dim)]
+    for key, coeff in v.coefficients.items():
+        for col, entries in zip(cols, basis.ad_columns(key)):
+            for i, c in entries:
+                col[i] = ring.add(col.get(i, zero), ring.mul(coeff, ring.coerce(c)))
+    span = LinSpan(ring)
+    for col in cols:
+        span.add(col)
+    return basis.dim - span.rank()

@@ -142,6 +142,19 @@ def cmd_centralizer(args):
     return EXIT_PASS if doc["verdict"]["pass"] else EXIT_MISMATCH
 
 
+def _flip_one_sign(basis):
+    """Negate N(a, b) for the first pair (a, b) of the table, through the
+    code key of the pair, and not N(b, a): a consistent sign change would
+    pass every check.  Returns (a, b), or None for a table with no pair."""
+    table = basis.structure_constant_table()
+    if not table:
+        return None
+    a, b, _ = table[0]
+    key = basis._key(basis._code[a], basis._code[b])
+    basis._N[key] = -basis._N[key]
+    return a, b
+
+
 def _suite_checks(names, rings, truncate, budget, inject_sign_error=False):
     """One (label, passed) record per invariant check; passed is None when
     the check ran out of budget."""
@@ -154,12 +167,7 @@ def _suite_checks(names, rings, truncate, budget, inject_sign_error=False):
                d.component_group().torsion_order == pi0_order(d))
         basis = build_chevalley(dd)
         if inject_sign_error:
-            # populate every ordered pair first, then flip one without its
-            # antisymmetric partner: a consistent sign change would pass
-            table = basis.structure_constant_table()
-            if table:
-                a, b, _ = table[0]
-                basis._N[(a, b)] = -basis._N[(a, b)]
+            _flip_one_sign(basis)
         if d.derived_rank <= 4:
             try:
                 basis.verify_jacobi()

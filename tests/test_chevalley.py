@@ -81,6 +81,69 @@ def test_structure_constant_table_digest(name):
     assert (len(table), digest) == TABLE_DIGESTS[name]
 
 
+# name -> sha256 (first 16 hex digits) of the repr of the Chevalley data of
+# the preset's datum and of its dual: structure_constant_table(), coroot_h
+# and divided_powers of every root, in root order; recorded at commit
+# 15cdcfe, where the tables were keyed by coefficient tuples
+CHEVALLEY_DIGESTS = {
+    "A1": ("e8c301cd1a015304", "ac4e3ef1ffa25ed5"),
+    "A2": ("7cc66063c09036ca", "9b222401cf87551c"),
+    "B2": ("50ac717e71bd3e42", "d38e71c264a9a013"),
+    "B3": ("beabb9637081391f", "7f5621221228ae51"),
+    "C2": ("900101ed5c6e0f0f", "60a437938b2346d3"),
+    "C3": ("c9ba2f6d309d9d0b", "56cda07a4b9b94aa"),
+    "D4": ("bea37bdbfdfe915b", "0bd50cde8c6fcc5e"),
+    "E6sc": ("63f0077dc95adcd7", "239331eff19de548"),
+    "E7sc": ("d030fedffd988608", "6a809c5abaab6b22"),
+    "F4": ("8d28132c6306dd39", "36a8dadb749f2d4f"),
+    "G2": ("7e0f5ce88d573e02", "a5e5818d00375df0"),
+    "GL2": ("9939bd78c386fb6b", "9939bd78c386fb6b"),
+    "PE6": ("239331eff19de548", "63f0077dc95adcd7"),
+    "PE7": ("6a809c5abaab6b22", "d030fedffd988608"),
+    "PGL2": ("ac4e3ef1ffa25ed5", "e8c301cd1a015304"),
+    "PGL3": ("9b222401cf87551c", "7cc66063c09036ca"),
+    "PGL4": ("d89e4ca3ad9ff08a", "f95d30367a8b5070"),
+    "PGL5": ("e057950c6997d4d2", "5652d2aaa4daa6e1"),
+    "PGL6": ("b15405e40f2eb9de", "ebf49e06d78b67b8"),
+    "PSO10": ("a4c50fb09e135019", "80548c8961ca1bcc"),
+    "PSO8": ("0bd50cde8c6fcc5e", "bea37bdbfdfe915b"),
+    "PSp4": ("d38e71c264a9a013", "50ac717e71bd3e42"),
+    "PSp6": ("7f5621221228ae51", "beabb9637081391f"),
+    "SL2": ("e8c301cd1a015304", "ac4e3ef1ffa25ed5"),
+    "SL3": ("7cc66063c09036ca", "9b222401cf87551c"),
+    "SL4": ("f95d30367a8b5070", "d89e4ca3ad9ff08a"),
+    "SL5": ("5652d2aaa4daa6e1", "e057950c6997d4d2"),
+    "SL6": ("ebf49e06d78b67b8", "b15405e40f2eb9de"),
+    "SO10": ("a26f44a8d9384810", "9fb4061c4e3daed3"),
+    "SO5": ("60a437938b2346d3", "900101ed5c6e0f0f"),
+    "SO7": ("56cda07a4b9b94aa", "c9ba2f6d309d9d0b"),
+    "SO8": ("7bb2f905d9bb25e4", "4a64a0be658ae36e"),
+    "SO8minus": ("d143fa5d55be2b3c", "bb17d34f9a65144a"),
+    "SO8plus": ("8de6d30d771454ef", "65ed2559297e134f"),
+    "Sp4": ("900101ed5c6e0f0f", "60a437938b2346d3"),
+    "Sp6": ("c9ba2f6d309d9d0b", "56cda07a4b9b94aa"),
+    "Spin10": ("80548c8961ca1bcc", "a4c50fb09e135019"),
+    "Spin5": ("50ac717e71bd3e42", "d38e71c264a9a013"),
+    "Spin7": ("beabb9637081391f", "7f5621221228ae51"),
+    "Spin8": ("bea37bdbfdfe915b", "0bd50cde8c6fcc5e"),
+}
+
+
+def chevalley_digest(d):
+    basis = build_chevalley(d)
+    text = repr([basis.structure_constant_table(),
+                 [basis.coroot_h(rt.coeffs) for rt in basis.roots],
+                 [basis.divided_powers(rt.coeffs) for rt in basis.roots]])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_chevalley_data_is_pinned_on_every_preset_and_its_dual():
+    assert sorted(CHEVALLEY_DIGESTS) == sorted(preset_names())
+    for name, digests in CHEVALLEY_DIGESTS.items():
+        d = load_datum(name)
+        assert (chevalley_digest(d), chevalley_digest(d.dual_datum())) == digests, name
+
+
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "F4"])
 def test_cyclic_identity_on_zero_sum_triples(name):
     # N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b) for a + b + c = 0,

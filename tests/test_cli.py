@@ -3,8 +3,9 @@ import json
 import pytest
 
 import liedual
+from liedual import build_chevalley, load_datum
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
-                         EXIT_PASS, MAX_TRUNCATE, main)
+                         EXIT_PASS, MAX_TRUNCATE, _flip_one_sign, main)
 from liedual.root_datum import FiniteAbelianGroup, RootDatum
 
 
@@ -233,6 +234,19 @@ def test_check_all_negative_control(capsys):
     assert code == EXIT_MISMATCH
     assert any(ln.startswith("FAIL") and "Jacobi" in ln
                for ln in out.splitlines())
+
+
+def test_the_injected_sign_error_flips_one_entry_and_not_its_partner():
+    basis = build_chevalley(load_datum("SL3").dual_datum())
+    table = basis.structure_constant_table()
+    a, b, n = table[0]
+    assert basis.N(b, a) == -n
+    assert _flip_one_sign(basis) == (a, b)
+    assert (basis.N(a, b), basis.N(b, a)) == (-n, -n)
+    # the flip rewrote the pair's own entry and added none
+    flipped = basis.structure_constant_table()
+    assert [old for old, new in zip(table, flipped) if old != new] == [(a, b, n)]
+    assert len(flipped) == len(table)
 
 
 def _only_failure(capsys, preset):
