@@ -12,6 +12,12 @@ with signs fixed by the extraspecial-pair convention for the canonical
 once: the squared length (beta, beta) and the pairings <beta, h_k> of every
 root, and N for every ordered pair of roots whose sum is a root.  Brackets,
 ad matrices and the divided powers of ad(x_beta) all read these tables.
+Per-root entries are computed for the positive roots, and -beta takes
+beta's, negated.  N(x, y) and N(y, x) are checked against their root
+chains; N(-x, -y) = -N(x, y) and N(-y, -x) = N(x, y) are written from that
+walk, since negation maps the x-chain through y onto the -x-chain through
+-y.  The h-coordinates of the simple coroots come from the datum, which
+solved for them when it was validated.
 
 Inside the basis a root is an integer code, sum_i b_i B^i for its
 coefficients b_i on the simple roots, with B more than three times the
@@ -24,7 +30,7 @@ coefficient tuples, and every error names roots by them.
 
 from operator import mul
 
-from .intlinalg import LinSpan, is_integral, solve_left_rows, to_int
+from .intlinalg import LinSpan
 from .rings import QQ, RingMismatchError, ZZ
 
 
@@ -42,34 +48,38 @@ class ChevalleyBasis:
         self._root = dict(zip(self._code.values(), self._code))
         self._index = {c: i for i, c in enumerate(self._root)}
         self._span = 2 * max(map(abs, self._root), default=0) + 1
-        # (beta, beta) in the symmetrised form, sum_ij b_i d_i C_ij b_j
-        d, C = datum.symmetrizer(), datum.cartan
+        # the tables below and the N of (-x, -y) are filled from the positive
+        # roots, which needs -beta to be a root for every root beta
+        if any(-c not in self._index for c in self._root):
+            raise AssertionError("the roots are not closed under negation")
+        d, C, B = datum.symmetrizer(), datum.cartan, datum.cochar_basis
         dC = [[di * c for c in row] for di, row in zip(d, C)]
-        self._len_sq = {self._code[rt.coeffs]: sum(b * sum(map(mul, row, rt.coeffs))
-                                                   for b, row in zip(rt.coeffs, dC))
-                        for rt in self.roots}
-        # <beta, h_k> for every root and every row k of the cocharacter basis
-        self._pairing = {rt.coeffs: tuple(sum(map(mul, rt.vector, row))
-                                          for row in datum.cochar_basis)
-                         for rt in self.roots}
-        # h-coordinates x of a coroot solve x * B = coroot.  One elimination
-        # of B solves for every simple coroot; the coroot of beta is the
-        # integer combination sum_i (2 b_i d_i / (beta, beta)) alpha_i^vee of
-        # the simple ones, and x * B = coroot is checked in integers
-        B = [list(row) for row in datum.cochar_basis]
-        simple_h = solve_left_rows(B, [list(alpha) for alpha in datum.simple_coroots])
-        if not is_integral(simple_h):
-            raise AssertionError("simple coroot outside the cocharacter lattice")
-        h_cols, B_cols = list(zip(*to_int(simple_h))), list(zip(*B))
-        self._coroot_h = {}
+        # h-coordinates x of a coroot solve x * B = coroot.  The datum keeps
+        # the integer solutions for the simple coroots; the coroot of beta is
+        # the integer combination sum_i (2 b_i d_i / (beta, beta)) alpha_i^vee
+        # of the simple ones, and x * B = coroot is checked in integers
+        h_cols, B_cols = list(zip(*datum.simple_coroot_h())), list(zip(*B))
+        coroot = {rt.coeffs: rt.coroot for rt in self.roots}
+        self._len_sq, self._pairing, self._coroot_h = {}, {}, {}
         for rt in self.roots:
-            q, r = zip(*(divmod(2 * b * di, self._len_sq[self._code[rt.coeffs]])
-                         for b, di in zip(rt.coeffs, d)))
+            if not rt.positive:
+                continue
+            b, c = rt.coeffs, self._code[rt.coeffs]
+            nb = self._root[-c]
+            # (beta, beta) in the symmetrised form, sum_ij b_i d_i C_ij b_j
+            length = sum(bi * sum(map(mul, row, b)) for bi, row in zip(b, dC))
+            self._len_sq[c] = self._len_sq[-c] = length
+            # <beta, h_k> for every row k of the cocharacter basis
+            pairing = tuple(sum(map(mul, rt.vector, row)) for row in B)
+            self._pairing[b], self._pairing[nb] = pairing, tuple(-x for x in pairing)
+            q, r = zip(*(divmod(2 * bi * di, length) for bi, di in zip(b, d)))
             x = [sum(map(mul, q, col)) for col in h_cols]
             if any(r) or [sum(map(mul, x, col)) for col in B_cols] != list(rt.coroot):
-                raise AssertionError(
-                    f"coroot of {rt.coeffs} outside the cocharacter lattice")
-            self._coroot_h[rt.coeffs] = tuple(x)
+                raise AssertionError(f"coroot of {b} outside the cocharacter lattice")
+            # -x solves for the coroot of -beta when that is minus beta's
+            if coroot[nb] != tuple(-v for v in rt.coroot):
+                raise AssertionError(f"coroot of {nb} outside the cocharacter lattice")
+            self._coroot_h[b], self._coroot_h[nb] = tuple(x), tuple(-v for v in x)
         self._N = {}
         self._fill_structure_constants()
         self._divided = {}      # root -> divided_powers columns, filled on demand
@@ -116,8 +126,11 @@ class ChevalleyBasis:
         (a, b) with c = -gamma fills the twelve entries of its triple
         a + b + c = 0: the cyclic identity
         N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b), antisymmetry and
-        N(-x, -y) = -N(x, y)."""
+        N(-x, -y) = -N(x, y).  |N| = p + 1 is checked on (x, y) and (y, x);
+        (-x, -y) and (-y, -x) have the same chains and take their values
+        unchecked."""
         L, code, order = self._len_sq, self._code, self._index
+        N, key = self._N, self._key
         pos = self.datum.positive_roots()
         for g in pos:
             cg, pairs = code[g.coeffs], []
@@ -136,8 +149,9 @@ class ChevalleyBasis:
                                 (c, a, self._exact(n * L[b], L[c], c, a))):
                     self._set_N(x, y, v)
                     self._set_N(y, x, -v)
-                    self._set_N(-x, -y, -v)
-                    self._set_N(-y, -x, v)
+                    # the -x-chain through -y is the negated x-chain through
+                    # y, as the roots are closed under negation
+                    N[key(-x, -y)], N[key(-y, -x)] = -v, v
 
     def _compute_N(self, a, b, a1, b1):
         """N(a, b) for positive a before b, from the extraspecial pair

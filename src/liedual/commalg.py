@@ -475,22 +475,33 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
     # with G, and each S-polynomial is reduced by it
     index = DivisorIndex(G)
     leads = index.entries
+    # degs[k] is the weighted degree of leads[k]'s monomial
+    weights = ring.weights
+    degs = [ring.wdeg(lm) for _, lm, _ in leads]
     # normal selection: pop the pair of least lcm degree, keyed once when
-    # the pair is made; (i, j) breaks ties and keeps the lcm out of compares
+    # the pair is made; (i, j) breaks ties.  The lcm of coprime leads is
+    # their product, so its degree is the sum of theirs; the lcm itself is
+    # formed only for a pair that is popped and not coprime
     heap = []
     live = set()
 
     def add_pairs(t):
+        mask_t, lead_t, _ = leads[t]
+        deg_t = degs[t]
         for k in range(t):
-            lcm = _mono_lcm(leads[k][1], leads[t][1])
-            heapq.heappush(heap, (ring.wdeg(lcm), k, t, lcm))
+            mask_k, lead_k, _ = leads[k]
+            if mask_k & mask_t:
+                deg = sum(map(mul, map(max, lead_k, lead_t), weights))
+            else:
+                deg = degs[k] + deg_t
+            heapq.heappush(heap, (deg, k, t))
             live.add((k, t))
 
     for t in range(1, len(G)):
         add_pairs(t)
     spent = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         live.discard((i, j))
         spent += 1
         if spent > budget:
@@ -499,6 +510,7 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
         if not mask_i & mask_j:
             continue  # coprime leading monomials: S-poly reduces to zero
         # chain criterion; mask_i | mask_j is the support mask of the lcm
+        lcm = _mono_lcm(leads[i][1], leads[j][1])
         outside = ~(mask_i | mask_j)
         if any(k != i and k != j and not mk & outside and _mono_divides(lk, lcm)
                and (min(i, k), max(i, k)) not in live
@@ -509,6 +521,7 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
         if not r.is_zero():
             G.append(r.monic())
             index.add(G[-1])
+            degs.append(ring.wdeg(leads[-1][1]))
             add_pairs(len(G) - 1)
     return reduce_basis(G)
 

@@ -75,7 +75,7 @@ def _symmetrizer(cartan):
     scale = lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
     g = gcd(*ints)
-    return [x // g for x in ints]
+    return tuple(x // g for x in ints)
 
 
 def _check_cartan(cartan):
@@ -139,10 +139,12 @@ class RootDatum:
     cartan: tuple                 # r x r, rows indexed by simple coroots
     cochar_basis: tuple           # n x n basis of the cocharacter lattice
     central_rank: int = 0
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # values derived from the fields; init=False gives every datum, also one
+    # made by dataclasses.replace, a dict of its own
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_cartan(self.cartan)
+        self._cache["symmetrizer"] = _check_cartan(self.cartan)
         n = self.rank
         B = [list(row) for row in self.cochar_basis]
         if len(B) != n or any(len(row) != n for row in B):
@@ -151,8 +153,12 @@ class RootDatum:
             raise RootDatumError("cochar_basis must be integral (inside the coweight lattice)")
         if rank(B) != n:
             raise RootDatumError("cochar_basis is singular")
-        if not is_integral(solve_left_rows(B, [list(a) for a in self.simple_coroots])):
+        # the simple coroots in coordinates on the rows of B, kept for
+        # component_group and for the coroots of a Chevalley basis
+        simple_h = solve_left_rows(B, [list(a) for a in self.simple_coroots])
+        if not is_integral(simple_h):
             raise RootDatumError("coroot lattice is not contained in the cocharacter lattice")
+        self._cache["simple_coroot_h"] = tuple(map(tuple, to_int(simple_h)))
 
     # -- basic shape ---------------------------------------------------
 
@@ -172,8 +178,13 @@ class RootDatum:
                      for i in range(r))
 
     def symmetrizer(self):
-        """Squared simple-root lengths up to overall scale."""
-        return _symmetrizer(self.cartan)
+        """Squared simple-root lengths up to overall scale, as a tuple."""
+        return self._cache["symmetrizer"]
+
+    def simple_coroot_h(self):
+        """The simple coroots as integer rows of coordinates on the rows of
+        cochar_basis: row i solves x * cochar_basis = alpha_i^vee."""
+        return self._cache["simple_coroot_h"]
 
     def coroot_length_sq(self):
         """Squared simple-coroot lengths, short coroot normalised to 1."""
@@ -279,8 +290,7 @@ class RootDatum:
         return self._cache["component_group"]
 
     def _component_group(self):
-        B = [list(row) for row in self.cochar_basis]
-        rows = to_int(solve_left_rows(B, [list(a) for a in self.simple_coroots]))
+        rows = self.simple_coroot_h()
         if not rows:
             return FiniteAbelianGroup((0,) * self.rank)
         facs = [d for d in invariant_factors(rows) if d != 1]

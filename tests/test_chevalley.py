@@ -1,15 +1,19 @@
 import hashlib
+from contextlib import ExitStack
 from dataclasses import replace
 from itertools import product
+from types import ModuleType
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liedual
 from liedual import (GF, QQ, ZZ, LieElement, ad_kernel_dim, bracket,
                      build_chevalley, load_datum, preset_names, principal_e,
                      simple_sum_e1)
+from liedual import root_datum
 from liedual.intlinalg import is_integral, solve_left
 from liedual.root_datum import RootDatum
 
@@ -144,6 +148,36 @@ def test_chevalley_data_is_pinned_on_every_preset_and_its_dual():
         assert (chevalley_digest(d), chevalley_digest(d.dual_datum())) == digests, name
 
 
+def every_preset_and_its_dual():
+    for name in preset_names():
+        d = load_datum(name)
+        yield d
+        yield d.dual_datum()
+
+
+def test_root_codes_are_closed_under_negation_on_every_preset_and_its_dual():
+    for d in every_preset_and_its_dual():
+        codes = set(build_chevalley(d)._code.values())
+        assert {-c for c in codes} == codes, d.name
+
+
+def test_a_basis_reuses_the_symmetrizer_and_coroot_solve_of_its_datum():
+    # both are computed once, while the datum is validated
+    modules = [m for m in vars(liedual).values()
+               if isinstance(m, ModuleType) and hasattr(m, "solve_left_rows")]
+    for d in every_preset_and_its_dual():
+        fresh = RootDatum(d.name, d.cartan, d.cochar_basis, d.central_rank)
+        with ExitStack() as stack:
+            solves = [stack.enter_context(mock.patch.object(
+                m, "solve_left_rows", wraps=m.solve_left_rows)) for m in modules]
+            sym = stack.enter_context(mock.patch.object(
+                root_datum, "_symmetrizer", wraps=root_datum._symmetrizer))
+            build_chevalley(fresh)
+        for solve in solves:
+            solve.assert_not_called()
+        sym.assert_not_called()
+
+
 @pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "F4"])
 def test_cyclic_identity_on_zero_sum_triples(name):
     # N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b) for a + b + c = 0,
@@ -176,13 +210,14 @@ def test_structure_constant_ranges():
 
 
 def test_antisymmetry_and_negation():
-    for name in ["SL3", "G2"]:
-        basis = basis_for(name)
+    # N(-a, -b) is written from the chain walk of (a, b), unchecked
+    for d in every_preset_and_its_dual():
+        basis = build_chevalley(d)
         for a, b, n in basis.structure_constant_table():
             na = tuple(-x for x in a)
             nb = tuple(-x for x in b)
             for m in (basis.N(b, a), basis.N(na, nb)):
-                assert type(m) is int and m == -n
+                assert type(m) is int and m == -n, (d.name, a, b)
 
 
 def test_opposite_root_bracket_is_coroot():

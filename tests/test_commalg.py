@@ -350,6 +350,7 @@ def test_reduced_groebner_basis_digest(name, ring_name):
     ("SO7", "F2", 406),                                 # Laurent
     ("F4", "F5", 2080),                                 # 65 choose 2
     ("E6sc", "F7", 3570),                               # 85 choose 2
+    ("G2", "F3", 45),               # Laurent, weights 1 and 2 height; 10 choose 2
 ])
 def test_s_pair_count(name, ring_name, pairs):
     # every pair made is popped and counted, so the count pins how the

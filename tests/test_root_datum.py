@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,18 @@ def test_dual_and_pi0_are_kept_on_the_datum_without_a_link_back():
         fresh = RootDatum(d.name, d.cartan, d.cochar_basis, d.central_rank)
         assert fresh.dual_datum() == dual and fresh.dual_datum() is not dual
         assert fresh.component_group() == d.component_group()
+
+
+def test_a_replaced_datum_caches_nothing_from_the_original():
+    # SL3 is simply connected; the identity basis of its coweight lattice
+    # makes it PGL3, whose cocharacters mod coroots are Z/3
+    d = load_datum("SL3")
+    assert str(d.component_group()) == "1"
+    adjoint = replace(d, cochar_basis=((1, 0), (0, 1)))
+    assert str(adjoint.component_group()) == "Z/3"
+    assert adjoint.simple_coroot_h() != d.simple_coroot_h()
+    assert str(d.component_group()) == "1"
+    assert d.simple_coroot_h() == ((1, 0), (0, 1))
 
 
 def test_positive_roots_are_kept_on_the_datum():
