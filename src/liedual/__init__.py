@@ -5,7 +5,7 @@ from .rings import GF, QQ, ZZ, ring_from_name
 from .root_datum import (FiniteAbelianGroup, RootDatum, RootDatumError,
                          load_datum, preset, preset_names)
 from .chevalley import (ChevalleyBasis, LieElement, ad_kernel_dim, bracket,
-                        build_chevalley, principal_e, simple_sum_e1)
+                        build_chevalley, principal_e)
 from .commalg import (BudgetExceeded, HilbertSeries, Ideal, PolyRing,
                       Polynomial, groebner_basis, hilbert_series,
                       ideal_dimension, normal_form, parse_polynomial)

@@ -231,15 +231,12 @@ class EquivariantElement:
     basis: object
     e_part: LieElement        # over QQ
     f_matrix: list            # rational, on the cocharacter basis
-    n_G: int
     a_names: tuple            # torus-parameter variables, degree 2 each
 
 
-def build_eT(d, basis=None):
-    basis = basis or build_chevalley(d.dual_datum())
-    e = principal_e(basis, d, QQ)
-    F = f_form(d)
-    return EquivariantElement(d, basis, e, F, compute_nG(d),
+def build_eT(d):
+    basis = build_chevalley(d.dual_datum())
+    return EquivariantElement(d, basis, principal_e(basis, d, QQ), f_form(d),
                               tuple(f"a{k + 1}" for k in range(d.rank)))
 
 
@@ -688,15 +685,14 @@ def _standard_coproducts(pres, N):
                                                pres.relation_groebner, D))
                     for D in range(0, N + 1, 2)}
     law_ring, gb2_index, images = _tensor_square(pres)
-    products = _NormalProducts(pres.generator_reps, DivisorIndex(pres.groebner),
-                               pres.uring.one())
+    # products of the ga (left) and gb (right) copies of the generators, in
+    # the law ring: a monomial in one copy is divided only by that copy's
+    # part of gb2, which keeps the order of pres.groebner
+    left, right = (_NormalProducts([_rename_into(rep, law_ring, prefix)
+                                    for rep in pres.generator_reps],
+                                   gb2_index, law_ring.one())
+                   for prefix in ("ga", "gb"))
     image_products = _NormalProducts(images, gb2_index, law_ring.one())
-    left, right = {}, {}
-    for ms in basis_by_deg.values():
-        for m in ms:
-            p = products(m)
-            left[m] = _rename_into(p, law_ring, "ga")
-            right[m] = _rename_into(p, law_ring, "gb")
     table = {}
     for D, monos in basis_by_deg.items():
         # the two factors share no variable and are each reduced, so their
@@ -705,7 +701,7 @@ def _standard_coproducts(pres, N):
         for da in range(0, D + 1, 2):
             for ma in basis_by_deg[da]:
                 for mb in basis_by_deg[D - da]:
-                    span.add(tagged((left[ma] * right[mb]).terms, (ma, mb),
+                    span.add(tagged((left(ma) * right(mb)).terms, (ma, mb),
                                     pres.base))
         for m in monos:
             combo = span.express(image_products(m).terms)

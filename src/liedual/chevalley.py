@@ -10,14 +10,15 @@ and x_beta (one per root).  Structure constants are integers:
 with signs fixed by the extraspecial-pair convention for the canonical
 (height, lex) positive-root order.  Each basis fills three integer tables
 once: the squared length (beta, beta) and the pairings <beta, h_k> of every
-root, and N for every ordered pair of roots whose sum is a root.  Brackets,
-ad matrices and the divided powers of ad(x_beta) all read these tables.
-Per-root entries are computed for the positive roots, and -beta takes
-beta's, negated.  N(x, y) and N(y, x) are checked against their root
-chains; N(-x, -y) = -N(x, y) and N(-y, -x) = N(x, y) are written from that
-walk, since negation maps the x-chain through y onto the -x-chain through
--y.  The h-coordinates of the simple coroots come from the datum, which
-solved for them when it was validated.
+root, and N for every ordered pair of roots whose sum is a root.  The
+divided powers of ad(x_beta) read these tables, and the brackets and ad
+columns of x_beta read the divided powers.  Per-root entries are computed
+for the positive roots, and -beta takes beta's, negated.  N(x, y) and
+N(y, x) are checked against their root chains; N(-x, -y) = -N(x, y) and
+N(-y, -x) = N(x, y) are written from that walk, since negation maps the
+x-chain through y onto the -x-chain through -y.  The h-coordinates of the
+simple coroots come from the datum, which solved for them when it was
+validated.
 
 Inside the basis a root is an integer code, sum_i b_i B^i for its
 coefficients b_i on the simple roots, with B more than three times the
@@ -200,23 +201,18 @@ class ChevalleyBasis:
     # -- brackets on basis elements -----------------------------------------
 
     def bracket_keys(self, key1, key2):
-        """[key1, key2] as a dict basis-key -> integer coefficient."""
-        t1, t2 = key1[0], key2[0]
-        if t1 == "h" and t2 == "h":
-            return {}
-        if t1 == "h":
+        """[key1, key2] as a dict basis-key -> integer coefficient.  For a
+        root key1 it is the k = 1 part of key1's divided_powers column at
+        key2, so brackets and divided powers read one encoding."""
+        if key1[0] == "h":
+            if key2[0] == "h":
+                return {}
             c = self._pairing[key2[1]][key1[1]]
             return {key2: c} if c else {}
-        if t2 == "h":
-            c = -self._pairing[key1[1]][key2[1]]
-            return {key1: c} if c else {}
-        a, b = self._code[key1[1]], self._code[key2[1]]
-        n = self._N.get(self._key(a, b))
-        if n:
-            return {("x", self._root[a + b]): n}
-        if a + b == 0:
-            return {("h", k): c for k, c in enumerate(self._coroot_h[key1[1]]) if c}
-        return {}
+        n = self.n
+        return {("h", i) if i < n else ("x", self.roots[i - n].coeffs): c
+                for k, i, c in self.divided_powers(key1[1])[self.key_index(key2)]
+                if k == 1}
 
     def ad_columns(self, key):
         """ad(key) as integer columns: entry j is the tuple of nonzero (i, c)
@@ -264,17 +260,6 @@ class ChevalleyBasis:
             tuple((1, k, x) for k, x in enumerate(h) if x) + ((2, ia, -s // 2),))
         self._divided[a] = cols
         return cols
-
-    def ad_matrix(self, elem):
-        """Matrix of ad(elem) acting on columns indexed by basis keys."""
-        ring = elem.ring
-        zero = ring.coerce(0)
-        M = [[zero] * self.dim for _ in range(self.dim)]
-        for key, coeff in elem.coefficients.items():
-            for j, col in enumerate(self.ad_columns(key)):
-                for i, c in col:
-                    M[i][j] = ring.add(M[i][j], ring.mul(coeff, ring.coerce(c)))
-        return M
 
     def structure_constant_table(self):
         """All (alpha, beta, N) triples with nonzero N, for external checking."""
@@ -382,13 +367,6 @@ def principal_e(basis, g_datum, ring=ZZ):
         key = ("x", tuple(int(j == i) for j in range(r)))
         coeffs[key] = lengths[i]
     return LieElement(basis, coeffs, ring)
-
-
-def simple_sum_e1(basis, ring=ZZ):
-    """e1 = sum of the simple root generators, all coefficients 1."""
-    r = basis.datum.derived_rank
-    return LieElement(basis, {("x", tuple(int(j == i) for j in range(r))): 1
-                              for i in range(r)}, ring)
 
 
 def ad_kernel_dim(basis, v, ring=QQ):

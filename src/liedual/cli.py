@@ -155,11 +155,10 @@ def _flip_one_sign(basis):
     return a, b
 
 
-def _suite_checks(names, rings, truncate, budget, inject_sign_error=False):
-    """One (label, passed) record per invariant check; passed is None when
-    the check ran out of budget."""
-    for name in names:
-        d = load_datum(name)
+def _suite_checks(data, rings, truncate, budget, inject_sign_error=False):
+    """One (label, passed) record per invariant check on each (name, datum)
+    of data; passed is None when the check ran out of budget."""
+    for name, d in data:
         dd = d.dual_datum()
         yield (f"{name}: duality involution",
                dd.dual_datum().cochar_basis == d.cochar_basis)
@@ -202,12 +201,13 @@ def _suite_checks(names, rings, truncate, budget, inject_sign_error=False):
 
 
 def cmd_check_all(args):
-    names = args.presets or [n for n in preset_names()
-                             if load_datum(n).derived_rank <= 2
-                             and load_datum(n).central_rank == 0]
+    # every name is resolved before the first check prints its line
+    data = [(n, load_datum(n)) for n in args.presets or preset_names()]
+    if not args.presets:
+        data = [(n, d) for n, d in data if d.derived_rank <= 2 and d.central_rank == 0]
     rings = [args.ring] if args.ring else RING_CHOICES
     mismatches = exhausted = 0
-    for label, ok in _suite_checks(names, rings, args.truncate, args.budget,
+    for label, ok in _suite_checks(data, rings, args.truncate, args.budget,
                                    inject_sign_error=args.inject_sign_error):
         print(("PASS" if ok else "FAIL"), label)
         if ok is None:

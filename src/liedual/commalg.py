@@ -192,9 +192,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -216,8 +213,9 @@ class Polynomial:
         return max(self.ring.wdeg(m) for m in self.terms)
 
     def is_homogeneous(self):
-        degs = {self.ring.wdeg(m) for m in self.terms}
-        return len(degs) <= 1
+        degs = map(self.ring.wdeg, self.terms)
+        first = next(degs, None)
+        return all(d == first for d in degs)
 
     def monic(self):
         """self scaled to leading coefficient 1; self itself when it already
@@ -332,7 +330,7 @@ class Ideal:
 
     def __init__(self, ring, gens):
         self.ring = ring
-        self.gens = [g for g in gens if not g.is_zero()]
+        self.gens = [g for g in gens if g]
         for g in self.gens:
             if g.ring != ring:
                 raise RingMismatchError("generator outside the ring")
@@ -375,12 +373,6 @@ class DivisorIndex:
         if g:
             lm = g.leading_monomial()
             self.entries.append((g.ring.support_mask(lm), lm, g))
-
-    def without(self, k):
-        """The index of the basis with its k-th entry left out."""
-        out = DivisorIndex()
-        out.entries = self.entries[:k] + self.entries[k + 1:]
-        return out
 
     def divisor(self, m, mask):
         """The first entry's (leading monomial, polynomial) whose monomial
@@ -468,13 +460,12 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
     ring = gens[0].ring if gens else None
     if ring is not None and not ring.coeff.is_field:
         raise ValueError("Groebner bases require field coefficients")
-    G = [g.monic() for g in gens if not g.is_zero()]
-    if not G:
-        return []
-    # every g in G is nonzero, so entry k of the index is G[k]; it grows
-    # with G, and each S-polynomial is reduced by it
-    index = DivisorIndex(G)
+    # the basis is the polynomials of the index's entries, in order; each
+    # S-polynomial is reduced by the index, and its remainder added to it
+    index = DivisorIndex(g.monic() for g in gens)
     leads = index.entries
+    if not leads:
+        return []
     # degs[k] is the weighted degree of leads[k]'s monomial
     weights = ring.weights
     degs = [ring.wdeg(lm) for _, lm, _ in leads]
@@ -497,7 +488,7 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
             heapq.heappush(heap, (deg, k, t))
             live.add((k, t))
 
-    for t in range(1, len(G)):
+    for t in range(1, len(leads)):
         add_pairs(t)
     spent = 0
     while heap:
@@ -517,18 +508,17 @@ def groebner_basis(gens, budget=DEFAULT_BUDGET):
                and (min(j, k), max(j, k)) not in live
                for k, (mk, lk, _) in enumerate(leads)):
             continue
-        r = normal_form(s_polynomial(G[i], G[j]), index)
-        if not r.is_zero():
-            G.append(r.monic())
-            index.add(G[-1])
+        r = normal_form(s_polynomial(leads[i][2], leads[j][2]), index)
+        if r:
+            index.add(r.monic())
             degs.append(ring.wdeg(leads[-1][1]))
-            add_pairs(len(G) - 1)
-    return reduce_basis(G)
+            add_pairs(len(leads) - 1)
+    return reduce_basis([g for _, _, g in leads])
 
 
 def reduce_basis(G):
     """Minimal, fully inter-reduced monic basis, deterministically sorted."""
-    G = [g.monic() for g in G if not g.is_zero()]
+    G = [g.monic() for g in G if g]
     G.sort(key=lambda g: g.ring.mono_cmp_key(g.leading_monomial()), reverse=True)
     minimal = DivisorIndex()
     for g in G:
@@ -536,10 +526,13 @@ def reduce_basis(G):
         if minimal.divisor(lm, g.ring.support_mask(lm)) is None:
             minimal.add(g)
     out = []
-    for i, (_, _, g) in enumerate(minimal.entries):
-        # g's lead survives (no other lead divides it); tail gets reduced
-        out.append(normal_form(g, minimal.without(i)).monic()
-                   if len(minimal.entries) > 1 else g)
+    for _, lm, g in minimal.entries:
+        # a tail term, and every term its reduction makes, lies below lm, so
+        # g's own entry divides none of them and only the others reduce it
+        tail = normal_form(Polynomial(g.ring, {m: c for m, c in g.terms.items()
+                                               if m != lm}), minimal)
+        out.append(Polynomial(g.ring, {lm: g.terms[lm], **tail.terms}))
+        out[-1]._lead = lm
     out.sort(key=lambda g: g.ring.mono_cmp_key(g.leading_monomial()), reverse=True)
     return out
 

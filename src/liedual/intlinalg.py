@@ -5,10 +5,10 @@ elements of a ring object with ``coerce``, ``add``, ``sub``, ``mul``,
 ``neg``, ``div`` and ``is_unit``: ints or Fractions for ZZ and QQ, ints for
 F_p, Polynomials for a ``commalg.PolyRing``.  Zero entries are found by
 truthiness.  All row reduction over a field is ``LinSpan``, a sparse echelon
-form; rank, determinant, inverse and ``solve_left`` are read off it, the
-last two, like every linear dependency, by tagged elimination.  Smith
-normal form is the one algorithm over Z rather than a field.  Matrices are
-small (a few hundred rows at most), so no numpy.
+form; rank, determinant and ``solve_left_rows`` are read off it, the last,
+like every linear dependency, by tagged elimination.  Smith normal form is
+the one algorithm over Z rather than a field.  Matrices are small (a few
+hundred rows at most), so no numpy.
 """
 
 from fractions import Fraction
@@ -19,37 +19,6 @@ from .rings import QQ, ZZ
 def identity(n, ring=ZZ):
     one, zero = ring.coerce(1), ring.coerce(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B, ring=QQ):
-    add, mul = ring.add, ring.mul
-    zero = ring.coerce(0)
-    m = len(B[0])
-    B_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    out = []
-    for A_row in A:
-        row = [zero] * m
-        for a, B_row in zip(A_row, B_nonzero):
-            if a:
-                for j, b in B_row:
-                    row[j] = add(row[j], mul(a, b))
-        out.append(row)
-    return out
-
-
-def mat_vec(A, v, ring=QQ):
-    add, mul = ring.add, ring.mul
-    zero = ring.coerce(0)
-    v_nonzero = [(j, x) for j, x in enumerate(v) if x]
-    out = []
-    for A_row in A:
-        acc = zero
-        for j, x in v_nonzero:
-            a = A_row[j]
-            if a:
-                acc = add(acc, mul(a, x))
-        out.append(acc)
-    return out
 
 
 def transpose(A):
@@ -116,9 +85,6 @@ class LinSpan:
             return False
         self.rows[max(vec)] = vec
         return True
-
-    def contains(self, vec):
-        return not self._reduce(vec)
 
     def dependencies(self):
         """The stored rows that are zero on every image key, each as
@@ -195,25 +161,14 @@ def determinant(A, ring=QQ):
     return ring.neg(det) if inversions % 2 else det
 
 
-def solve_left(B, v, ring=QQ):
-    """Solve x*B = v (row-vector convention) for B with independent rows."""
-    return solve_left_rows(B, [v], ring)[0]
-
-
 def solve_left_rows(B, V, ring=QQ):
-    """solve_left for each row v of V, against one elimination of B."""
+    """Solve x*B = v (row-vector convention) for each row v of V, against
+    one elimination of B, whose rows must be independent."""
     span = _independent_rows(B, ring)
     xs = [span.express(_sparse(v, ring)) for v in V]
     if None in xs:
         raise ValueError("vector is outside the row space")
     return [_dense(x, len(B), ring) for x in xs]
-
-
-def inverse(A, ring=QQ):
-    """Inverse of a square matrix; row i solves x*A = e_i."""
-    span = _independent_rows(A, ring)
-    one = ring.coerce(1)
-    return [_dense(span.express({i: one}), len(A), ring) for i in range(len(A))]
 
 
 # ----------------------------------------------------------------------

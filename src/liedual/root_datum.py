@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .intlinalg import (determinant, inverse, invariant_factors, is_integral,
-                        mat_mul, rank, smith_normal_form, solve_left_rows,
-                        to_int, transpose)
+from .intlinalg import (determinant, invariant_factors, is_integral, rank,
+                        smith_normal_form, solve_left_rows, to_int, transpose)
 
 
 class RootDatumError(ValueError):
@@ -38,10 +37,6 @@ class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ...; a 0 encodes a free Z factor."""
 
     invariant_factors: tuple
-
-    @property
-    def free_rank(self):
-        return sum(1 for d in self.invariant_factors if d == 0)
 
     @property
     def torsion_order(self):
@@ -315,10 +310,10 @@ class RootDatum:
         r, c, n = self.derived_rank, self.central_rank, self.rank
         cartan_t = tuple(tuple(self.cartan[j][i] for j in range(r)) for i in range(r))
         B = [list(row) for row in self.cochar_basis]
-        E = transpose(inverse(B))      # dual basis, character side
         Chat = [[self.cartan[i][j] if i < r and j < r else int(i == j)
                  for j in range(n)] for i in range(n)]
-        Bd = mat_mul(E, transpose(Chat))
+        # Bd = (B^-1)^T Chat^T: row i of its transpose solves x * B = Chat_i
+        Bd = transpose(solve_left_rows(B, Chat))
         # the central coordinates are only a Q-basis of the central direction,
         # so each central column may be rescaled; make it primitive integral
         for j in range(r, n):
@@ -464,12 +459,13 @@ def _datum_with_extra_coweights(name, cartan, extras):
     """Lattice generated by the coroots together with extra coweight rows.
 
     With U*M*V = D in Smith form, U*M = D*V^-1 has the row span of M (U is
-    unimodular), and its nonzero rows are a basis.
+    unimodular), and its nonzero rows are a basis; row i of D*V^-1 solves
+    x * V = D_i.
     """
     r = len(cartan)
     rows = [list(row) for row in cartan] + [list(e) for e in extras]
     _, D, V = smith_normal_form(rows)
-    B = [row for row in to_int(mat_mul(D, inverse(V))) if any(row)]
+    B = [row for row in to_int(solve_left_rows(V, D)) if any(row)]
     if len(B) != r:
         raise RootDatumError("generators do not span a full-rank lattice")
     return RootDatum(name, tuple(tuple(row) for row in cartan),

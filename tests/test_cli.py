@@ -227,6 +227,14 @@ def test_check_all_truncate_one_trivially_passes(capsys):
     assert code == EXIT_PASS
 
 
+def test_check_all_refuses_an_unknown_name_before_any_check(capsys):
+    code, out, err = run(capsys, "check-all", "--presets", "SL2", "NOPE",
+                         "--ring", "Q")
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "bad input: unknown preset or document: 'NOPE'\n"
+
+
 def test_check_all_negative_control(capsys):
     code, out, _ = run(capsys, "check-all", "--presets", "SL3",
                        "--ring", "Q", "--truncate", "10",

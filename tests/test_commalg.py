@@ -18,7 +18,9 @@ from liedual.commalg import (DivisorIndex, Polynomial,
                              _mono_divides, _mono_lcm, _mono_quot,
                              _monomial_ideal_numerator, reduce_basis,
                              s_polynomial)
-from liedual.intlinalg import determinant, mat_mul
+from liedual.intlinalg import determinant
+
+from reference import mat_mul
 
 RQ = PolyRing(QQ, ("x", "y", "z"))
 R5 = PolyRing(GF(5), ("x", "y", "z"))
@@ -66,7 +68,7 @@ def test_str_parse_round_trip_mod_p(f, g):
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys())
 def test_leading_monomial_multiplicative(f, g):
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         return
     lm = (f * g).leading_monomial()
     expected = tuple(a + b for a, b in
@@ -93,8 +95,8 @@ def test_normal_form_detects_membership():
             pick = [t for t in [x, y, z, RQ.one()] ]
             mult = pick[rng.randrange(4)].scale(Fraction(rng.randrange(-3, 4)))
             f = f + mult * g
-        assert normal_form(f, gb).is_zero()
-    assert not normal_form(x * y * z + RQ.one(), gb).is_zero()
+        assert not normal_form(f, gb)
+    assert normal_form(x * y * z + RQ.one(), gb)
 
 
 def test_groebner_is_confluent():
@@ -102,7 +104,7 @@ def test_groebner_is_confluent():
     gb = groebner_basis([x * y - z, y * z - x, x * z - y])
     for i, f in enumerate(gb):
         for g in gb[i + 1:]:
-            assert normal_form(s_polynomial(f, g), gb).is_zero()
+            assert not normal_form(s_polynomial(f, g), gb)
 
 
 def test_groebner_deterministic():
@@ -127,7 +129,7 @@ def test_groebner_basis_does_not_depend_on_the_generator_order(data):
     assert [str(g) for g in gb] == [str(g) for g in groebner_basis(shuffled)]
     for i, f in enumerate(gb):
         for g in gb[i + 1:]:
-            assert normal_form(s_polynomial(f, g), gb).is_zero()
+            assert not normal_form(s_polynomial(f, g), gb)
 
 
 # ----------------------------------------------------------------------

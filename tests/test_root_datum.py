@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from liedual import (GF, FiniteAbelianGroup, RootDatum, RootDatumError,
                      load_datum, present_centralizer, preset_names)
-from liedual.intlinalg import determinant, is_integral, solve_left
+from liedual.intlinalg import determinant, is_integral, solve_left_rows
 from liedual.loop_oracle import compare_report
 from liedual.root_datum import (_cartan_A, _cartan_B, _cartan_C, _cartan_G2,
                                 _datum_with_extra_coweights)
@@ -116,7 +116,7 @@ def test_component_group_and_center():
 def test_central_torus_gives_free_rank():
     d = load_datum("GL2")
     pi0 = d.component_group()
-    assert pi0.free_rank == 1
+    assert pi0.invariant_factors.count(0) == 1
     assert pi0.torsion_order == 1
 
 
@@ -266,13 +266,13 @@ def test_smith_basis_spans_coroots_plus_extra_coweight(name):
     extra = [int(j == EXTRA_COWEIGHT[name]) for j in range(r)]
     # every generator is an integral combination of the basis rows
     for g in coroots + [extra]:
-        assert is_integral(solve_left(basis, g))
+        assert is_integral(solve_left_rows(basis, [g]))
     # every basis row is an integral combination of the coroots plus a
     # multiple of the extra coweight, whose order mod coroots divides det C
     order = int(abs(determinant(coroots)))
     for b in basis:
-        assert any(is_integral(solve_left(coroots, [x - k * y for x, y in zip(b, extra)]))
-                   for k in range(order))
+        shifted = ([x - k * y for x, y in zip(b, extra)] for k in range(order))
+        assert any(is_integral(solve_left_rows(coroots, [v])) for v in shifted)
     assert d.component_group().invariant_factors == (2,)
 
 
