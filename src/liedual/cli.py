@@ -93,52 +93,53 @@ def _cache_put(args, key, doc):
     os.replace(f.name, d / f"{key}.json")
 
 
-def cmd_datum_info(args):
-    d = _load_from_args(args)
-    key = _cache_key(["datum-info", d.to_document()])
+def _cached(args, parts, build):
+    """Emit the command's document and return it: the cache entry keyed by
+    parts on a hit, else build(), which is then written to the cache."""
+    key = _cache_key(parts)
     doc = _cache_get(args, key)
     if doc is None:
-        basis = build_chevalley(d.dual_datum())
-        e = principal_e(basis, d)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "datum-info",
-            "name": d.name,
-            "rank": d.rank,
-            "derived_rank": d.derived_rank,
-            "roots": len(d.roots()),
-            "length_ratio": d.length_ratio(),
-            "exponents": d.exponents(),
-            "pi0": str(d.component_group()),
-            "pi0_invariant_factors": list(d.component_group().invariant_factors),
-            "n_G": compute_nG(d),
-            "e_coefficients": [e.coefficients.get(
-                ("x", tuple(int(j == i) for j in range(d.derived_rank))), 0)
-                for i in range(d.derived_rank)],
-        }
+        doc = build()
         _cache_put(args, key, doc)
     _emit(doc, args)
+    return doc
+
+
+def cmd_datum_info(args):
+    d = _load_from_args(args)
+    _cached(args, ["datum-info", d.to_document()], lambda: {
+        "schema": SCHEMA_VERSION,
+        "command": "datum-info",
+        "name": d.name,
+        "rank": d.rank,
+        "derived_rank": d.derived_rank,
+        "roots": len(d.roots()),
+        "length_ratio": d.length_ratio(),
+        "exponents": d.exponents(),
+        "pi0": str(d.component_group()),
+        "pi0_invariant_factors": list(d.component_group().invariant_factors),
+        "n_G": compute_nG(d),
+        "e_coefficients": d.coroot_length_sq(),   # principal_e's values
+    })
     return EXIT_PASS
 
 
 def cmd_centralizer(args):
     d = _load_from_args(args)
     ring = ring_from_name(args.ring)
-    key = _cache_key(["centralizer", d.to_document(), args.ring,
-                      args.truncate, args.budget])
-    doc = _cache_get(args, key)
-    if doc is None:
+
+    def build():
         pres = present_centralizer(d, ring, truncation=args.truncate,
                                    budget=args.budget)
-        verdict = compare_report(pres, d, args.truncate)
-        doc = {
+        return {
             "schema": SCHEMA_VERSION,
             "command": "centralizer",
             "presentation": pres.to_document(),
-            "verdict": verdict,
+            "verdict": compare_report(pres, d, args.truncate),
         }
-        _cache_put(args, key, doc)
-    _emit(doc, args)
+
+    doc = _cached(args, ["centralizer", d.to_document(), args.ring,
+                         args.truncate, args.budget], build)
     return EXIT_PASS if doc["verdict"]["pass"] else EXIT_MISMATCH
 
 
@@ -165,9 +166,10 @@ def _suite_checks(data, rings, truncate, budget, inject_sign_error=False):
         yield (f"{name}: |pi0| = gcd of coroot minors",
                d.component_group().torsion_order == pi0_order(d))
         basis = build_chevalley(dd)
-        if inject_sign_error:
-            _flip_one_sign(basis)
-        if d.derived_rank <= 4:
+        if inject_sign_error and not _flip_one_sign(basis):
+            yield (f"{name}: injected sign error (no root pair to flip)", False)
+        # cubic in the dimension, but a flipped sign fails at an early triple
+        if inject_sign_error or d.derived_rank <= 4:
             try:
                 basis.verify_jacobi()
                 jac = True
@@ -227,32 +229,26 @@ def build_parser():
         description="dual-group centralizer presentations and loop-space checks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_datum=True):
-        if need_datum:
-            g = sp.add_mutually_exclusive_group(required=True)
-            g.add_argument("--preset", choices=preset_names())
-            g.add_argument("--datum-file")
-        sp.add_argument("--truncate", type=int, default=40)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    info = sub.add_parser("datum-info", help="roots, ratio, exponents, pi0, n_G, e")
+    cent = sub.add_parser("centralizer", help="presentation plus oracle verdict")
+    check = sub.add_parser("check-all", help="invariant suite over presets")
+    for sp in (info, cent):
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--preset", choices=preset_names())
+        g.add_argument("--datum-file")
         sp.add_argument("--out")
         sp.add_argument("--cache")
-
-    sp = sub.add_parser("datum-info", help="roots, ratio, exponents, pi0, n_G, e")
-    common(sp)
-    sp.set_defaults(func=cmd_datum_info)
-
-    sp = sub.add_parser("centralizer", help="presentation plus oracle verdict")
-    common(sp)
-    sp.add_argument("--ring", choices=RING_CHOICES, default="Q")
-    sp.set_defaults(func=cmd_centralizer)
-
-    sp = sub.add_parser("check-all", help="invariant suite over presets")
-    common(sp, need_datum=False)
-    sp.add_argument("--presets", nargs="*")
-    sp.add_argument("--ring", choices=RING_CHOICES)
-    sp.add_argument("--inject-sign-error", action="store_true",
-                    help="negative control: flip one structure constant")
-    sp.set_defaults(func=cmd_check_all)
+    for sp in (cent, check):
+        sp.add_argument("--truncate", type=int, default=40)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    cent.add_argument("--ring", choices=RING_CHOICES, default="Q")
+    check.add_argument("--presets", nargs="+")
+    check.add_argument("--ring", choices=RING_CHOICES)
+    check.add_argument("--inject-sign-error", action="store_true",
+                       help="negative control: flip one structure constant")
+    info.set_defaults(func=cmd_datum_info)
+    cent.set_defaults(func=cmd_centralizer)
+    check.set_defaults(func=cmd_check_all)
     return p
 
 
@@ -262,7 +258,8 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for mismatches
         return EXIT_PASS if exc.code == 0 else EXIT_BAD_INPUT
-    if not 1 <= args.truncate <= MAX_TRUNCATE or args.budget < 0:
+    if "truncate" in args and not (1 <= args.truncate <= MAX_TRUNCATE
+                                   and args.budget >= 0):
         print(f"--truncate must be 1..{MAX_TRUNCATE}, --budget >= 0", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

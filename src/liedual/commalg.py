@@ -275,54 +275,38 @@ def _coeff_is_negative(c):
     return isinstance(c, (int, Fraction)) and c < 0
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\^|\*|\+|-|\(|\))")
+_FACTOR = r"(?:\d+(?:/0*[1-9]\d*)?|[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?)"
+_TERM = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
 
 
 def parse_polynomial(ring, text):
-    """Parse a canonical polynomial string back into the ring."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad token at {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    out = ring.zero()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        term = ring.const(sign)
-        expect_factor = True
-        while i < n and (expect_factor or tokens[i] == "*"):
-            if tokens[i] == "*":
-                i += 1
-                expect_factor = True
-                continue
-            tok = tokens[i]
-            if tok[0].isdigit():
-                term = term * ring.const(Fraction(tok))
+    """Parse a polynomial string, as str(Polynomial) prints it, into the ring.
+
+    The string is one or more terms, and every term after the first is led
+    by ``+`` or ``-`` (the first may be).  A term is factors joined by
+    ``*``; a factor is a number, ``int`` or ``int/int`` with a nonzero
+    denominator, or a variable of the ring with an optional ``^int``.
+    Whitespace may stand around signs and ``*``.  Anything else raises
+    ValueError naming the unparsed rest of the string.
+    """
+    out, pos = ring.zero(), 0
+    while True:
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m[1]):
+            raise ValueError(f"cannot parse {text[pos:]!r}")
+        coeff, exps = Fraction(-1 if m[1] == "-" else 1), [0] * ring.nvars
+        for factor in m[2].split("*"):
+            name, _, e = factor.strip().partition("^")
+            if name[0].isdigit():
+                coeff *= Fraction(name)
+            elif name in ring._index:
+                exps[ring._index[name]] += int(e or 1)
             else:
-                if tok not in ring._index:
-                    raise ValueError(f"unknown variable {tok!r}")
-                e = 1
-                if i + 2 < n and tokens[i + 1] == "^":
-                    e = int(tokens[i + 2])
-                    i += 2
-                term = term * ring.gen(tok) ** e
-            i += 1
-            expect_factor = False
-            if i < n and tokens[i] not in ("*", "^"):
-                break
-        out = out + term
-    return out
+                raise ValueError(f"unknown variable {name!r}")
+        out = out + ring.monomial(exps, coeff)
+        pos = m.end()
+        if pos == len(text):
+            return out
 
 
 class Ideal:

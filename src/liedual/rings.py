@@ -10,6 +10,7 @@ Polynomials, and each is falsy exactly when it is zero, so zero tests are
 truthiness tests.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -129,13 +130,14 @@ def GF(p):
     return _gf_cache[p]
 
 
+_RING_NAME = re.compile(r"Q|Z|F_?(\d+)")
+
+
 def ring_from_name(name):
-    """Parse "Q", "Z" or "F<p>" / "F_<p>"."""
-    name = name.strip()
-    if name == "Q":
-        return QQ
-    if name == "Z":
-        return ZZ
-    if name.startswith("F"):
-        return GF(int(name.lstrip("F_")))
-    raise ValueError(f"unknown ring {name!r}")
+    """Parse "Q", "Z", "F<p>" or "F_<p>"."""
+    m = _RING_NAME.fullmatch(name.strip())
+    if not m:
+        raise ValueError(f"unknown ring {name!r}")
+    if m[1]:
+        return GF(int(m[1]))
+    return QQ if m[0] == "Q" else ZZ

@@ -395,8 +395,6 @@ def _datum_from_doc(doc):
 
 def load_datum(source):
     """Build a datum from a preset name, a dict, or a JSON document."""
-    if isinstance(source, RootDatum):
-        return source
     if isinstance(source, dict):
         return _datum_from_doc(source)
     text = source.strip()

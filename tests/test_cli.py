@@ -120,11 +120,26 @@ def test_invalid_truncate(capsys):
     code, _, err = run(capsys, "centralizer", "--preset", "SL2",
                        "--truncate", "100000000000")
     assert code == EXIT_BAD_INPUT and "--truncate" in err
-    code, _, _ = run(capsys, "datum-info", "--preset", "SL2",
+    code, _, _ = run(capsys, "centralizer", "--preset", "SL2", "--ring", "F2",
                      "--truncate", str(MAX_TRUNCATE))
     assert code == EXIT_PASS
     code, _, err = run(capsys, "centralizer", "--preset", "SL2", "--budget", "-1")
     assert code == EXIT_BAD_INPUT and "--budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["datum-info", "--preset", "SL2", "--truncate", "5"],
+    ["datum-info", "--preset", "SL2", "--budget", "3"],
+    ["check-all", "--presets", "SL2", "--out", "x"],
+    ["check-all", "--presets", "SL2", "--cache", "d"],
+    ["check-all", "--presets"],
+])
+def test_an_option_the_command_does_not_read_is_bad_input(capsys, tmp_path,
+                                                         monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT and out == "" and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_datum_file_round_trip(capsys, tmp_path):
@@ -242,6 +257,28 @@ def test_check_all_negative_control(capsys):
     assert code == EXIT_MISMATCH
     assert any(ln.startswith("FAIL") and "Jacobi" in ln
                for ln in out.splitlines())
+
+
+@pytest.mark.parametrize("preset", ["SL2", "GL2"])
+def test_negative_control_fails_a_datum_with_no_root_pair(capsys, preset):
+    code, out, _ = run(capsys, "check-all", "--presets", preset,
+                       "--ring", "Q", "--truncate", "10", "--inject-sign-error")
+    assert code == EXIT_MISMATCH
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL ")] == [
+        f"FAIL {preset}: injected sign error (no root pair to flip)"]
+
+
+@pytest.mark.parametrize("preset", ["SL6", "E6sc"])
+def test_negative_control_runs_the_jacobi_check_above_rank_four(capsys,
+                                                               preset):
+    code, out, _ = run(capsys, "check-all", "--presets", preset,
+                       "--inject-sign-error")
+    assert code == EXIT_MISMATCH
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL ")] == [
+        f"FAIL {preset}: Jacobi identity"]
+    # without the flag the Jacobi check is skipped at this rank
+    code, out, _ = run(capsys, "check-all", "--presets", preset)
+    assert code == EXIT_PASS and "Jacobi" not in out
 
 
 def test_the_injected_sign_error_flips_one_entry_and_not_its_partner():

@@ -65,6 +65,20 @@ def test_str_parse_round_trip_mod_p(f, g):
     assert parse_polynomial(R5, str(f * g)) == f * g
 
 
+@pytest.mark.parametrize("text", ["x y", "2 3", "-", "x -", "x*", "*x",
+                                  "x + + y", "3/0", "(x)"])
+def test_parse_refuses_what_the_grammar_does_not_derive(text):
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_polynomial(RQ, text)
+
+
+@pytest.mark.parametrize("name", ["FF7", "F__7", "F_F_7"])
+def test_ring_from_name_refuses_a_malformed_prime_field(name):
+    with pytest.raises(ValueError, match="unknown ring"):
+        ring_from_name(name)
+    assert ring_from_name("F7") == ring_from_name("F_7") == GF(7)
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys())
 def test_leading_monomial_multiplicative(f, g):

@@ -1,6 +1,7 @@
 """The library's consistency checks are explicit raises, so ``python -O``
 does not switch them off."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -88,3 +89,13 @@ def test_check_all_is_the_same_under_python_O():
     optimized = run_optimized("-m", "liedual.cli", "check-all")
     assert plain.returncode == 0, plain.stdout + plain.stderr
     assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, and a check stripped with them
+    # would pass whatever it was meant to catch
+    src = Path(liedual.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
