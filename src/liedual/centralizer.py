@@ -5,10 +5,17 @@ presentations of the centralizer coordinate ring.
 The Borel is parameterized as b = t * prod_alpha exp(u_alpha x_alpha) with
 the positive roots in (height, lex) order; u_alpha carries degree
 2*height(alpha) for the cocharacter grading.
+
+A presentation comes from the height-triangular solve (``triangular``)
+wherever every layer of ad(e) keeps full rank: the ring is then polynomial
+on the free variables and has no relations.  Where a layer drops rank, at
+a torsion prime, it comes from the reduced Groebner basis of the ideal,
+its Hilbert series and graded Nakayama (``_extract_presentation``).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from math import lcm, prod
 from operator import add
@@ -19,6 +26,7 @@ from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
                       normal_form)
 from .intlinalg import LinSpan, identity, tagged
 from .rings import GF, QQ
+from .triangular import generator_variables, triangular_solve, values_at
 
 
 class BadPrimeError(ValueError):
@@ -355,13 +363,24 @@ class CentralizerPresentation:
     hilbert: HilbertSeries          # |Z| * series of the unipotent quotient
     hilbert_unipotent: HilbertSeries
     krull_dim: int
-    uring: object
-    groebner: list                  # reduced basis of the unipotent ideal
+    ideal: Ideal                    # the unipotent centralizer ideal
+    budget: int                     # the S-pair budget of its Groebner basis
     relation_groebner: list         # reduced basis of the relations
     coords: object
     # _tensor_square(self), built on first use: the group law behind both
     # Hopf tables is computed once per presentation
     _tensor: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def uring(self):
+        return self.ideal.ring
+
+    @cached_property
+    def groebner(self):
+        """Reduced basis of the unipotent ideal.  The Buchberger path sets
+        it; after the triangular solve only the Hopf tables read it, so it
+        is computed on first read, under the presentation's budget."""
+        return groebner_basis(self.ideal.gens, self.budget)
 
     def to_document(self):
         return {
@@ -382,6 +401,11 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
 
     Requires a field whose characteristic does not divide the squared
     length ratio (otherwise the torus reduction fails: BadPrimeError).
+    Where every layer of ad(e) keeps full rank the ring is polynomial and
+    the triangular solve presents it; where a layer drops rank (torsion
+    primes) the reduced Groebner basis of the ideal, its Hilbert series and
+    graded Nakayama do.  `budget` bounds the monomial products of the solve
+    and the S-pairs of each Groebner basis.
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
@@ -392,21 +416,46 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     cid = centralizer_ideal(e, coords)
     if cid.mode != "unipotent":
         raise AssertionError("unit simple coefficients must give a unipotent ideal")
-    gb = groebner_basis(cid.ideal.gens, budget)
-    hs_u = hilbert_series(gb, ring=cid.ideal.ring, truncation=truncation,
-                          is_groebner=True)
-    gens, reps, gen_ring, rels, rel_gb, hs_rel = _extract_presentation(
-        cid.ideal.ring, gb, hs_u, budget)
-    # sanity: the presented algebra reproduces the quotient's Hilbert series
-    if hs_rel.coeffs != hs_u.coeffs:
-        raise AssertionError(
-            "presentation does not reproduce the quotient Hilbert series")
-    return CentralizerPresentation(
+    uring = cid.ideal.ring
+    solved = triangular_solve(uring, cid.ideal.gens, budget)
+    if solved is None:
+        gb = groebner_basis(cid.ideal.gens, budget)
+        hs_u = hilbert_series(gb, ring=uring, truncation=truncation,
+                              is_groebner=True)
+        gens, reps, gen_ring, rels, rel_gb, hs_rel = _extract_presentation(
+            uring, gb, hs_u, budget)
+        # sanity: the presented algebra reproduces the quotient's Hilbert series
+        if hs_rel.coeffs != hs_u.coeffs:
+            raise AssertionError(
+                "presentation does not reproduce the quotient Hilbert series")
+    else:
+        images, free = solved
+        # the series of k[free] is the quotient's by construction; the
+        # independent check is Ad(U)e = e at the point u_i = i + 1 of the
+        # solution, through adjoint_action, which shares only the Chevalley
+        # table with the solve
+        point = values_at(images, [ring.coerce(i + 2) for i in range(uring.nvars)],
+                          ring)
+        target = _lie_vector(e, ring)
+        if adjoint_action(basis, list(zip(coords.pos, point)), target, ring) != target:
+            raise AssertionError(
+                "the solved pivots do not centralize e at the check point")
+        gens, reps = [], []
+        for i in generator_variables(uring, cid.ideal.gens, images, truncation):
+            gens.append((GENERATOR_NAMES[len(gens)], uring.weights[i]))
+            reps.append(uring.gen(uring.names[i]))
+        hs_u = HilbertSeries([1], [uring.weights[i] for i in free], truncation)
+        gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
+        rels, rel_gb = [], []
+    pres = CentralizerPresentation(
         base=ring, zcenter=cid.zcenter,
         generators=gens, generator_reps=reps, relations=rels,
         gen_ring=gen_ring, hilbert=hs_u.scaled(cid.zcenter.torsion_order),
-        hilbert_unipotent=hs_u, krull_dim=hs_u.dimension(), uring=cid.ideal.ring,
-        groebner=gb, relation_groebner=rel_gb, coords=coords)
+        hilbert_unipotent=hs_u, krull_dim=hs_u.dimension(), ideal=cid.ideal,
+        budget=budget, relation_groebner=rel_gb, coords=coords)
+    if solved is None:
+        pres.groebner = gb
+    return pres
 
 
 def _extract_presentation(uring, gb, hs_u, budget):

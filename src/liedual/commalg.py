@@ -287,7 +287,8 @@ def parse_polynomial(ring, text):
     ``*``; a factor is a number, ``int`` or ``int/int`` with a nonzero
     denominator, or a variable of the ring with an optional ``^int``.
     Whitespace may stand around signs and ``*``.  Anything else raises
-    ValueError naming the unparsed rest of the string.
+    ValueError naming the unparsed rest of the string, and so does a term
+    whose coefficient the ring cannot hold (1/5 over F_5).
     """
     out, pos = ring.zero(), 0
     while True:
@@ -303,7 +304,12 @@ def parse_polynomial(ring, text):
                 exps[ring._index[name]] += int(e or 1)
             else:
                 raise ValueError(f"unknown variable {name!r}")
-        out = out + ring.monomial(exps, coeff)
+        try:
+            term = ring.monomial(exps, coeff)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {coeff} of {m[2]!r} is not in "
+                             f"{ring.coeff.name}") from None
+        out = out + term
         pos = m.end()
         if pos == len(text):
             return out

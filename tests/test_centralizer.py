@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -333,6 +334,137 @@ def test_presentation_with_two_generators_in_one_degree():
     pres = present_centralizer(load_datum("Spin8"), GF(5))
     assert [dg for _, dg in pres.generators] == [2, 6, 6, 10]
     assert pres.relations == []
+
+
+def unipotent_ideal(d, ring):
+    coords = BorelCoordinates(build_chevalley(d.dual_datum()), ring)
+    return centralizer_ideal(principal_e(coords.basis, d, ring), coords).ideal
+
+
+def buchberger_presentation(d, ring, truncation=40):
+    """The presentation by the reduced basis: groebner_basis, the Hilbert
+    series of its leads and _extract_presentation, called directly."""
+    ideal = unipotent_ideal(d, ring)
+    uring = ideal.ring
+    gb = groebner_basis(ideal.gens)
+    hs_u = hilbert_series(gb, ring=uring, truncation=truncation, is_groebner=True)
+    gens, reps, gen_ring, rels, _, _ = centralizer._extract_presentation(
+        uring, gb, hs_u, DEFAULT_BUDGET)
+    return gens, reps, gen_ring, rels, hs_u
+
+
+# every case of PRESENTATION_DIGESTS where each layer of ad(e) keeps full
+# rank, plus G2/Q, SL6/F2 and Spin10/F7
+FULL_RANK_CASES = sorted(
+    [(n, r) for n, r in PRESENTATION_DIGESTS
+     if (n, r) not in {("G2", "F2"), ("Spin8", "F2"), ("E6sc", "F2"),
+                       ("E6sc", "F3"), ("F4", "F3")}]
+    + [("G2", "Q"), ("SL6", "F2"), ("Spin10", "F7")])
+
+
+def spy_on_groebner(monkeypatch):
+    calls = []
+
+    def spy(gens, budget=DEFAULT_BUDGET):
+        calls.append(len(gens))
+        return groebner_basis(gens, budget)
+    monkeypatch.setattr(centralizer, "groebner_basis", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,ring_name", FULL_RANK_CASES)
+def test_triangular_solve_agrees_with_the_reduced_basis(name, ring_name, monkeypatch):
+    d, ring = load_datum(name), ring_from_name(ring_name)
+    calls = spy_on_groebner(monkeypatch)
+    pres = present_centralizer(d, ring)
+    assert calls == []
+    gens, reps, gen_ring, rels, hs_u = buchberger_presentation(d, ring)
+    old = dataclasses.replace(
+        pres, generators=gens, generator_reps=reps, gen_ring=gen_ring,
+        relations=rels, hilbert=hs_u.scaled(pres.zcenter.torsion_order),
+        hilbert_unipotent=hs_u, krull_dim=hs_u.dimension())
+    assert pres.to_document() == old.to_document()
+    assert [str(r) for r in pres.generator_reps] == [str(r) for r in reps]
+    hs = pres.hilbert_unipotent
+    assert (hs.numer, hs.denom_degs, hs.coeffs) == \
+        (hs_u.numer, hs_u.denom_degs, hs_u.coeffs)
+    assert hs.denom_degs == tuple(sorted(2 * m for m in d.exponents()))
+
+
+def test_a_rank_drop_falls_back_to_the_reduced_basis(monkeypatch):
+    calls = spy_on_groebner(monkeypatch)
+    pres = present_centralizer(load_datum("Spin8"), GF(2))
+    assert calls and [str(r) for r in pres.relations] == ["A^2"]
+
+
+def test_the_solve_lists_generators_up_to_the_truncation_only():
+    pres = present_centralizer(load_datum("F4"), GF(5), truncation=10)
+    assert pres.generators == [("A", 2), ("B", 10)]
+    assert pres.hilbert.closed_form_str() == \
+        "1/((1 - t^2)*(1 - t^10)*(1 - t^14)*(1 - t^22))"
+    assert pres.krull_dim == 4
+
+
+def test_the_lazy_groebner_basis_is_the_reduced_basis():
+    d, ring = load_datum("Sp4"), GF(5)
+    pres = present_centralizer(d, ring)
+    assert pres.groebner == groebner_basis(unipotent_ideal(d, ring).gens)
+    # G2/Q: the solve forms 8 products, Buchberger pops 36 S-pairs
+    pres = present_centralizer(load_datum("G2"), QQ, budget=12)
+    with pytest.raises(BudgetExceeded, match="S-pair budget 12"):
+        pres.groebner
+
+
+@pytest.mark.parametrize("name,ring", [("SL4", QQ), ("Sp6", GF(5)), ("G2", QQ)])
+def test_the_point_check_catches_each_perturbed_pivot(name, ring, monkeypatch):
+    solve = centralizer.triangular_solve
+    ideal = unipotent_ideal(load_datum(name), ring)
+    images, free = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
+    pivots = [i for i in range(len(images)) if i not in free]
+    assert pivots
+    for i in pivots:
+        def perturbed(uring, gens, budget, i=i):
+            images, free = solve(uring, gens, budget)
+            origin = (0,) * uring.nvars
+            images[i][origin] = ring.add(images[i].get(origin, ring.coerce(0)),
+                                         ring.coerce(1))
+            return images, free
+        monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
+        with pytest.raises(AssertionError, match="do not centralize e"):
+            present_centralizer(load_datum(name), ring)
+
+
+def test_the_solve_spends_the_budget_on_products():
+    # SL3's one generator is linear; G2's substitutions form 8 products
+    sl3, g2 = (unipotent_ideal(load_datum(n), QQ) for n in ("SL3", "G2"))
+    assert centralizer.triangular_solve(sl3.ring, sl3.gens, 0) is not None
+    assert centralizer.triangular_solve(g2.ring, g2.gens, 8) is not None
+    with pytest.raises(BudgetExceeded, match="triangular solve"):
+        centralizer.triangular_solve(g2.ring, g2.gens, 7)
+
+
+# sha256 of the `liedual centralizer` stdout, and the PRESENTATION_DIGESTS
+# digest with the generator representatives, pinned from the Buchberger
+# path at 5a55b8a, where the CLI took 6.5 s (E7sc/F5) and 15.8 s (E7sc/Q);
+# each case below, two triangular solves, takes 0.2-0.4 s on a 2-vCPU VM
+FRONTIER_DIGESTS = {
+    ("E7sc", "F5"): ("4da330d428ec5d3a06649b86c3e6779335dfff973d2c512885a6be0299aa32be",
+                     "261fca9eb77be9f8"),
+    ("E7sc", "Q"): ("4c03e4266be262c13e3098c51ee346c4faf27262a089271c48843cf0924f42d2",
+                    "e2652fcef65a1c60"),
+}
+
+
+@pytest.mark.parametrize("name,ring_name", sorted(FRONTIER_DIGESTS))
+def test_frontier_documents_are_pinned(name, ring_name, capsys):
+    from liedual.cli import main
+    assert main(["centralizer", "--preset", name, "--ring", ring_name]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
+    doc = json.dumps([pres.to_document(), [str(r) for r in pres.generator_reps]],
+                     sort_keys=True)
+    assert (stdout, hashlib.sha256(doc.encode()).hexdigest()[:16]) == \
+        FRONTIER_DIGESTS[name, ring_name]
 
 
 def rank_verdict(basis, elem):

@@ -72,6 +72,15 @@ def test_budget_exhaustion(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_budget_bounds_the_triangular_solve(capsys):
+    # E6sc/F7 keeps full rank at every layer: no Groebner basis is computed,
+    # and the budget counts the solve's monomial products
+    code, out, err = run(capsys, "centralizer", "--preset", "E6sc",
+                         "--ring", "F7", "--budget", "5")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: triangular solve: product budget 5 exhausted\n"
+
+
 def test_unknown_preset_and_bad_file(capsys, tmp_path):
     code, _, _ = run(capsys, "centralizer", "--preset", "NOPE")
     assert code == EXIT_BAD_INPUT

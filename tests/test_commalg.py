@@ -72,6 +72,14 @@ def test_parse_refuses_what_the_grammar_does_not_derive(text):
         parse_polynomial(RQ, text)
 
 
+@pytest.mark.parametrize("text", ["1/5*x", "x - 2/15", "3/10*x^2"])
+def test_parse_refuses_a_coefficient_the_prime_field_cannot_hold(text):
+    with pytest.raises(ValueError, match="is not in F_5"):
+        parse_polynomial(R5, text)
+    # the value, not the spelling, decides: 1/5 * 5 is 1
+    assert parse_polynomial(R5, "1/5*5*x") == parse_polynomial(R5, "x")
+
+
 @pytest.mark.parametrize("name", ["FF7", "F__7", "F_F_7"])
 def test_ring_from_name_refuses_a_malformed_prime_field(name):
     with pytest.raises(ValueError, match="unknown ring"):
