@@ -6,19 +6,20 @@ The Borel is parameterized as b = t * prod_alpha exp(u_alpha x_alpha) with
 the positive roots in (height, lex) order; u_alpha carries degree
 2*height(alpha) for the cocharacter grading.
 
-A presentation comes from the height-triangular solve (``triangular``)
-wherever every layer of ad(e) keeps full rank: the ring is then polynomial
-on the free variables and has no relations.  Where a layer drops rank, at
-a torsion prime, it comes from the reduced Groebner basis of the ideal,
-its Hilbert series and graded Nakayama (``_extract_presentation``).
+A presentation comes from the height-triangular solve (``triangular``),
+which writes the ring as k[free]/(leftovers).  Where every layer of ad(e)
+keeps full rank there are no leftovers: the ring is polynomial on the free
+variables and has no relations.  Where a layer drops rank, at a torsion
+prime, the relations are the kernel of the generator ring on
+k[free]/(leftovers) (``_relations``).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iter_product
 from math import lcm, prod
-from operator import add
+from operator import add, or_
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
@@ -377,9 +378,9 @@ class CentralizerPresentation:
 
     @cached_property
     def groebner(self):
-        """Reduced basis of the unipotent ideal.  The Buchberger path sets
-        it; after the triangular solve only the Hopf tables read it, so it
-        is computed on first read, under the presentation's budget."""
+        """Reduced basis of the unipotent ideal.  Only the Hopf tables read
+        it, so it is computed on first read, under the presentation's
+        budget."""
         return groebner_basis(self.ideal.gens, self.budget)
 
     def to_document(self):
@@ -401,11 +402,12 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
 
     Requires a field whose characteristic does not divide the squared
     length ratio (otherwise the torus reduction fails: BadPrimeError).
-    Where every layer of ad(e) keeps full rank the ring is polynomial and
-    the triangular solve presents it; where a layer drops rank (torsion
-    primes) the reduced Groebner basis of the ideal, its Hilbert series and
-    graded Nakayama do.  `budget` bounds the monomial products of the solve
-    and the S-pairs of each Groebner basis.
+    The triangular solve writes the ring as k[free]/(leftovers), with
+    leftovers only where a layer of ad(e) drops rank (torsion primes).  The
+    generators are read off the solved images, and the relations are the
+    kernel of the generator ring on k[free]/(leftovers).  `budget` bounds
+    the monomial products of the solve and the S-pairs of each Groebner
+    basis (of the leftovers and of the relations).
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
@@ -417,85 +419,70 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     if cid.mode != "unipotent":
         raise AssertionError("unit simple coefficients must give a unipotent ideal")
     uring = cid.ideal.ring
-    solved = triangular_solve(uring, cid.ideal.gens, budget)
-    if solved is None:
-        gb = groebner_basis(cid.ideal.gens, budget)
-        hs_u = hilbert_series(gb, ring=uring, truncation=truncation,
-                              is_groebner=True)
-        gens, reps, gen_ring, rels, rel_gb, hs_rel = _extract_presentation(
-            uring, gb, hs_u, budget)
+    images, free, leftovers = triangular_solve(uring, cid.ideal.gens, budget)
+    # the independent check is Ad(U)e = e through adjoint_action, which
+    # shares only the Chevalley table with the solve, at a point of the
+    # solution: u_i = 0 on the free variables of the leftovers (none has a
+    # constant term), u_i = i + 2 on the other free ones
+    held = reduce(or_, (uring.support_mask(m) for left in leftovers for m in left), 0)
+    point = values_at(images, [ring.coerce(0 if held >> i & 1 else i + 2)
+                               for i in range(uring.nvars)], ring)
+    target = _lie_vector(e, ring)
+    if adjoint_action(basis, list(zip(coords.pos, point)), target, ring) != target:
+        raise AssertionError(
+            "the solved pivots do not centralize e at the check point")
+    free_degrees = [uring.weights[i] for i in free]
+    if leftovers:
+        # k[free]/(leftovers), in the ring of the free variables; the images
+        # are reduced modulo the leftovers' basis
+        free_ring = PolyRing(ring, [uring.names[i] for i in free], free_degrees)
+        index = DivisorIndex(groebner_basis(
+            [_restrict(left, free_ring, free) for left in leftovers], budget))
+        images = [normal_form(_restrict(image, free_ring, free), index).terms
+                  for image in images]
+        hs_u = hilbert_series([g for _, _, g in index.entries], ring=free_ring,
+                              truncation=truncation, is_groebner=True)
+    else:
+        hs_u = HilbertSeries([1], free_degrees, truncation)
+    chosen = generator_variables(uring, cid.ideal.gens, images, truncation)
+    gens = [(GENERATOR_NAMES[k], uring.weights[i]) for k, i in enumerate(chosen)]
+    gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
+    rels, rel_gb = [], []
+    if leftovers:
+        product = _NormalProducts([Polynomial(free_ring, images[i]) for i in chosen],
+                                  index, free_ring.one())
+        rels, rel_gb, hs_rel = _relations(gen_ring, product, hs_u, budget)
         # sanity: the presented algebra reproduces the quotient's Hilbert series
         if hs_rel.coeffs != hs_u.coeffs:
             raise AssertionError(
                 "presentation does not reproduce the quotient Hilbert series")
-    else:
-        images, free = solved
-        # the series of k[free] is the quotient's by construction; the
-        # independent check is Ad(U)e = e at the point u_i = i + 1 of the
-        # solution, through adjoint_action, which shares only the Chevalley
-        # table with the solve
-        point = values_at(images, [ring.coerce(i + 2) for i in range(uring.nvars)],
-                          ring)
-        target = _lie_vector(e, ring)
-        if adjoint_action(basis, list(zip(coords.pos, point)), target, ring) != target:
-            raise AssertionError(
-                "the solved pivots do not centralize e at the check point")
-        gens, reps = [], []
-        for i in generator_variables(uring, cid.ideal.gens, images, truncation):
-            gens.append((GENERATOR_NAMES[len(gens)], uring.weights[i]))
-            reps.append(uring.gen(uring.names[i]))
-        hs_u = HilbertSeries([1], [uring.weights[i] for i in free], truncation)
-        gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
-        rels, rel_gb = [], []
-    pres = CentralizerPresentation(
-        base=ring, zcenter=cid.zcenter,
-        generators=gens, generator_reps=reps, relations=rels,
-        gen_ring=gen_ring, hilbert=hs_u.scaled(cid.zcenter.torsion_order),
-        hilbert_unipotent=hs_u, krull_dim=hs_u.dimension(), ideal=cid.ideal,
-        budget=budget, relation_groebner=rel_gb, coords=coords)
-    if solved is None:
-        pres.groebner = gb
-    return pres
+    return CentralizerPresentation(
+        base=ring, zcenter=cid.zcenter, generators=gens,
+        generator_reps=[uring.gen(uring.names[i]) for i in chosen],
+        relations=rels, gen_ring=gen_ring,
+        hilbert=hs_u.scaled(cid.zcenter.torsion_order), hilbert_unipotent=hs_u,
+        krull_dim=hs_u.dimension(), ideal=cid.ideal, budget=budget,
+        relation_groebner=rel_gb, coords=coords)
 
 
-def _extract_presentation(uring, gb, hs_u, budget):
-    ring, truncation = uring.coeff, hs_u.truncation
-    one = ring.coerce(1)
-    gb_index = DivisorIndex(gb)
-    # generators: a basis of the indecomposables m/(m^2 + I) of each degree,
-    # m the ideal of the variables (graded Nakayama).  Write an element of
-    # I_D as sum g*f_g over gb, f_g homogeneous.  A g of positive degree
-    # below D has f_g in m, so g*f_g lies in m^2; modulo m^2 the element is a
-    # combination of the linear parts of the degree-D elements of gb.  So the
-    # generators of degree D are the variables of weight D, in index order,
-    # that are independent of those linear parts and of each other; each is
-    # its own representative.  A variable that a lead divides is skipped:
-    # it reduces to lower terms, and the unit ideal gives no generators.
-    linear = {}
-    for g in gb:
-        linear.setdefault(g.total_degree(), []).append(
-            {m: c for m, c in g.terms.items() if sum(m) == 1})
-    gens, reps = [], []     # (name, degree), representative polynomial
-    for D in range(2, truncation + 1, 2):
-        span = LinSpan(ring)
-        for vec in linear.get(D, ()):
-            span.add(vec)
-        for i, w in enumerate(uring.weights):
-            if w != D:
-                continue
-            m = tuple(int(j == i) for j in range(uring.nvars))
-            if (gb_index.divisor(m, uring.support_mask(m)) is None
-                    and span.add({m: one})):
-                gens.append((GENERATOR_NAMES[len(gens)], D))
-                reps.append(uring.monomial(m))
-    product = _NormalProducts(reps, gb_index, uring.one())
-    gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
-    # relations: kernel of gen_ring -> quotient, minimalised degree by degree.
-    # gen_ring/(rels) maps onto the quotient, so the relations found so far
-    # leave a kernel in degree D exactly when their series exceeds h_D there;
-    # other degrees are skipped.  A kernel row is a new relation when its
-    # normal form modulo the Groebner basis of the relations so far is nonzero
-    # (ideal membership), and that basis is recomputed with each new relation.
+def _restrict(terms, ring, variables):
+    """terms, whose monomials hold only `variables`, as a polynomial of ring."""
+    return Polynomial(ring, {tuple(m[i] for i in variables): c
+                             for m, c in terms.items()})
+
+
+def _relations(gen_ring, product, hs_u, budget):
+    """The relations, their reduced basis and the series of gen_ring/(rels):
+    the kernel of gen_ring on a quotient with series hs_u, whose products of
+    generators `product` gives, minimalised degree by degree.
+
+    gen_ring/(rels) maps onto the quotient, so the relations found so far
+    leave a kernel in degree D exactly when their series exceeds h_D there;
+    other degrees are skipped.  A kernel row is a new relation when its
+    normal form modulo the Groebner basis of the relations so far is nonzero
+    (ideal membership), and that basis is recomputed with each new relation.
+    """
+    ring, truncation = gen_ring.coeff, hs_u.truncation
     rels, rel_gb = [], []
     hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
                             is_groebner=True)
@@ -513,7 +500,7 @@ def _extract_presentation(uring, gb, hs_u, budget):
                 rel_gb = groebner_basis(rels, budget)
         hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
                                 is_groebner=True)
-    return gens, reps, gen_ring, rels, rel_gb, hs_rel
+    return rels, rel_gb, hs_rel
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ lighter variables.  Where every layer has full rank (Kostant, Amer. J.
 Math. 81, 1959, over Q; at most primes also mod p) the degrees can be
 solved one at a time: each pivot variable becomes a polynomial in the free
 ones, and the coordinate ring of the centralizer is the polynomial ring on
-the free variables.  A layer that drops rank leaves a row without a linear
-part, and the caller presents the ring some other way.
+the free variables.  A layer that drops rank mod p (a torsion prime) leaves
+rows without a linear part: after substitution each is a polynomial in the
+lighter free variables, and the ring is k[free]/(those leftover rows).
 
 Polynomials here are {exponent tuple: coefficient} dicts in the variables
 of the ideal's ring.
@@ -21,20 +22,23 @@ from .intlinalg import LinSpan
 
 
 def triangular_solve(uring, gens, budget):
-    """The image of each variable of uring in k[free variables], modulo
-    the ideal of gens, and the free variables in index order; None if a
-    layer drops rank.
+    """(images, free, leftovers): the image of each variable of uring in
+    k[free variables], the free variables in index order, and the rows left
+    without a linear part.  The ideal of gens is generated by the pivots'
+    u_i - image and the leftovers, so the quotient is k[free]/(leftovers).
 
     The degrees go up one at a time.  The images solved so far are
     substituted into the products (_MonomialImages, one unit of budget per
     product; BudgetExceeded), the linear parts are row-reduced, and each
-    pivot is solved.
+    pivot is solved.  A row whose pivot is a product is a leftover: it has
+    no linear part, so it is a polynomial in the free variables of lower
+    degree.
     """
     R, n = uring.coeff, uring.nvars
     one, zero = R.coerce(1), R.coerce(0)
     images = [{tuple(int(j == i) for j in range(n)): one} for i in range(n)]
     value = _MonomialImages(uring, images, budget)
-    by_degree = {}
+    by_degree, leftovers = {}, []
     for g in gens:
         by_degree.setdefault(g.total_degree(), []).append(g)
     for D in sorted(by_degree):
@@ -50,11 +54,12 @@ def triangular_solve(uring, gens, budget):
                 for m2, c2 in value(m).items():
                     row[0, m2] = R.add(row.get((0, m2), zero), R.mul(c, c2))
             span.add(row)
-        if len(span.rows) < len(by_degree[D]) or not all(p[0] for p in span.rows):
-            return None
         # a stored row is zero at the pivots stored before it, so the rows
         # are solved last to first
-        for (_, mp), row in reversed(span.rows.items()):
+        for (linear, mp), row in reversed(span.rows.items()):
+            if not linear:
+                leftovers.append({m: c for (_, m), c in row.items()})
+                continue
             scale = R.div(R.neg(one), row[1, mp])
             image = {}
             for (linear, m), c in row.items():
@@ -66,7 +71,8 @@ def triangular_solve(uring, gens, budget):
             i = mp.index(1)
             images[i] = {m: c for m, c in image.items() if c}
             value.pivots |= 1 << i
-    return images, [i for i in range(n) if not value.pivots >> i & 1]
+    return (images, [i for i in range(n) if not value.pivots >> i & 1],
+            leftovers)
 
 
 class _MonomialImages:
@@ -124,16 +130,19 @@ def values_at(images, point, R):
 
 def generator_variables(uring, gens, images, truncation):
     """The variables of weight <= truncation that the reduced Groebner
-    basis of the ideal makes generators, read off the solved images.
+    basis of the ideal makes generators, read off the solved images.  Where
+    there are leftovers the images must be reduced modulo their basis; they
+    are compared with each other only, so any monomial keys will do.
 
     Within degree D the weighted revlex order puts below a variable x of
     weight D only the later variables of weight D.  So x leads an element
     of the reduced basis exactly when the ideal holds x + (later variables
-    of weight D), that is, when x's image depends on theirs.  The
-    generators of degree D are the variables of weight D, in index order,
-    that lead nothing and are independent of the linear parts of the
-    degree-D generators of the ideal and of each other (graded Nakayama,
-    as in the Buchberger path of centralizer._extract_presentation).
+    of weight D), that is, when x's image depends on theirs modulo the
+    leftovers.  The generators of degree D are the variables of weight D,
+    in index order, that lead nothing and are independent of the linear
+    parts of the degree-D generators of the ideal and of each other: they
+    are a basis of m/(m^2 + I) there, m the ideal of the variables (graded
+    Nakayama).
     """
     R, n = uring.coeff, uring.nvars
     one = R.coerce(1)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -24,11 +23,12 @@ from liedual.centralizer import (GENERATOR_NAMES, _factors, _generic_action,
                                  adjoint_action,
                                  group_law_coordinates, monomials_of_degree,
                                  peel_unipotent, standard_monomials)
-from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, PolyRing,
-                             Polynomial, groebner_basis, hilbert_series,
+from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, DivisorIndex,
+                             PolyRing, Polynomial, groebner_basis, hilbert_series,
                              ideal_dimension, normal_form)
 from liedual.intlinalg import LinSpan, identity, rank, transpose
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
+from liedual.root_datum import _cartan_E
 
 from reference import ad_matrix, mat_mul, mat_vec
 
@@ -299,6 +299,17 @@ def hand_built_ideal(which):
     return R, groebner_basis(gens[which])
 
 
+def hand_built_relations(which, generators, reps, budget):
+    """centralizer._relations on the quotient by hand_built_ideal(which),
+    with the given generators and their representatives."""
+    R, gb = hand_built_ideal(which)
+    hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
+    gen_ring = PolyRing(QQ, [n for n, _ in generators], [dg for _, dg in generators])
+    product = centralizer._NormalProducts([R.gen(r) for r in reps],
+                                          DivisorIndex(gb), R.one())
+    return gen_ring, centralizer._relations(gen_ring, product, hs, budget)
+
+
 @pytest.mark.parametrize("which,generators,reps,relations", [
     # z is standard (the lead of x^2 + z is x^2) but decomposable: the
     # linear part z of x^2 + z puts it in the span, so it is no generator
@@ -310,23 +321,20 @@ def hand_built_ideal(which):
 ])
 def test_extraction_on_hand_built_ideals(which, generators, reps, relations):
     R, gb = hand_built_ideal(which)
-    hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
-    gens, got_reps, gen_ring, rels, rel_gb, hs_rel = (
-        centralizer._extract_presentation(R, gb, hs, DEFAULT_BUDGET))
-    assert gens == generators
-    assert [str(r) for r in got_reps] == reps
+    assert (generators, reps, relations) == \
+        full_enumeration_extraction(R, gb, QQ, 12)
+    gen_ring, (rels, rel_gb, hs_rel) = hand_built_relations(
+        which, generators, reps, DEFAULT_BUDGET)
     assert [str(r) for r in rels] == relations
-    assert (gens, reps, relations) == full_enumeration_extraction(R, gb, QQ, 12)
     assert rel_gb == groebner_basis(rels)
     assert hs_rel == hilbert_series(rels, ring=gen_ring, truncation=12)
 
 
 def test_extraction_spends_the_budget_on_the_relation_basis():
     # the basis of B^3 and A^3 pops one S-pair, more than a budget of 0
-    R, gb = hand_built_ideal("two")
-    hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
     with pytest.raises(BudgetExceeded):
-        centralizer._extract_presentation(R, gb, hs, 0)
+        hand_built_relations("two", [("A", 2), ("B", 2), ("C", 4)],
+                             ["x", "y", "z"], 0)
 
 
 def test_presentation_with_two_generators_in_one_degree():
@@ -341,60 +349,74 @@ def unipotent_ideal(d, ring):
     return centralizer_ideal(principal_e(coords.basis, d, ring), coords).ideal
 
 
-def buchberger_presentation(d, ring, truncation=40):
-    """The presentation by the reduced basis: groebner_basis, the Hilbert
-    series of its leads and _extract_presentation, called directly."""
-    ideal = unipotent_ideal(d, ring)
-    uring = ideal.ring
-    gb = groebner_basis(ideal.gens)
-    hs_u = hilbert_series(gb, ring=uring, truncation=truncation, is_groebner=True)
-    gens, reps, gen_ring, rels, _, _ = centralizer._extract_presentation(
-        uring, gb, hs_u, DEFAULT_BUDGET)
-    return gens, reps, gen_ring, rels, hs_u
-
-
-# every case of PRESENTATION_DIGESTS where each layer of ad(e) keeps full
-# rank, plus G2/Q, SL6/F2 and Spin10/F7
-FULL_RANK_CASES = sorted(
-    [(n, r) for n, r in PRESENTATION_DIGESTS
-     if (n, r) not in {("G2", "F2"), ("Spin8", "F2"), ("E6sc", "F2"),
-                       ("E6sc", "F3"), ("F4", "F3")}]
-    + [("G2", "Q"), ("SL6", "F2"), ("Spin10", "F7")])
+# every case of PRESENTATION_DIGESTS, five of them at torsion primes, plus
+# G2/Q, SL6/F2 and Spin10/F7
+SOLVE_CASES = sorted(list(PRESENTATION_DIGESTS)
+                     + [("G2", "Q"), ("SL6", "F2"), ("Spin10", "F7")])
 
 
 def spy_on_groebner(monkeypatch):
+    """The generator lists that centralizer hands to groebner_basis."""
     calls = []
 
     def spy(gens, budget=DEFAULT_BUDGET):
-        calls.append(len(gens))
+        calls.append(list(gens))
         return groebner_basis(gens, budget)
     monkeypatch.setattr(centralizer, "groebner_basis", spy)
     return calls
 
 
-@pytest.mark.parametrize("name,ring_name", FULL_RANK_CASES)
+def hands_over_the_unipotent_ideal(calls, ideal):
+    return any(g.ring == ideal.ring for gens in calls for g in gens)
+
+
+@pytest.mark.parametrize("name,ring_name", SOLVE_CASES)
 def test_triangular_solve_agrees_with_the_reduced_basis(name, ring_name, monkeypatch):
+    # the reference enumerates every standard monomial of the reduced basis
+    # up to the top generator degree; for E6 (degree 22) that would take
+    # 10 s, so it stops at 16
     d, ring = load_datum(name), ring_from_name(ring_name)
+    truncation = 16 if name == "E6sc" else 2 * max(d.exponents())
+    ideal = unipotent_ideal(d, ring)
+    gb = groebner_basis(ideal.gens)
     calls = spy_on_groebner(monkeypatch)
-    pres = present_centralizer(d, ring)
-    assert calls == []
-    gens, reps, gen_ring, rels, hs_u = buchberger_presentation(d, ring)
-    old = dataclasses.replace(
-        pres, generators=gens, generator_reps=reps, gen_ring=gen_ring,
-        relations=rels, hilbert=hs_u.scaled(pres.zcenter.torsion_order),
-        hilbert_unipotent=hs_u, krull_dim=hs_u.dimension())
-    assert pres.to_document() == old.to_document()
-    assert [str(r) for r in pres.generator_reps] == [str(r) for r in reps]
+    pres = present_centralizer(d, ring, truncation)
+    assert not hands_over_the_unipotent_ideal(calls, ideal)
+    gens, reps, rels = full_enumeration_extraction(ideal.ring, gb, ring, truncation)
+    assert (pres.generators, [str(r) for r in pres.generator_reps],
+            [str(r) for r in pres.relations]) == (gens, reps, rels)
+    assert (calls == []) == (rels == [])
+    hs_u = hilbert_series(gb, ring=ideal.ring, truncation=truncation,
+                          is_groebner=True)
     hs = pres.hilbert_unipotent
     assert (hs.numer, hs.denom_degs, hs.coeffs) == \
         (hs_u.numer, hs_u.denom_degs, hs_u.coeffs)
-    assert hs.denom_degs == tuple(sorted(2 * m for m in d.exponents()))
+    assert pres.hilbert == hs_u.scaled(pres.zcenter.torsion_order)
+    assert pres.krull_dim == hs_u.dimension() == d.derived_rank
+    if not rels:
+        assert hs.denom_degs == tuple(sorted(2 * m for m in d.exponents()))
 
 
-def test_a_rank_drop_falls_back_to_the_reduced_basis(monkeypatch):
+def test_a_rank_drop_hands_no_unipotent_ideal_to_groebner_basis(monkeypatch):
+    # Spin8/F2: the leftover u4^2 (u4 is the free variable of degree 2) is
+    # the relation A^2; only the bases of the leftovers and of the
+    # relations are computed
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum("Spin8"), GF(2))
-    assert calls and [str(r) for r in pres.relations] == ["A^2"]
+    assert [str(r) for r in pres.relations] == ["A^2"]
+    assert calls and not hands_over_the_unipotent_ideal(calls, pres.ideal)
+
+
+def test_e8_at_a_torsion_prime_passes_the_oracle(monkeypatch):
+    # E8 is no preset, since tests that loop over every preset would run
+    # Jacobi on its 248-dimensional algebra.  At F3 two layers drop rank,
+    # and the leftovers give the relations A^3 and B^3 (degrees 6 and 18)
+    d = load_datum({"cartan": _cartan_E(8), "lattice": "simply_connected"})
+    calls = spy_on_groebner(monkeypatch)
+    pres = present_centralizer(d, GF(3), truncation=40)
+    assert [str(r) for r in pres.relations] == ["A^3", "B^3"]
+    assert compare_report(pres, d, 40)["pass"] is True
+    assert calls and not hands_over_the_unipotent_ideal(calls, pres.ideal)
 
 
 def test_the_solve_lists_generators_up_to_the_truncation_only():
@@ -415,20 +437,24 @@ def test_the_lazy_groebner_basis_is_the_reduced_basis():
         pres.groebner
 
 
-@pytest.mark.parametrize("name,ring", [("SL4", QQ), ("Sp6", GF(5)), ("G2", QQ)])
+@pytest.mark.parametrize("name,ring", [("SL4", QQ), ("Sp6", GF(5)), ("G2", QQ),
+                                       ("Spin8", GF(2)), ("F4", GF(3))])
 def test_the_point_check_catches_each_perturbed_pivot(name, ring, monkeypatch):
+    # Spin8/F2 and F4/F3 have leftovers, so the point is 0 on their
+    # free variable of degree 2
     solve = centralizer.triangular_solve
     ideal = unipotent_ideal(load_datum(name), ring)
-    images, free = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
+    images, free, leftovers = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
+    assert bool(leftovers) == (ring.characteristic in (2, 3))
     pivots = [i for i in range(len(images)) if i not in free]
     assert pivots
     for i in pivots:
         def perturbed(uring, gens, budget, i=i):
-            images, free = solve(uring, gens, budget)
+            images, free, leftovers = solve(uring, gens, budget)
             origin = (0,) * uring.nvars
             images[i][origin] = ring.add(images[i].get(origin, ring.coerce(0)),
                                          ring.coerce(1))
-            return images, free
+            return images, free, leftovers
         monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
         with pytest.raises(AssertionError, match="do not centralize e"):
             present_centralizer(load_datum(name), ring)

@@ -81,6 +81,14 @@ def test_budget_bounds_the_triangular_solve(capsys):
     assert err == "budget exceeded: triangular solve: product budget 5 exhausted\n"
 
 
+def test_budget_bounds_the_triangular_solve_at_a_torsion_prime(capsys):
+    # E7sc/F2 drops rank at three layers: the solve runs first there too
+    code, out, err = run(capsys, "centralizer", "--preset", "E7sc",
+                         "--ring", "F2", "--budget", "5")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: triangular solve: product budget 5 exhausted\n"
+
+
 def test_unknown_preset_and_bad_file(capsys, tmp_path):
     code, _, _ = run(capsys, "centralizer", "--preset", "NOPE")
     assert code == EXIT_BAD_INPUT

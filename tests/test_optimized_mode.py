@@ -12,7 +12,7 @@ import liedual
 SCRIPT = """
 from unittest import mock
 
-from liedual import QQ, build_chevalley, load_datum, present_centralizer
+from liedual import GF, QQ, build_chevalley, load_datum, present_centralizer
 from liedual import centralizer
 from liedual.chevalley import ChevalleyBasis
 
@@ -27,6 +27,17 @@ with mock.patch.object(centralizer, "group_law_coordinates", perturbed):
         centralizer.truncated_dist(pres, 4)
     except AssertionError:
         raised.append("counit")
+solve = centralizer.triangular_solve
+def shifted(uring, gens, budget):          # add 1 to the image of u1, a pivot
+    images, free, leftovers = solve(uring, gens, budget)
+    images[0] = {**images[0], (0,) * uring.nvars: uring.coeff.coerce(1)}
+    return images, free, leftovers
+with mock.patch.object(centralizer, "triangular_solve", shifted):
+    try:                                   # Spin8/F2 has the leftover u4^2
+        present_centralizer(load_datum("Spin8"), GF(2))
+    except AssertionError as exc:
+        if "do not centralize e" in str(exc):
+            raised.append("torsion")
 with mock.patch.object(ChevalleyBasis, "_compute_N", return_value=7):
     try:                                   # the SL3 root chains give |N| = 1
         build_chevalley(load_datum("SL3"))
@@ -73,8 +84,8 @@ def run_optimized(*args):
 def test_checks_raise_under_python_O():
     result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "counit", "chain", "divided",
-                                     "coroot"]
+    assert result.stdout.split() == ["False", "counit", "torsion", "chain",
+                                     "divided", "coroot"]
 
 
 def test_negative_control_fails_under_python_O():
