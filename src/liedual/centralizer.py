@@ -16,7 +16,7 @@ k[free]/(leftovers) (``_relations``).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product as iter_product
 from math import lcm, prod
 from operator import add, or_
@@ -364,24 +364,15 @@ class CentralizerPresentation:
     hilbert: HilbertSeries          # |Z| * series of the unipotent quotient
     hilbert_unipotent: HilbertSeries
     krull_dim: int
-    ideal: Ideal                    # the unipotent centralizer ideal
-    budget: int                     # the S-pair budget of its Groebner basis
     relation_groebner: list         # reduced basis of the relations
+    free_ring: PolyRing             # the free variables of the solve
+    images: list                    # each u variable's image in free_ring,
+                                    # reduced modulo the leftovers' basis
+    index: DivisorIndex             # of that basis; empty without leftovers
     coords: object
     # _tensor_square(self), built on first use: the group law behind both
     # Hopf tables is computed once per presentation
     _tensor: object = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def uring(self):
-        return self.ideal.ring
-
-    @cached_property
-    def groebner(self):
-        """Reduced basis of the unipotent ideal.  Only the Hopf tables read
-        it, so it is computed on first read, under the presentation's
-        budget."""
-        return groebner_basis(self.ideal.gens, self.budget)
 
     def to_document(self):
         return {
@@ -431,26 +422,27 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     if adjoint_action(basis, list(zip(coords.pos, point)), target, ring) != target:
         raise AssertionError(
             "the solved pivots do not centralize e at the check point")
-    free_degrees = [uring.weights[i] for i in free]
+    # k[free]/(leftovers), in the ring of the free variables
+    free_ring = PolyRing(ring, [uring.names[i] for i in free],
+                         [uring.weights[i] for i in free])
+    images = [_restrict(image, free_ring, free) for image in images]
+    index = DivisorIndex()
     if leftovers:
-        # k[free]/(leftovers), in the ring of the free variables; the images
-        # are reduced modulo the leftovers' basis
-        free_ring = PolyRing(ring, [uring.names[i] for i in free], free_degrees)
         index = DivisorIndex(groebner_basis(
             [_restrict(left, free_ring, free) for left in leftovers], budget))
-        images = [normal_form(_restrict(image, free_ring, free), index).terms
-                  for image in images]
+        images = [normal_form(image, index) for image in images]
         hs_u = hilbert_series([g for _, _, g in index.entries], ring=free_ring,
                               truncation=truncation, is_groebner=True)
     else:
-        hs_u = HilbertSeries([1], free_degrees, truncation)
-    chosen = generator_variables(uring, cid.ideal.gens, images, truncation)
+        hs_u = HilbertSeries([1], free_ring.weights, truncation)
+    chosen = generator_variables(uring, cid.ideal.gens,
+                                 [image.terms for image in images], truncation)
     gens = [(GENERATOR_NAMES[k], uring.weights[i]) for k, i in enumerate(chosen)]
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
     rels, rel_gb = [], []
     if leftovers:
-        product = _NormalProducts([Polynomial(free_ring, images[i]) for i in chosen],
-                                  index, free_ring.one())
+        product = _NormalProducts([images[i] for i in chosen], index,
+                                  free_ring.one())
         rels, rel_gb, hs_rel = _relations(gen_ring, product, hs_u, budget)
         # sanity: the presented algebra reproduces the quotient's Hilbert series
         if hs_rel.coeffs != hs_u.coeffs:
@@ -461,8 +453,8 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
         generator_reps=[uring.gen(uring.names[i]) for i in chosen],
         relations=rels, gen_ring=gen_ring,
         hilbert=hs_u.scaled(cid.zcenter.torsion_order), hilbert_unipotent=hs_u,
-        krull_dim=hs_u.dimension(), ideal=cid.ideal, budget=budget,
-        relation_groebner=rel_gb, coords=coords)
+        krull_dim=hs_u.dimension(), relation_groebner=rel_gb,
+        free_ring=free_ring, images=images, index=index, coords=coords)
 
 
 def _restrict(terms, ring, variables):
@@ -675,39 +667,48 @@ def verify_coassociativity(coords):
 
 
 def _tensor_square(pres):
-    """The law ring in ga (left) and gb (right) variables, the DivisorIndex
-    of a Groebner basis gb2 of two commuting copies of the quotient in it,
-    and the normal form of each generator's image under the group law;
-    checks the counit.  Built once per presentation and kept on it."""
+    """Product tables in the ring of two commuting copies, a (left) and b
+    (right), of k[free]/(leftovers): of the generators' images in copy a,
+    in copy b, and under the group law, where law[i] sends ga_j and gb_j to
+    the image of u_j in copy a and in copy b.  Checks the counit.  Built
+    once per presentation and kept on it."""
     if pres._tensor is not None:
         return pres._tensor
-    coords = pres.coords
-    npos = len(coords.pos)
-    law_ring, law = group_law_coordinates(coords)
+    free_ring = pres.free_ring
+    ring = PolyRing(pres.base, [f"{nm}{c}" for c in "ab" for nm in free_ring.names],
+                    free_ring.weights * 2)
     # the copies share no variable, so every pair across them has coprime
     # leads (Buchberger's first criterion): the union is the reduced basis
-    gb2_index = DivisorIndex(
-        [_rename_into(g, law_ring, "ga") for g in pres.groebner]
-        + [_rename_into(g, law_ring, "gb") for g in pres.groebner])
+    leftovers = [g for _, _, g in pres.index.entries]
+    index = DivisorIndex([_rename_into(g, ring, copy)
+                          for copy in (0, 1) for g in leftovers])
+    copies = [[_rename_into(image, ring, copy) for image in pres.images]
+              for copy in (0, 1)]
+    # the law ring's variables are ga1 .. gaN, gb1 .. gbN, in this order
+    law_ring, law = group_law_coordinates(pres.coords)
+    value = dict(zip(law_ring.names, copies[0] + copies[1]))
+    variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
     images = []
-    for (gname, _), rep in zip(pres.generators, pres.generator_reps):
-        # each generator is a standard variable u_i: its own normal form,
-        # with image law[i]
-        image = normal_form(law[rep.leading_monomial().index(1)], gb2_index)
-        # counit: the right side at 0 (the terms free of gb variables) must
-        # return the left generator
-        at_zero = {m: c for m, c in image.terms.items() if not any(m[npos:])}
-        if at_zero != _rename_into(rep, law_ring, "ga").terms:
+    for (gname, _), i in zip(pres.generators, variables):
+        image = normal_form(law[i].map_into(ring, value), index)
+        # counit: the right side at 0 (the terms free of copy b) must return
+        # the generator's image in copy a
+        at_zero = {m: c for m, c in image.terms.items()
+                   if not any(m[free_ring.nvars:])}
+        if at_zero != copies[0][i].terms:
             raise AssertionError(f"counit fails on {gname}")
         images.append(image)
-    pres._tensor = law_ring, gb2_index, images
+    # a monomial in one copy is divided only by that copy's leftovers
+    left, right = ([copy[i] for i in variables] for copy in copies)
+    pres._tensor = [_NormalProducts(factors, index, ring.one())
+                    for factors in (left, right, images)]
     return pres._tensor
 
 
-def _rename_into(poly, big_ring, prefix):
-    """poly with variable i renamed to prefix + str(i + 1) of big_ring, which
-    holds those names as one block in that order."""
-    start = big_ring._index[f"{prefix}1"]
+def _rename_into(poly, big_ring, copy):
+    """poly in copy 0 or 1 of its ring's variables, the first or second
+    half of big_ring's."""
+    start = copy * poly.ring.nvars
     head = (0,) * start
     tail = (0,) * (big_ring.nvars - start - poly.ring.nvars)
     return Polynomial(big_ring, {head + m + tail: c for m, c in poly.terms.items()})
@@ -720,19 +721,11 @@ def _standard_coproducts(pres, N):
     basis_by_deg = {D: list(standard_monomials(pres.gen_ring,
                                                pres.relation_groebner, D))
                     for D in range(0, N + 1, 2)}
-    law_ring, gb2_index, images = _tensor_square(pres)
-    # products of the ga (left) and gb (right) copies of the generators, in
-    # the law ring: a monomial in one copy is divided only by that copy's
-    # part of gb2, which keeps the order of pres.groebner
-    left, right = (_NormalProducts([_rename_into(rep, law_ring, prefix)
-                                    for rep in pres.generator_reps],
-                                   gb2_index, law_ring.one())
-                   for prefix in ("ga", "gb"))
-    image_products = _NormalProducts(images, gb2_index, law_ring.one())
+    left, right, image_products = _tensor_square(pres)
     table = {}
     for D, monos in basis_by_deg.items():
         # the two factors share no variable and are each reduced, so their
-        # product is already a normal form mod gb2
+        # product is already a normal form
         span = LinSpan(pres.base)
         for da in range(0, D + 1, 2):
             for ma in basis_by_deg[da]:

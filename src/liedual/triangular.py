@@ -40,7 +40,8 @@ def triangular_solve(uring, gens, budget):
     value = _MonomialImages(uring, images, budget)
     by_degree, leftovers = {}, []
     for g in gens:
-        by_degree.setdefault(g.total_degree(), []).append(g)
+        # the ideal is homogeneous, so one term gives a generator's degree
+        by_degree.setdefault(uring.wdeg(next(iter(g.terms))), []).append(g)
     for D in sorted(by_degree):
         # a row is keyed (1, variable) on its linear part, which sorts above
         # every (0, monomial) of the substituted products
@@ -149,7 +150,7 @@ def generator_variables(uring, gens, images, truncation):
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     linear = {}
     for g in gens:
-        linear.setdefault(g.total_degree(), []).append(
+        linear.setdefault(uring.wdeg(next(iter(g.terms))), []).append(
             {m: c for m, c in g.terms.items() if sum(m) == 1})
     out = []
     for D in sorted({w for w in uring.weights if w <= truncation}):

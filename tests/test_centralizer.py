@@ -247,10 +247,12 @@ EXTRACTION_CASES = {
 @pytest.mark.parametrize("name,ring", list(EXTRACTION_CASES))
 def test_extraction_matches_full_enumeration(name, ring):
     truncation, relations = EXTRACTION_CASES[name, ring]
-    pres = present_centralizer(load_datum(name), ring, truncation)
+    d = load_datum(name)
+    pres = present_centralizer(d, ring, truncation)
     got = (pres.generators, [str(r) for r in pres.generator_reps],
            [str(r) for r in pres.relations])
-    assert got == full_enumeration_extraction(pres.uring, pres.groebner,
+    ideal = unipotent_ideal(d, ring)
+    assert got == full_enumeration_extraction(ideal.ring, groebner_basis(ideal.gens),
                                               ring, truncation)
     assert pres.relation_groebner == groebner_basis(pres.relations)
     assert got[2] == relations
@@ -404,7 +406,8 @@ def test_a_rank_drop_hands_no_unipotent_ideal_to_groebner_basis(monkeypatch):
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum("Spin8"), GF(2))
     assert [str(r) for r in pres.relations] == ["A^2"]
-    assert calls and not hands_over_the_unipotent_ideal(calls, pres.ideal)
+    assert calls and not hands_over_the_unipotent_ideal(
+        calls, unipotent_ideal(load_datum("Spin8"), GF(2)))
 
 
 def test_e8_at_a_torsion_prime_passes_the_oracle(monkeypatch):
@@ -416,7 +419,7 @@ def test_e8_at_a_torsion_prime_passes_the_oracle(monkeypatch):
     pres = present_centralizer(d, GF(3), truncation=40)
     assert [str(r) for r in pres.relations] == ["A^3", "B^3"]
     assert compare_report(pres, d, 40)["pass"] is True
-    assert calls and not hands_over_the_unipotent_ideal(calls, pres.ideal)
+    assert calls and not hands_over_the_unipotent_ideal(calls, unipotent_ideal(d, GF(3)))
 
 
 def test_the_solve_lists_generators_up_to_the_truncation_only():
@@ -425,16 +428,6 @@ def test_the_solve_lists_generators_up_to_the_truncation_only():
     assert pres.hilbert.closed_form_str() == \
         "1/((1 - t^2)*(1 - t^10)*(1 - t^14)*(1 - t^22))"
     assert pres.krull_dim == 4
-
-
-def test_the_lazy_groebner_basis_is_the_reduced_basis():
-    d, ring = load_datum("Sp4"), GF(5)
-    pres = present_centralizer(d, ring)
-    assert pres.groebner == groebner_basis(unipotent_ideal(d, ring).gens)
-    # G2/Q: the solve forms 8 products, Buchberger pops 36 S-pairs
-    pres = present_centralizer(load_datum("G2"), QQ, budget=12)
-    with pytest.raises(BudgetExceeded, match="S-pair budget 12"):
-        pres.groebner
 
 
 @pytest.mark.parametrize("name,ring", [("SL4", QQ), ("Sp6", GF(5)), ("G2", QQ),
@@ -793,16 +786,31 @@ def test_truncated_dist_mod2_square_vanishes():
 
 
 @pytest.mark.parametrize("name,ring", [
-    ("SL3", QQ), ("Sp4", GF(5)), ("G2", GF(2)), ("G2", GF(5))])
+    ("SL3", QQ), ("Sp4", GF(5)), ("G2", GF(2)), ("G2", GF(5)), ("Spin8", GF(2))])
 def test_tensor_square_basis_is_the_union_of_the_copies(name, ring):
     pres = present_centralizer(load_datum(name), ring)
-    law_ring, gb2_index, _ = _tensor_square(pres)
-    gb2 = [g for _, _, g in gb2_index.entries]
-    assert pres.groebner
+    left, _, _ = _tensor_square(pres)
+    tensor_ring = left(()).ring
+    # the leftovers' basis: u2^2 on G2/F2, u4^2 on Spin8/F2, else empty
+    basis = [g for _, _, g in pres.index.entries]
+    assert len(basis) == (ring.characteristic == 2)
     # the reference runs Buchberger on the union: the reduced basis is unique
-    gb_a = [_rename_into(g, law_ring, "ga") for g in pres.groebner]
-    gb_b = [_rename_into(g, law_ring, "gb") for g in pres.groebner]
-    assert sorted(map(str, gb2)) == sorted(map(str, groebner_basis(gb_a + gb_b)))
+    union = [_rename_into(g, tensor_ring, copy) for copy in (0, 1) for g in basis]
+    assert sorted(str(g) for _, _, g in left.index.entries) == \
+        sorted(map(str, groebner_basis(union)))
+
+
+@pytest.mark.parametrize("name,ring", [("SL3", QQ), ("G2", GF(2))])
+def test_the_hopf_tables_hand_no_unipotent_ideal_to_groebner_basis(name, ring,
+                                                                   monkeypatch):
+    # they are read from two copies of k[free]/(leftovers), whose union of
+    # leftover bases is already reduced: no basis is computed, of the
+    # unipotent ideal or of anything else
+    pres = present_centralizer(load_datum(name), ring)
+    calls = spy_on_groebner(monkeypatch)
+    truncated_dist(pres, 12)
+    coproduct_on_generators(pres)
+    assert calls == []
 
 
 # (preset, ring, N) -> sha256 (first 16 hex digits) of the repr of the
@@ -817,6 +825,9 @@ HOPF_TABLE_DIGESTS = {
     ("Sp4", "F5", 12): "0aaa979cb7d41fa2",
     ("G2", "F2", 12): "bde6666080a66a6e",     # relation A^2
     ("G2", "F5", 12): "718d4ec166f55785",
+    # pinned at 85d4c48, from the Groebner basis of the unipotent ideal
+    ("G2", "Q", 12): "cb0560669a3f834b",
+    ("Spin8", "F2", 8): "ea57d8ea56d0e027",  # rank 4, the leftover u4^2
 }
 
 

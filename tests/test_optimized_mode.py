@@ -17,16 +17,18 @@ from liedual import centralizer
 from liedual.chevalley import ChevalleyBasis
 
 raised = []
-pres = present_centralizer(load_datum("SL2"), QQ)
 law_of = centralizer.group_law_coordinates
-def perturbed(coords):                     # the law no longer has a counit
-    ring, law = law_of(coords)
-    return ring, [p + ring.gen("ga1") ** 2 for p in law]
+def perturbed(coords):                     # the law no longer has a counit:
+    ring, law = law_of(coords)             # add ga1 times the last ga variable,
+    last = ring.gen(ring.names[len(coords.pos) - 1])  # nonzero in the quotient
+    return ring, [p + ring.gen("ga1") * last for p in law]
 with mock.patch.object(centralizer, "group_law_coordinates", perturbed):
-    try:
-        centralizer.truncated_dist(pres, 4)
-    except AssertionError:
-        raised.append("counit")
+    for name, ring in [("SL2", QQ), ("G2", GF(2))]:   # G2/F2: leftover u2^2
+        try:
+            centralizer.truncated_dist(present_centralizer(load_datum(name), ring), 4)
+        except AssertionError as exc:
+            if "counit fails" in str(exc):
+                raised.append(f"counit:{name}")
 solve = centralizer.triangular_solve
 def shifted(uring, gens, budget):          # add 1 to the image of u1, a pivot
     images, free, leftovers = solve(uring, gens, budget)
@@ -84,8 +86,8 @@ def run_optimized(*args):
 def test_checks_raise_under_python_O():
     result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "counit", "torsion", "chain",
-                                     "divided", "coroot"]
+    assert result.stdout.split() == ["False", "counit:SL2", "counit:G2", "torsion",
+                                     "chain", "divided", "coroot"]
 
 
 def test_negative_control_fails_under_python_O():
