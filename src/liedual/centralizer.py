@@ -287,8 +287,9 @@ def specialize_eT(eT, s):
     coeffs = dict(eT.e_part.coefficients)
     coeffs.update((("h", k), c) for k, c in enumerate(h) if c)
     elem = LieElement(basis, coeffs, QQ)
-    disc = prod((sum(basis.pairing(rt.coeffs, k) * c for k, c in enumerate(h))
-                 for rt in basis.roots), start=Fraction(1))
+    disc = QQ.coerce(prod(sum(basis.pairing(rt.coeffs, k) * c
+                              for k, c in enumerate(h))
+                          for rt in basis.roots))
     kdim = ad_kernel_dim(basis, elem, QQ)
     # independent path: a regular semisimple element has an r-dimensional
     # centralizer

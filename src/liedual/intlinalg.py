@@ -2,16 +2,15 @@
 
 Matrices are plain lists of rows and vectors plain lists; the entries are
 elements of a ring object with ``coerce``, ``add``, ``sub``, ``mul``,
-``neg``, ``div`` and ``is_unit``: ints or Fractions for ZZ and QQ, ints for
-F_p, Polynomials for a ``commalg.PolyRing``.  Zero entries are found by
-truthiness.  All row reduction over a field is ``LinSpan``, a sparse echelon
-form; rank, determinant and ``solve_left_rows`` are read off it, the last,
-like every linear dependency, by tagged elimination.  Smith normal form is
-the one algorithm over Z rather than a field.  Matrices are small (a few
+``neg``, ``div`` and ``is_unit``: ints for ZZ and F_p; for QQ an int when
+the value is integral and a Fraction only otherwise; Polynomials for a
+``commalg.PolyRing``.  Zero entries are found by truthiness.  All row
+reduction over a field is ``LinSpan``, a sparse echelon form; rank,
+determinant and ``solve_left_rows`` are read off it, the last, like every
+linear dependency, by tagged elimination.  Smith normal form is the one
+algorithm over Z rather than a field.  Matrices are small (a few
 hundred rows at most), so no numpy.
 """
-
-from fractions import Fraction
 
 from .rings import QQ, ZZ
 
@@ -27,7 +26,7 @@ def transpose(A):
 
 def is_integral(vec_or_mat):
     rows = vec_or_mat if vec_or_mat and isinstance(vec_or_mat[0], list) else [vec_or_mat]
-    return all(Fraction(x).denominator == 1 for row in rows for x in row)
+    return all(x.denominator == 1 for row in rows for x in row)
 
 
 def to_int(vec_or_mat):

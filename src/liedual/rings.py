@@ -5,9 +5,10 @@ A ring object bundles the scalar operations ``coerce``, ``add``, ``sub``,
 scalar interface: the polynomial engine, the matrix code in ``intlinalg``
 and the adjoint-action builders all take a ring and call these.
 ``commalg.PolyRing`` implements it too, so the same code runs on matrices of
-polynomials.  Elements are plain ints (ZZ, F_p), Fractions (QQ) or
-Polynomials, and each is falsy exactly when it is zero, so zero tests are
-truthiness tests.
+polynomials.  Elements are plain ints (ZZ, F_p), rationals in one canonical
+form (QQ: an int when the value is integral, a Fraction only when its
+denominator is not 1) or Polynomials, and each is falsy exactly when it is
+zero, so zero tests are truthiness tests.
 """
 
 import re
@@ -66,19 +67,44 @@ class IntegerRing(Ring):
         return q
 
 
+def _canonical(q):
+    """The int or Fraction q in QQ's form: Fraction arithmetic keeps n/1."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class RationalField(Ring):
+    """Q with every element in canonical form: an int when the value is
+    integral, a Fraction only when its denominator is not 1.  Every
+    operation returns that form, so integral work (Chevalley constants,
+    divided powers, the centralizer ideal) runs on ints, with no gcd."""
+
     name = "Q"
     is_field = True
     characteristic = 0
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is int else _canonical(Fraction(x))
+
+    def add(self, a, b):
+        return _canonical(a + b)
+
+    def sub(self, a, b):
+        return _canonical(a - b)
+
+    def mul(self, a, b):
+        return _canonical(a * b)
+
+    def neg(self, a):
+        return _canonical(-a)
 
     def is_unit(self, a):
         return a != 0
 
     def div(self, a, b):
-        return Fraction(a) / b
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _canonical(Fraction(a) / b)
 
 
 class PrimeField(Ring):
@@ -115,7 +141,10 @@ class PrimeField(Ring):
         return a % self.p != 0
 
     def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
+        try:
+            return a * pow(b, -1, self.p) % self.p
+        except ValueError:      # b is 0 mod p
+            raise ZeroDivisionError(f"division by zero in {self.name}") from None
 
 
 ZZ = IntegerRing()

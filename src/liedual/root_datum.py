@@ -318,8 +318,8 @@ class RootDatum:
         # so each central column may be rescaled; make it primitive integral
         for j in range(r, n):
             col = [Bd[i][j] for i in range(n)]
-            denoms = [Fraction(x).denominator for x in col]
-            numers = [abs(Fraction(x).numerator) for x in col if x != 0]
+            denoms = [x.denominator for x in col]
+            numers = [abs(x.numerator) for x in col if x != 0]
             if numers:
                 scale = Fraction(lcm(*denoms), gcd(*numers))
                 for i in range(n):
