@@ -10,8 +10,11 @@ A presentation comes from the height-triangular solve (``triangular``),
 which writes the ring as k[free]/(leftovers).  Where every layer of ad(e)
 keeps full rank there are no leftovers: the ring is polynomial on the free
 variables and has no relations.  Where a layer drops rank, at a torsion
-prime, the relations are the kernel of the generator ring on
-k[free]/(leftovers) (``_relations``).
+prime p, the ring is H_*(Omega K; F_p), a connected graded commutative Hopf
+algebra of finite type, so as an algebra it is a tensor product of factors
+k[x] and k[y]/(y^(p^k)) (Borel, Ann. Math. 57, 1953; Milnor-Moore, Ann.
+Math. 81, 1965, Thm 7.11).  The relations are read off the leftovers'
+reduced basis, which must consist of such powers (``_borel_relations``).
 """
 
 from dataclasses import dataclass, field
@@ -360,12 +363,11 @@ class CentralizerPresentation:
     zcenter: object                 # FiniteAbelianGroup
     generators: list                # [(name, degree)]
     generator_reps: list            # polynomials in the unipotent ring
-    relations: list                 # polynomials in the generator ring
+    relations: list                 # monomials in the generator ring
     gen_ring: object                # PolyRing on the generator names
     hilbert: HilbertSeries          # |Z| * series of the unipotent quotient
     hilbert_unipotent: HilbertSeries
     krull_dim: int
-    relation_groebner: list         # reduced basis of the relations
     free_ring: PolyRing             # the free variables of the solve
     images: list                    # each u variable's image in free_ring,
                                     # reduced modulo the leftovers' basis
@@ -396,10 +398,9 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     length ratio (otherwise the torus reduction fails: BadPrimeError).
     The triangular solve writes the ring as k[free]/(leftovers), with
     leftovers only where a layer of ad(e) drops rank (torsion primes).  The
-    generators are read off the solved images, and the relations are the
-    kernel of the generator ring on k[free]/(leftovers).  `budget` bounds
-    the monomial products of the solve and the S-pairs of each Groebner
-    basis (of the leftovers and of the relations).
+    generators are read off the solved images, and the relations off the
+    reduced basis of the leftovers (_borel_relations).  `budget` bounds the
+    monomial products of the solve and the S-pairs of the leftovers' basis.
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
@@ -440,21 +441,19 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
                                  [image.terms for image in images], truncation)
     gens = [(GENERATOR_NAMES[k], uring.weights[i]) for k, i in enumerate(chosen)]
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
-    rels, rel_gb = [], []
-    if leftovers:
-        product = _NormalProducts([images[i] for i in chosen], index,
-                                  free_ring.one())
-        rels, rel_gb, hs_rel = _relations(gen_ring, product, hs_u, budget)
-        # sanity: the presented algebra reproduces the quotient's Hilbert series
-        if hs_rel.coeffs != hs_u.coeffs:
-            raise AssertionError(
-                "presentation does not reproduce the quotient Hilbert series")
+    rels = _borel_relations(d.name, index, free, chosen, gen_ring, truncation)
+    # sanity: the presented algebra reproduces the quotient's Hilbert series,
+    # which catches a generator added or missed
+    if leftovers and hilbert_series(rels, ring=gen_ring, truncation=truncation,
+                                    is_groebner=True).coeffs != hs_u.coeffs:
+        raise AssertionError(
+            "presentation does not reproduce the quotient Hilbert series")
     return CentralizerPresentation(
         base=ring, zcenter=cid.zcenter, generators=gens,
         generator_reps=[uring.gen(uring.names[i]) for i in chosen],
         relations=rels, gen_ring=gen_ring,
         hilbert=hs_u.scaled(cid.zcenter.torsion_order), hilbert_unipotent=hs_u,
-        krull_dim=hs_u.dimension(), relation_groebner=rel_gb,
+        krull_dim=hs_u.dimension(),
         free_ring=free_ring, images=images, index=index, coords=coords)
 
 
@@ -464,36 +463,29 @@ def _restrict(terms, ring, variables):
                              for m, c in terms.items()})
 
 
-def _relations(gen_ring, product, hs_u, budget):
-    """The relations, their reduced basis and the series of gen_ring/(rels):
-    the kernel of gen_ring on a quotient with series hs_u, whose products of
-    generators `product` gives, minimalised degree by degree.
-
-    gen_ring/(rels) maps onto the quotient, so the relations found so far
-    leave a kernel in degree D exactly when their series exceeds h_D there;
-    other degrees are skipped.  A kernel row is a new relation when its
-    normal form modulo the Groebner basis of the relations so far is nonzero
-    (ideal membership), and that basis is recomputed with each new relation.
-    """
-    ring, truncation = gen_ring.coeff, hs_u.truncation
-    rels, rel_gb = [], []
-    hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
-                            is_groebner=True)
-    for D in range(2, truncation + 1, 2):
-        if hs_rel.coeffs[D] <= hs_u.coeffs[D]:
-            continue
-        # kernel vectors: the linear dependencies among the product images
-        span = LinSpan(ring)
-        for m in monomials_of_degree(gen_ring.weights, D):
-            span.add(tagged(product(m).terms, m, ring))
-        for dep in span.dependencies():
-            relpoly = Polynomial(gen_ring, dep)
-            if normal_form(relpoly, rel_gb):
-                rels.append(relpoly)
-                rel_gb = groebner_basis(rels, budget)
-        hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
-                                is_groebner=True)
-    return rels, rel_gb, hs_rel
+def _borel_relations(name, index, free, chosen, gen_ring, truncation):
+    """The relations of degree <= truncation, by degree, then generator.
+    Each element of index, the leftovers' reduced basis in the variables
+    u_free[j], must be x^q with coefficient 1 and q = p^k, k >= 1 (Borel's
+    theorem), and x must be a generator u_chosen[k] unless it is heavier
+    than the truncation; x^q gives G^q.  Anything else raises: a check of
+    the theorem, with no fallback.  Monomials in distinct generators are
+    their own reduced Groebner basis."""
+    p = gen_ring.coeff.characteristic
+    found = []
+    for _, lm, g in index.entries:
+        j = max(range(len(lm)), key=lm.__getitem__)
+        q, w = lm[j], g.ring.weights[j]
+        # q > 1 is a power of the prime p exactly when it divides p^q
+        if (sum(lm) != q or g.terms != {lm: 1} or min(p, q) < 2 or pow(p, q, q)
+                or (w <= truncation and free[j] not in chosen)):
+            raise AssertionError(
+                f"{name} over {gen_ring.coeff.name}: the leftovers' basis holds "
+                f"{g}, not a p^k-th power of a generator (Borel's theorem)")
+        if q * w <= truncation:
+            found.append((q * w, chosen.index(free[j]), q))
+    return [gen_ring.monomial([q if i == k else 0 for i in range(gen_ring.nvars)])
+            for _, k, q in sorted(found)]
 
 
 # ----------------------------------------------------------------------
@@ -719,8 +711,7 @@ def _standard_coproducts(pres, N):
     """Delta of each relation-standard monomial of degree <= N, as
     {monomial: {(mono_a, mono_b): coefficient}} in the tensor basis of
     pairs of such monomials; also returns those monomials by degree."""
-    basis_by_deg = {D: list(standard_monomials(pres.gen_ring,
-                                               pres.relation_groebner, D))
+    basis_by_deg = {D: list(standard_monomials(pres.gen_ring, pres.relations, D))
                     for D in range(0, N + 1, 2)}
     left, right, image_products = _tensor_square(pres)
     table = {}

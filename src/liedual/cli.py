@@ -1,8 +1,8 @@
 """Command-line surface: datum reports, centralizer presentations with
 verdicts, and the full invariant suite.
 
-Exit codes: 0 pass, 2 mathematical mismatch, 3 resource budget exceeded,
-4 bad input (including bad-prime refusals).
+Exit codes: 0 pass, 2 mathematical mismatch (also a failed internal check),
+3 resource budget exceeded, 4 bad input (including bad-prime refusals).
 """
 
 import argparse
@@ -197,6 +197,9 @@ def _suite_checks(data, rings, truncate, budget, inject_sign_error=False):
                 except BudgetExceeded:
                     yield (f"{name}/{ring_name}: budget exceeded", None)
                     continue
+                except AssertionError as exc:
+                    yield (f"{name}/{ring_name}: {exc}", False)
+                    continue
                 verdict = compare_report(pres, d, truncate)
                 yield (f"{name}/{ring_name}: series, dimension, center",
                        verdict["pass"])
@@ -270,6 +273,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except AssertionError as exc:
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (RootDatumError, OSError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

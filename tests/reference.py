@@ -1,9 +1,13 @@
-"""Dense references that only the tests use: matrix products, ad(v) as a
-full matrix, and the simple-sum nilpotent e1.  The library works on sparse
-columns; these spell the same objects out as plain matrices, for the tests
-to compare with it and to hand to sympy."""
+"""References that only the tests use: matrix products, ad(v) as a full
+matrix, the simple-sum nilpotent e1, and the kernel search for the
+relations of a presentation.  The library works on sparse columns and reads
+the relations off the leftovers' basis; these spell the same objects out
+the long way, for the tests to compare with it and to hand to sympy."""
 
+from liedual.centralizer import monomials_of_degree
 from liedual.chevalley import LieElement
+from liedual.commalg import Polynomial, groebner_basis, hilbert_series, normal_form
+from liedual.intlinalg import LinSpan, tagged
 from liedual.rings import QQ, ZZ
 
 
@@ -72,3 +76,35 @@ def bracket_from_tables(basis, key1, key2):
         return {("h", k): c for k, c in enumerate(basis.coroot_h(a)) if c}
     n = basis.N(a, b)
     return {("x", tuple(x + y for x, y in zip(a, b))): n} if n else {}
+
+
+def search_relations(gen_ring, product, hs_u, budget):
+    """The relations, their reduced basis and the series of gen_ring/(rels):
+    the kernel of gen_ring on a quotient with series hs_u, whose products of
+    generators `product` gives, minimalised degree by degree.
+
+    gen_ring/(rels) maps onto the quotient, so the relations found so far
+    leave a kernel in degree D exactly when their series exceeds h_D there;
+    other degrees are skipped.  A kernel row is a new relation when its
+    normal form modulo the Groebner basis of the relations so far is nonzero
+    (ideal membership), and that basis is recomputed with each new relation.
+    """
+    ring, truncation = gen_ring.coeff, hs_u.truncation
+    rels, rel_gb = [], []
+    hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
+                            is_groebner=True)
+    for D in range(2, truncation + 1, 2):
+        if hs_rel.coeffs[D] <= hs_u.coeffs[D]:
+            continue
+        # kernel vectors: the linear dependencies among the product images
+        span = LinSpan(ring)
+        for m in monomials_of_degree(gen_ring.weights, D):
+            span.add(tagged(product(m).terms, m, ring))
+        for dep in span.dependencies():
+            relpoly = Polynomial(gen_ring, dep)
+            if normal_form(relpoly, rel_gb):
+                rels.append(relpoly)
+                rel_gb = groebner_basis(rels, budget)
+        hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
+                                is_groebner=True)
+    return rels, rel_gb, hs_rel

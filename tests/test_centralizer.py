@@ -28,9 +28,9 @@ from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, DivisorIndex,
                              ideal_dimension, normal_form)
 from liedual.intlinalg import LinSpan, identity, rank, transpose
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
-from liedual.root_datum import _cartan_E
+from liedual.root_datum import _cartan_D, _cartan_E
 
-from reference import ad_matrix, mat_mul, mat_vec
+from reference import ad_matrix, mat_mul, mat_vec, search_relations
 
 N_G_TABLE = {
     "SL2": 1, "SL3": 1, "SL4": 1, "SL5": 1, "SL6": 1,
@@ -139,7 +139,7 @@ def test_presentation_passes_the_oracle_at_the_frontier_and_torsion_primes(
     pres = present_centralizer(d, GF(p), truncation=40)
     assert compare_report(pres, d, 40)["pass"] is True
     assert [str(r) for r in pres.relations] == relations
-    assert pres.relation_groebner == groebner_basis(pres.relations)
+    assert groebner_basis(pres.relations) == pres.relations
 
 
 def test_presented_algebra_reproduces_its_own_series():
@@ -254,7 +254,7 @@ def test_extraction_matches_full_enumeration(name, ring):
     ideal = unipotent_ideal(d, ring)
     assert got == full_enumeration_extraction(ideal.ring, groebner_basis(ideal.gens),
                                               ring, truncation)
-    assert pres.relation_groebner == groebner_basis(pres.relations)
+    assert groebner_basis(pres.relations) == pres.relations
     assert got[2] == relations
 
 
@@ -302,14 +302,14 @@ def hand_built_ideal(which):
 
 
 def hand_built_relations(which, generators, reps, budget):
-    """centralizer._relations on the quotient by hand_built_ideal(which),
+    """The reference kernel search on the quotient by hand_built_ideal(which),
     with the given generators and their representatives."""
     R, gb = hand_built_ideal(which)
     hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
     gen_ring = PolyRing(QQ, [n for n, _ in generators], [dg for _, dg in generators])
     product = centralizer._NormalProducts([R.gen(r) for r in reps],
                                           DivisorIndex(gb), R.one())
-    return gen_ring, centralizer._relations(gen_ring, product, hs, budget)
+    return gen_ring, search_relations(gen_ring, product, hs, budget)
 
 
 @pytest.mark.parametrize("which,generators,reps,relations", [
@@ -330,13 +330,6 @@ def test_extraction_on_hand_built_ideals(which, generators, reps, relations):
     assert [str(r) for r in rels] == relations
     assert rel_gb == groebner_basis(rels)
     assert hs_rel == hilbert_series(rels, ring=gen_ring, truncation=12)
-
-
-def test_extraction_spends_the_budget_on_the_relation_basis():
-    # the basis of B^3 and A^3 pops one S-pair, more than a budget of 0
-    with pytest.raises(BudgetExceeded):
-        hand_built_relations("two", [("A", 2), ("B", 2), ("C", 4)],
-                             ["x", "y", "z"], 0)
 
 
 def test_presentation_with_two_generators_in_one_degree():
@@ -401,12 +394,13 @@ def test_triangular_solve_agrees_with_the_reduced_basis(name, ring_name, monkeyp
 
 def test_a_rank_drop_hands_no_unipotent_ideal_to_groebner_basis(monkeypatch):
     # Spin8/F2: the leftover u4^2 (u4 is the free variable of degree 2) is
-    # the relation A^2; only the bases of the leftovers and of the
-    # relations are computed
+    # the relation A^2; the one basis computed is the leftovers'
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum("Spin8"), GF(2))
     assert [str(r) for r in pres.relations] == ["A^2"]
-    assert calls and not hands_over_the_unipotent_ideal(
+    assert [[(g.ring, str(g)) for g in gens] for gens in calls] == \
+        [[(pres.free_ring, "u4^2")]]
+    assert not hands_over_the_unipotent_ideal(
         calls, unipotent_ideal(load_datum("Spin8"), GF(2)))
 
 
@@ -420,6 +414,94 @@ def test_e8_at_a_torsion_prime_passes_the_oracle(monkeypatch):
     assert [str(r) for r in pres.relations] == ["A^3", "B^3"]
     assert compare_report(pres, d, 40)["pass"] is True
     assert calls and not hands_over_the_unipotent_ideal(calls, unipotent_ideal(d, GF(3)))
+
+
+@pytest.mark.parametrize("name,ring_name", [("SL4", "Q"), ("Spin8", "F5"),
+                                            ("G2", "F2"), ("E7sc", "F2"),
+                                            ("F4", "F3")])
+def test_the_leftovers_basis_is_the_only_groebner_basis(name, ring_name,
+                                                        monkeypatch):
+    # at most one call, on the leftovers, and none at a prime without them
+    calls = spy_on_groebner(monkeypatch)
+    pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
+    assert bool(pres.index.entries) == (ring_name in ("F2", "F3"))
+    assert [{g.ring for g in gens} for gens in calls] == \
+        ([{pres.free_ring}] if pres.index.entries else [])
+
+
+# every preset/prime pair with leftovers at F2, F3, F5 and F7, Spin12/F2
+# from a datum file, and E7sc/F2 below and at the degree 16 of its
+# relation C^2, with their relations
+BOREL_CASES = ([(n, 2, 40, ["A^2"]) for n in ("D4", "Spin8", "SO8", "SO8minus",
+                                              "SO8plus", "PSO8", "Spin10", "SO10",
+                                              "PSO10", "G2", "E6sc", "PE6")]
+               + [(n, 2, 40, ["A^2", "B^2", "C^2"]) for n in ("E7sc", "PE7")]
+               + [(n, 3, 40, ["A^3"]) for n in ("E6sc", "PE6", "E7sc", "PE7", "F4")]
+               + [("Spin12", 2, 40, ["A^2", "B^2"]),
+                  ("E7sc", 2, 10, ["A^2", "B^2"]),
+                  ("E7sc", 2, 16, ["A^2", "B^2", "C^2"])])
+
+
+@pytest.mark.parametrize("name,p,truncation,relations", BOREL_CASES)
+def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
+        name, p, truncation, relations):
+    d = load_datum({"cartan": _cartan_D(6), "lattice": "simply_connected"}
+                   if name == "Spin12" else name)
+    pres = present_centralizer(d, GF(p), truncation)
+    assert [str(r) for r in pres.relations] == relations
+    # the reference searches the kernel of the generator ring on the
+    # presentation's own quotient, through its own product table
+    variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
+    product = centralizer._NormalProducts([pres.images[i] for i in variables],
+                                          pres.index, pres.free_ring.one())
+    rels, rel_gb, hs_rel = search_relations(pres.gen_ring, product,
+                                            pres.hilbert_unipotent, DEFAULT_BUDGET)
+    assert rels == rel_gb == pres.relations
+    hs = hilbert_series(pres.relations, ring=pres.gen_ring, truncation=truncation,
+                        is_groebner=True)
+    assert (hs.numer, hs.denom_degs) == (hs_rel.numer, hs_rel.denom_degs)
+    assert hs.coeffs == pres.hilbert_unipotent.coeffs
+
+
+@pytest.mark.parametrize("case,change,shown", [
+    # u7^2 alone would be a relation B^2
+    ("mixed", lambda u, left: left + [(u.gen("u7") ** 2 * u.gen("u9")).terms],
+     ["u7^2*u9"]),
+    # the series of k[free]/(u4^2, u9^2 + u10^2) is that of the relations
+    # A^2 and C^2, so only the shape check tells them apart
+    ("binomial", lambda u, left: left + [(u.gen("u9") ** 2 + u.gen("u10") ** 2).terms],
+     ["u9^2", "u10^2"]),
+    # u4^3 replaces the leftover u4^2, which would make it redundant
+    ("cube", lambda u, left: [(u.gen("u4") ** 3).terms], ["u4^3"]),
+])
+def test_a_leftovers_basis_off_borels_shape_raises(case, change, shown,
+                                                   monkeypatch):
+    # Spin8/F2 has the free variables u4, u7, u9, u10, u12 (degrees 2, 4,
+    # 6, 6, 10) and the leftover u4^2; each case changes the leftovers
+    solve = centralizer.triangular_solve
+
+    def perturbed(uring, gens, budget):
+        images, free, leftovers = solve(uring, gens, budget)
+        return images, free, change(uring, leftovers)
+    monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
+    with pytest.raises(AssertionError, match="^Spin8 over F_2: .*Borel") as info:
+        present_centralizer(load_datum("Spin8"), GF(2))
+    assert all(term in str(info.value) for term in shown), case
+
+
+@pytest.mark.parametrize("change,message", [
+    # u4, whose square is the leftover, is no generator any more
+    (lambda chosen: chosen[1:], r"holds u4\^2, not a p\^k-th power of a generator"),
+    (lambda chosen: chosen[:-1], "does not reproduce"),        # u12 missed
+    (lambda chosen: [0] + chosen, "does not reproduce"),       # u1 added
+])
+def test_a_generator_added_or_missed_raises(change, message, monkeypatch):
+    # Spin8/F2: the generators are u4, u7, u9, u10, u12 and u1 is a pivot
+    select = centralizer.generator_variables
+    monkeypatch.setattr(centralizer, "generator_variables",
+                        lambda *args: change(select(*args)))
+    with pytest.raises(AssertionError, match=message):
+        present_centralizer(load_datum("Spin8"), GF(2))
 
 
 def test_the_solve_lists_generators_up_to_the_truncation_only():
@@ -881,7 +963,7 @@ def test_no_integral_fraction_reaches_the_q_pipeline(name):
 def test_truncated_dist_with_relations_is_commutative_and_associative():
     # G2 over F2 has the relation A^2, so the relation basis is not empty
     pres = present_centralizer(load_datum("G2"), GF(2))
-    assert pres.relation_groebner
+    assert pres.relations
     dist = truncated_dist(pres, 12)
     dp, R = dist["dual_product"], pres.base
     basis = [m for ms in dist["basis_by_degree"].values() for m in ms]

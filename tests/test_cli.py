@@ -3,7 +3,7 @@ import json
 import pytest
 
 import liedual
-from liedual import build_chevalley, load_datum
+from liedual import build_chevalley, centralizer, load_datum
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
                          EXIT_PASS, MAX_TRUNCATE, _flip_one_sign, main)
 from liedual.root_datum import FiniteAbelianGroup, RootDatum
@@ -359,3 +359,57 @@ def test_check_all_reports_budget_per_check(capsys):
                        "--ring", "Q", "--budget", "2", "--inject-sign-error")
     assert code == EXIT_MISMATCH
     assert "FAIL G2/Q: budget exceeded" in out.splitlines()
+
+
+def _perturb_solve(monkeypatch, change):
+    """Make present_centralizer see change(uring, images, leftovers) of the
+    triangular solve's images and leftovers."""
+    solve = centralizer.triangular_solve
+
+    def perturbed(uring, gens, budget):
+        images, free, leftovers = solve(uring, gens, budget)
+        images, leftovers = change(uring, images, leftovers)
+        return images, free, leftovers
+    monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
+
+
+def _shift_u1(uring, images, leftovers):
+    """Add 1 to the image of u1, a pivot: the point check must fail."""
+    images = list(images)
+    images[0] = {**images[0], (0,) * uring.nvars: uring.coeff.coerce(1)}
+    return images, leftovers
+
+
+NOT_CENTRALIZED = "the solved pivots do not centralize e at the check point"
+
+
+def test_a_failed_internal_check_is_a_mismatch_without_a_traceback(
+        capsys, monkeypatch):
+    _perturb_solve(monkeypatch, _shift_u1)
+    code, out, err = run(capsys, "centralizer", "--preset", "SL3", "--ring", "Q")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.splitlines() == [f"mismatch: {NOT_CENTRALIZED}"]
+
+
+def test_check_all_records_a_failed_internal_check_and_goes_on(
+        capsys, monkeypatch):
+    _perturb_solve(monkeypatch, _shift_u1)
+    code, out, err = run(capsys, "check-all", "--presets", "SL3", "G2",
+                         "--ring", "Q")
+    lines = out.splitlines()
+    assert code == EXIT_MISMATCH and err == ""
+    assert [ln for ln in lines if ln.startswith("FAIL ")] == \
+        [f"FAIL SL3/Q: {NOT_CENTRALIZED}", f"FAIL G2/Q: {NOT_CENTRALIZED}"]
+    assert "PASS G2: f = -basic form" in lines
+    assert lines[-1] == "FAILED: 2 failing checks"
+
+
+def test_a_leftovers_basis_off_borels_shape_is_a_mismatch(capsys, monkeypatch):
+    # Spin8/F2: u9 and u10 are free, and u9*u10 is no power of a generator
+    _perturb_solve(monkeypatch, lambda uring, images, leftovers: (
+        images, leftovers + [(uring.gen("u9") * uring.gen("u10")).terms]))
+    code, out, err = run(capsys, "centralizer", "--preset", "Spin8", "--ring", "F2")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.splitlines() == [
+        "mismatch: Spin8 over F_2: the leftovers' basis holds u9*u10, not a "
+        "p^k-th power of a generator (Borel's theorem)"]

@@ -40,6 +40,15 @@ with mock.patch.object(centralizer, "triangular_solve", shifted):
     except AssertionError as exc:
         if "do not centralize e" in str(exc):
             raised.append("torsion")
+def mixed(uring, gens, budget):            # u9*u10 is no power of a generator
+    images, free, leftovers = solve(uring, gens, budget)
+    return images, free, leftovers + [(uring.gen("u9") * uring.gen("u10")).terms]
+with mock.patch.object(centralizer, "triangular_solve", mixed):
+    try:                                   # Borel's shape check on Spin8/F2
+        present_centralizer(load_datum("Spin8"), GF(2))
+    except AssertionError as exc:
+        if "Borel" in str(exc):
+            raised.append("borel")
 with mock.patch.object(ChevalleyBasis, "_compute_N", return_value=7):
     try:                                   # the SL3 root chains give |N| = 1
         build_chevalley(load_datum("SL3"))
@@ -87,7 +96,7 @@ def test_checks_raise_under_python_O():
     result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "counit:SL2", "counit:G2", "torsion",
-                                     "chain", "divided", "coroot"]
+                                     "borel", "chain", "divided", "coroot"]
 
 
 def test_negative_control_fails_under_python_O():
