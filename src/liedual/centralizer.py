@@ -28,7 +28,7 @@ from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
 from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
                       PolyRing, Polynomial, groebner_basis, hilbert_series,
                       normal_form)
-from .intlinalg import LinSpan, identity, tagged
+from .intlinalg import LinSpan, tagged
 from .rings import GF, QQ
 from .triangular import generator_variables, triangular_solve, values_at
 
@@ -38,7 +38,7 @@ class BadPrimeError(ValueError):
 
 
 class PeelingError(RuntimeError):
-    """Unipotent coordinates could not be re-extracted from a matrix."""
+    """Unipotent coordinates could not be read back, or are not integral."""
 
 
 def _require_good_prime(d, ring):
@@ -493,43 +493,39 @@ def _borel_relations(name, index, free, chosen, gen_ring, truncation):
 
 
 def peel_unipotent(coords, factors, ring):
-    """Canonical coordinates u_alpha of a product of exp factors
-    [(root, u), ...] over the ring, read off the columns of the matrix M of
-    its adjoint action.
-
-    Processes positive roots in order; at each step reads u_alpha either
-    from the h-component of M x_{-alpha} (equal to u_alpha h_alpha) or from
-    the x_alpha-component of M h_k (equal to -u_alpha <alpha, h_k>), then
-    strips the exp factor.  One of the two reads always has a unit integer
-    to divide by.
-    """
+    """Canonical coordinates u_alpha of a product U of exp factors
+    [(root, u), ...] over QQ or a polynomial ring over QQ, read off the one
+    column v = Ad(U) 2rho^vee (U acts simply transitively on 2rho^vee + n:
+    Kostant, Amer. J. Math. 81, 1959).  In (height, lex) order, with the
+    earlier factors stripped, the x_alpha component of v is -<alpha,
+    2rho^vee> u_alpha = -2 height(alpha) u_alpha.  v must end at 2rho^vee."""
     basis = coords.basis
-    n = coords.n
-    cols = [adjoint_action(basis, factors, c, ring) for c in identity(basis.dim, ring)]
+    # 2rho^vee, the sum of the positive coroots, on the h_k (which come first)
+    rho2 = [ring.coerce(sum(h)) for h in zip(*(basis.coroot_h(rt.coeffs)
+                                                for rt in coords.pos))]
+    rho2 += [ring.coerce(0)] * (basis.dim - len(rho2))
+    v = adjoint_action(basis, factors, rho2, ring)
     out = []
-    for rt in coords.pos:
-        u = None
-        # route A: h-component of M applied to x_{-alpha}
-        col = basis.key_index(("x", tuple(-c for c in rt.coeffs)))
-        for k, h in enumerate(basis.coroot_h(rt.coeffs)):
-            h = ring.coerce(h)
-            if ring.is_unit(h):
-                u = ring.div(cols[col][k], h)
-                break
-        if u is None:
-            # route B: x_alpha-component of M applied to h_k
-            row = basis.key_index(("x", rt.coeffs))
-            for k in range(n):
-                pk = ring.coerce(-basis.pairing(rt.coeffs, k))
-                if ring.is_unit(pk):
-                    u = ring.div(cols[k][row], pk)
-                    break
-        if u is None:
-            raise PeelingError(f"no unit read for root {rt.coeffs}")
+    for rt, w in zip(coords.pos, coords.u_weights):
+        u = ring.div(ring.neg(v[basis.key_index(("x", rt.coeffs))]), ring.coerce(w))
         out.append(u)
-        cols = [adjoint_action(basis, [(rt, ring.neg(u))], c, ring) for c in cols]
-    if cols != identity(basis.dim, ring):
-        raise PeelingError("matrix is not a canonical unipotent product")
+        v = adjoint_action(basis, [(rt, ring.neg(u))], v, ring)
+    if v != rho2:
+        raise PeelingError("not Ad(U) 2rho^vee of a canonical unipotent product")
+    return out
+
+
+def reduce_integral(values, ring):
+    """Peeled Q values, rationals or polynomials, in the ring (a field, or a
+    polynomial ring over one on the same variables); PeelingError unless
+    every value or coefficient is an int (the group law is defined over Z)."""
+    out = []
+    for x in values:
+        terms = x.terms if isinstance(x, Polynomial) else {(): x}
+        if any(type(c) is not int for c in terms.values()):
+            raise PeelingError(f"the peeled coordinate {x} is not integral")
+        out.append(Polynomial(ring, {m: ring.coeff.coerce(c) for m, c in terms.items()})
+                   if isinstance(x, Polynomial) else ring.coerce(x))
     return out
 
 
@@ -558,10 +554,7 @@ class GroupPoints:
             i = self.basis.key_index(("x", rt.coeffs))
             if (self._root_value(rt, z) * v[i] - self.e_vec[i]) % self.p:
                 return False
-        for k in range(self.coords.n):
-            if v[k] % self.p:
-                return False
-        return True
+        return not any(v[:self.coords.n])     # the h components, reduced mod p
 
     def enumerate(self):
         n, npos = self.coords.n, len(self.coords.pos)
@@ -580,14 +573,16 @@ class GroupPoints:
         conj = [self.ring.div(val, self._root_value(rt, z2))
                 for rt, val in zip(self.coords.pos, u1)]
         factors = list(zip(self.coords.pos * 2, conj + list(u2)))    # U(conj) U(u2)
-        return (z3, tuple(peel_unipotent(self.coords, factors, self.ring)))
+        # F_p values are ints: peeled over Q and reduced mod p
+        return (z3, tuple(reduce_integral(peel_unipotent(self.coords, factors, QQ),
+                                          self.ring)))
 
     def inverse(self, a):
         z, u = a
         zinv = tuple(pow(x, -1, self.p) for x in z)
         # (t U)^{-1} = t^{-1} (t U^{-1} t^{-1}); conjugation rescales coords
-        inv = [(rt, self.ring.neg(val)) for rt, val in zip(self.coords.pos, u)]
-        uinv = peel_unipotent(self.coords, inv[::-1], self.ring)
+        inv = [(rt, -val) for rt, val in zip(self.coords.pos, u)]
+        uinv = reduce_integral(peel_unipotent(self.coords, inv[::-1], QQ), self.ring)
         conj = [self.ring.div(val, self._root_value(rt, zinv))
                 for rt, val in zip(self.coords.pos, uinv)]
         return (zinv, tuple(conj))
@@ -635,10 +630,12 @@ def _law_ring(coords, prefixes):
 
 
 def group_law_coordinates(coords):
-    """Universal product coordinates c_alpha(a, b) of U(a) * U(b)."""
+    """Universal product coordinates c_alpha(a, b) of U(a) * U(b), peeled in
+    the law ring over Q and reduced into the coefficient ring."""
     ring = _law_ring(coords, ("ga", "gb"))
-    factors = _factors(coords, ring, "ga") + _factors(coords, ring, "gb")
-    return ring, peel_unipotent(coords, factors, ring)
+    qring = PolyRing(QQ, ring.names, ring.weights)
+    factors = _factors(coords, qring, "ga") + _factors(coords, qring, "gb")
+    return ring, reduce_integral(peel_unipotent(coords, factors, qring), ring)
 
 
 def verify_coassociativity(coords):

@@ -1,13 +1,14 @@
 """References that only the tests use: matrix products, ad(v) as a full
-matrix, the simple-sum nilpotent e1, and the kernel search for the
-relations of a presentation.  The library works on sparse columns and reads
-the relations off the leftovers' basis; these spell the same objects out
-the long way, for the tests to compare with it and to hand to sympy."""
+matrix, the simple-sum nilpotent e1, the kernel search for the relations
+of a presentation and the all-columns peel of unipotent coordinates.  The
+library works on sparse columns, reads the relations off the leftovers'
+basis and peels one column over Q; these spell the same objects out the
+long way, for the tests to compare with it and to hand to sympy."""
 
-from liedual.centralizer import monomials_of_degree
+from liedual.centralizer import PeelingError, adjoint_action, monomials_of_degree
 from liedual.chevalley import LieElement
 from liedual.commalg import Polynomial, groebner_basis, hilbert_series, normal_form
-from liedual.intlinalg import LinSpan, tagged
+from liedual.intlinalg import LinSpan, identity, tagged
 from liedual.rings import QQ, ZZ
 
 
@@ -108,3 +109,44 @@ def search_relations(gen_ring, product, hs_u, budget):
         hs_rel = hilbert_series(rel_gb, ring=gen_ring, truncation=truncation,
                                 is_groebner=True)
     return rels, rel_gb, hs_rel
+
+
+def peel_all_columns(coords, factors, ring):
+    """Canonical coordinates u_alpha of a product of exp factors
+    [(root, u), ...] over the ring, read off the columns of the matrix M of
+    its adjoint action.
+
+    Processes positive roots in order; at each step reads u_alpha either
+    from the h-component of M x_{-alpha} (equal to u_alpha h_alpha) or from
+    the x_alpha-component of M h_k (equal to -u_alpha <alpha, h_k>), then
+    strips the exp factor.  One of the two reads always has a unit integer
+    to divide by.
+    """
+    basis = coords.basis
+    n = coords.n
+    cols = [adjoint_action(basis, factors, c, ring) for c in identity(basis.dim, ring)]
+    out = []
+    for rt in coords.pos:
+        u = None
+        # route A: h-component of M applied to x_{-alpha}
+        col = basis.key_index(("x", tuple(-c for c in rt.coeffs)))
+        for k, h in enumerate(basis.coroot_h(rt.coeffs)):
+            h = ring.coerce(h)
+            if ring.is_unit(h):
+                u = ring.div(cols[col][k], h)
+                break
+        if u is None:
+            # route B: x_alpha-component of M applied to h_k
+            row = basis.key_index(("x", rt.coeffs))
+            for k in range(n):
+                pk = ring.coerce(-basis.pairing(rt.coeffs, k))
+                if ring.is_unit(pk):
+                    u = ring.div(cols[k][row], pk)
+                    break
+        if u is None:
+            raise PeelingError(f"no unit read for root {rt.coeffs}")
+        out.append(u)
+        cols = [adjoint_action(basis, [(rt, ring.neg(u))], c, ring) for c in cols]
+    if cols != identity(basis.dim, ring):
+        raise PeelingError("matrix is not a canonical unipotent product")
+    return out

@@ -18,11 +18,13 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      truncated_dist,
                      verify_coassociativity)
 from liedual import centralizer
-from liedual.centralizer import (GENERATOR_NAMES, _factors, _generic_action,
-                                 _lie_vector, _rename_into, _tensor_square,
-                                 adjoint_action,
+from liedual.centralizer import (GENERATOR_NAMES, PeelingError, _factors,
+                                 _generic_action, _law_ring, _lie_vector,
+                                 _rename_into, _require_good_prime,
+                                 _tensor_square, adjoint_action,
                                  group_law_coordinates, monomials_of_degree,
-                                 peel_unipotent, standard_monomials)
+                                 peel_unipotent, reduce_integral,
+                                 standard_monomials)
 from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, DivisorIndex,
                              PolyRing, Polynomial, groebner_basis, hilbert_series,
                              ideal_dimension, normal_form)
@@ -30,7 +32,8 @@ from liedual.intlinalg import LinSpan, identity, rank, transpose
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
 from liedual.root_datum import _cartan_D, _cartan_E
 
-from reference import ad_matrix, mat_mul, mat_vec, search_relations
+from reference import (ad_matrix, mat_mul, mat_vec, peel_all_columns,
+                       search_relations)
 
 N_G_TABLE = {
     "SL2": 1, "SL3": 1, "SL4": 1, "SL5": 1, "SL6": 1,
@@ -780,16 +783,56 @@ def test_peeling_recovers_the_unipotent_coordinates(name, p, data):
     cols = [adjoint_action(coords.basis, factors, c, ring)
             for c in identity(coords.basis.dim, ring)]
     assert cols == transpose(unipotent_matrix(coords, ring, u))
-    assert peel_unipotent(coords, factors, ring) == u
+    # the peel reads the F_p values lifted to ints over Q, then reduces mod p
+    assert reduce_integral(peel_unipotent(coords, factors, QQ), ring) == u
+
+
+@pytest.mark.parametrize("name", ["SL3", "G2", "Sp6", "Spin7", "Spin8"])
+def test_group_law_equals_the_all_columns_peel(name):
+    # one column over Q, divided by heights and reduced, against every column
+    # peeled in the law ring over the coefficients, torsion primes included
+    d = load_datum(name)
+    basis = build_chevalley(d.dual_datum())
+    for ring in (QQ, GF(2), GF(3), GF(5)):
+        try:
+            _require_good_prime(d, ring)
+        except BadPrimeError:
+            continue
+        coords = BorelCoordinates(basis, ring)
+        law_ring = _law_ring(coords, ("ga", "gb"))
+        factors = _factors(coords, law_ring, "ga") + _factors(coords, law_ring, "gb")
+        assert group_law_coordinates(coords) == \
+            (law_ring, peel_all_columns(coords, factors, law_ring)), (name, ring)
+
+
+def test_a_non_integral_coordinate_does_not_reduce():
+    coords = BorelCoordinates(build_chevalley(load_datum("SL3").dual_datum()), QQ)
+    values = peel_unipotent(coords, [(coords.pos[0], Fraction(1, 2))], QQ)
+    assert values == [Fraction(1, 2), 0, 0]
+    with pytest.raises(PeelingError, match="not integral"):
+        reduce_integral(values, GF(5))
+    ring = _law_ring(coords, ("ga", "gb"))
+    qring = PolyRing(QQ, ring.names, ring.weights)
+    with pytest.raises(PeelingError, match="not integral"):
+        reduce_integral([qring.gen("ga1").scale(Fraction(1, 2))], ring)
+
+
+def test_a_misread_coordinate_fails_the_closing_check():
+    # dividing by height(alpha), the pairing with rho^vee rather than
+    # 2rho^vee, doubles each read, and the column misses 2rho^vee
+    coords = BorelCoordinates(build_chevalley(load_datum("G2").dual_datum()), QQ)
+    coords.u_weights = [rt.height for rt in coords.pos]
+    with pytest.raises(PeelingError, match="canonical unipotent"):
+        peel_unipotent(coords, list(zip(coords.pos, range(1, 7))), QQ)
 
 
 def test_group_points_brute_force():
-    for name in ["SL2", "PGL2", "SL3"]:
-        d = load_datum(name)
-        for p in (2, 3, 5):
-            r = brute_force_group_check(d, p)
-            assert r["pass"], (name, p, r)
-            assert r["closed"] and r["inverses"] and r["commutative"]
+    # GL2 has a central torus; SO5 is good only at odd primes
+    cases = [(name, p) for name in ["SL2", "PGL2", "SL3", "GL2"] for p in (2, 3, 5)]
+    for name, p in cases + [("SO5", 3)]:
+        r = brute_force_group_check(load_datum(name), p)
+        assert r["pass"], (name, p, r)
+        assert r["closed"] and r["inverses"] and r["commutative"]
 
 
 def test_group_point_counts():
@@ -800,11 +843,13 @@ def test_group_point_counts():
 
 
 def test_coassociativity():
-    for name in ["SL2", "SL3", "Sp4"]:
+    # G2 and Spin8 at their torsion prime 2, where the law is reduced mod 2
+    for name, ring in [("SL2", QQ), ("SL3", QQ), ("Sp4", QQ),
+                       ("G2", GF(2)), ("Spin8", GF(2))]:
         d = load_datum(name)
         basis = build_chevalley(d.dual_datum())
-        coords = BorelCoordinates(basis, QQ)
-        assert verify_coassociativity(coords)
+        coords = BorelCoordinates(basis, ring)
+        assert verify_coassociativity(coords), (name, ring)
 
 
 def test_coassociativity_detects_a_perturbed_law(monkeypatch):
@@ -910,6 +955,10 @@ HOPF_TABLE_DIGESTS = {
     # pinned at 85d4c48, from the Groebner basis of the unipotent ideal
     ("G2", "Q", 12): "cb0560669a3f834b",
     ("Spin8", "F2", 8): "ea57d8ea56d0e027",  # rank 4, the leftover u4^2
+    # pinned at e9e7266, where the law was peeled from every column (3.2 s)
+    ("Spin10", "Q", 10): "96dd958a85e8517d",
+    # first reached by the one-column law over Q: 0.5 s on a 2-vCPU VM
+    ("F4", "F3", 8): "4e585e07003f4dbc",
 }
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import liedual
 
 SCRIPT = """
+from fractions import Fraction
 from unittest import mock
 
 from liedual import GF, QQ, build_chevalley, load_datum, present_centralizer
@@ -75,6 +76,13 @@ try:
 except AssertionError as exc:
     if "at x_-a" in str(exc):
         raised.append("coroot")
+coords = centralizer.BorelCoordinates(build_chevalley(load_datum("SL3").dual_datum()), QQ)
+half = centralizer.peel_unipotent(coords, [(coords.pos[0], Fraction(1, 2))], QQ)
+try:                                       # u1 = 1/2 is no integer to reduce mod 5
+    centralizer.reduce_integral(half, GF(5))
+except centralizer.PeelingError as exc:
+    if "not integral" in str(exc):
+        raised.append("integral")
 print(__debug__, *raised)
 """
 
@@ -96,7 +104,8 @@ def test_checks_raise_under_python_O():
     result = run_optimized("-c", SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "counit:SL2", "counit:G2", "torsion",
-                                     "borel", "chain", "divided", "coroot"]
+                                     "borel", "chain", "divided", "coroot",
+                                     "integral"]
 
 
 def test_negative_control_fails_under_python_O():
