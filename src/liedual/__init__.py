@@ -15,8 +15,7 @@ from .centralizer import (BadPrimeError, BorelCoordinates,
                           brute_force_group_check, build_eT,
                           centralizer_ideal, compute_nG,
                           coproduct_on_generators, f_form,
-                          present_centralizer, specialize_eT, truncated_dist,
-                          verify_coassociativity)
+                          present_centralizer, specialize_eT, truncated_dist)
 from .loop_oracle import (basic_form, compare_report, omega_poincare,
                           pi0_order)
 

@@ -141,12 +141,6 @@ class BorelCoordinates:
         return tuple(exps)
 
 
-def _factors(coords, ring, prefix="u"):
-    """The factors (alpha, prefix + index) of U = prod exp(u_alpha x_alpha)."""
-    return [(rt, ring.gen(f"{prefix}{i + 1}"))
-            for i, rt in enumerate(coords.pos)]
-
-
 # ----------------------------------------------------------------------
 # centralizer ideals
 
@@ -373,8 +367,8 @@ class CentralizerPresentation:
                                     # reduced modulo the leftovers' basis
     index: DivisorIndex             # of that basis; empty without leftovers
     coords: object
-    # _tensor_square(self), built on first use: the group law behind both
-    # Hopf tables is computed once per presentation
+    # _tensor_square(self), built on first use: U(a) U(b) is peeled once
+    # per presentation, at the images in two copies of k[free]/(leftovers)
     _tensor: object = field(default=None, init=False, repr=False, compare=False)
 
     def to_document(self):
@@ -620,48 +614,17 @@ def brute_force_group_check(d, p):
 
 
 # ----------------------------------------------------------------------
-# coproduct and truncated distributions (small ranks over a field)
-
-
-def _law_ring(coords, prefixes):
-    """A ring with one copy of the u variables per prefix (prefix + index)."""
-    names = [f"{g}{i + 1}" for g in prefixes for i in range(len(coords.pos))]
-    return PolyRing(coords.coeff, names, coords.u_weights * len(prefixes))
-
-
-def group_law_coordinates(coords):
-    """Universal product coordinates c_alpha(a, b) of U(a) * U(b), peeled in
-    the law ring over Q and reduced into the coefficient ring."""
-    ring = _law_ring(coords, ("ga", "gb"))
-    qring = PolyRing(QQ, ring.names, ring.weights)
-    factors = _factors(coords, qring, "ga") + _factors(coords, qring, "gb")
-    return ring, reduce_integral(peel_unipotent(coords, factors, qring), ring)
-
-
-def verify_coassociativity(coords):
-    """Associativity of the universal unipotent group law c(a, b).
-
-    Composes the law polynomials and checks c(c(a,b), g) = c(a, c(b,g)) as
-    polynomial identities in three sets of coordinates; this is the
-    coordinate form of coassociativity of the coproduct built from the law.
-    """
-    law_ring, law = group_law_coordinates(coords)
-    ring = _law_ring(coords, ("ga", "gb", "gc"))
-    n, gens = len(coords.pos), ring.gens()
-    a, b, g = gens[:n], gens[n:2 * n], gens[2 * n:]
-
-    def c(x, y):
-        values = dict(zip(law_ring.names, x + y))
-        return [p.map_into(ring, values) for p in law]
-    return c(c(a, b), g) == c(a, c(b, g))
+# coproduct and truncated distributions (over a field)
 
 
 def _tensor_square(pres):
     """Product tables in the ring of two commuting copies, a (left) and b
     (right), of k[free]/(leftovers): of the generators' images in copy a,
-    in copy b, and under the group law, where law[i] sends ga_j and gb_j to
-    the image of u_j in copy a and in copy b.  Checks the counit.  Built
-    once per presentation and kept on it."""
+    in copy b, and under the group law on B_e x B_e, the coordinates of
+    U(a) U(b) peeled at the images of the u variables in the two copies.
+    Over F_p the images are lifted to ints, peeled over Q and reduced mod p
+    (the law is integral).  Checks the counit.  Built once per presentation
+    and kept on it."""
     if pres._tensor is not None:
         return pres._tensor
     free_ring = pres.free_ring
@@ -674,13 +637,18 @@ def _tensor_square(pres):
                           for copy in (0, 1) for g in leftovers])
     copies = [[_rename_into(image, ring, copy) for image in pres.images]
               for copy in (0, 1)]
-    # the law ring's variables are ga1 .. gaN, gb1 .. gbN, in this order
-    law_ring, law = group_law_coordinates(pres.coords)
-    value = dict(zip(law_ring.names, copies[0] + copies[1]))
+    factors = list(zip(pres.coords.pos * 2, copies[0] + copies[1]))
+    if pres.base == QQ:
+        law = peel_unipotent(pres.coords, factors, ring)
+    else:
+        qring = PolyRing(QQ, ring.names, ring.weights)
+        law = reduce_integral(peel_unipotent(
+            pres.coords, [(rt, Polynomial(qring, u.terms)) for rt, u in factors],
+            qring), ring)
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
     images = []
     for (gname, _), i in zip(pres.generators, variables):
-        image = normal_form(law[i].map_into(ring, value), index)
+        image = normal_form(law[i], index)
         # counit: the right side at 0 (the terms free of copy b) must return
         # the generator's image in copy a
         at_zero = {m: c for m, c in image.terms.items()

@@ -232,17 +232,6 @@ class Polynomial:
         out._lead = lm
         return out
 
-    def map_into(self, target_ring, assignment):
-        """Ring map: each source variable goes to a target polynomial."""
-        out = target_ring.zero()
-        for m, c in self.terms.items():
-            term = target_ring.const(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * assignment[self.ring.names[i]] ** e
-            out = out + term
-        return out
-
     # -- canonical strings -----------------------------------------------
 
     def __str__(self):

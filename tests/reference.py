@@ -1,13 +1,18 @@
 """References that only the tests use: matrix products, ad(v) as a full
 matrix, the simple-sum nilpotent e1, the kernel search for the relations
-of a presentation and the all-columns peel of unipotent coordinates.  The
-library works on sparse columns, reads the relations off the leftovers'
-basis and peels one column over Q; these spell the same objects out the
-long way, for the tests to compare with it and to hand to sympy."""
+of a presentation, the all-columns peel of unipotent coordinates and the
+universal group law of U with its coassociativity check.  The library
+works on sparse columns, reads the relations off the leftovers' basis,
+peels one column over Q and peels the group law only at the images of the
+u variables in two copies of the centralizer's ring; these spell the same
+objects out the long way, for the tests to compare with it and to hand to
+sympy."""
 
-from liedual.centralizer import PeelingError, adjoint_action, monomials_of_degree
+from liedual.centralizer import (PeelingError, adjoint_action, monomials_of_degree,
+                                 peel_unipotent, reduce_integral)
 from liedual.chevalley import LieElement
-from liedual.commalg import Polynomial, groebner_basis, hilbert_series, normal_form
+from liedual.commalg import (PolyRing, Polynomial, groebner_basis, hilbert_series,
+                             normal_form)
 from liedual.intlinalg import LinSpan, identity, tagged
 from liedual.rings import QQ, ZZ
 
@@ -150,3 +155,54 @@ def peel_all_columns(coords, factors, ring):
     if cols != identity(basis.dim, ring):
         raise PeelingError("matrix is not a canonical unipotent product")
     return out
+
+
+def factors_of(coords, ring, prefix="u"):
+    """The factors (alpha, prefix + index) of U = prod exp(u_alpha x_alpha)."""
+    return [(rt, ring.gen(f"{prefix}{i + 1}"))
+            for i, rt in enumerate(coords.pos)]
+
+
+def law_ring(coords, prefixes):
+    """A ring with one copy of the u variables per prefix (prefix + index)."""
+    names = [f"{g}{i + 1}" for g in prefixes for i in range(len(coords.pos))]
+    return PolyRing(coords.coeff, names, coords.u_weights * len(prefixes))
+
+
+def group_law_coordinates(coords):
+    """Universal product coordinates c_alpha(a, b) of U(a) * U(b), peeled in
+    the law ring over Q and reduced into the coefficient ring."""
+    ring = law_ring(coords, ("ga", "gb"))
+    qring = PolyRing(QQ, ring.names, ring.weights)
+    factors = factors_of(coords, qring, "ga") + factors_of(coords, qring, "gb")
+    return ring, reduce_integral(peel_unipotent(coords, factors, qring), ring)
+
+
+def map_into(poly, target_ring, assignment):
+    """Ring map: each variable of poly's ring goes to a target polynomial."""
+    out = target_ring.zero()
+    for m, c in poly.terms.items():
+        term = target_ring.const(c)
+        for i, e in enumerate(m):
+            if e:
+                term = term * assignment[poly.ring.names[i]] ** e
+        out = out + term
+    return out
+
+
+def verify_coassociativity(coords):
+    """Associativity of the universal unipotent group law c(a, b).
+
+    Composes the law polynomials and checks c(c(a,b), g) = c(a, c(b,g)) as
+    polynomial identities in three sets of coordinates; this is the
+    coordinate form of coassociativity of the coproduct built from the law.
+    """
+    ring2, law = group_law_coordinates(coords)
+    ring = law_ring(coords, ("ga", "gb", "gc"))
+    n, gens = len(coords.pos), ring.gens()
+    a, b, g = gens[:n], gens[n:2 * n], gens[2 * n:]
+
+    def c(x, y):
+        values = dict(zip(ring2.names, x + y))
+        return [map_into(p, ring, values) for p in law]
+    return c(c(a, b), g) == c(a, c(b, g))

@@ -15,16 +15,14 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      coproduct_on_generators, f_form, load_datum,
                      present_centralizer, preset_names,
                      principal_e, ring_from_name, specialize_eT,
-                     truncated_dist,
-                     verify_coassociativity)
+                     truncated_dist)
 from liedual import centralizer
-from liedual.centralizer import (GENERATOR_NAMES, PeelingError, _factors,
-                                 _generic_action, _law_ring, _lie_vector,
+from liedual.centralizer import (GENERATOR_NAMES, PeelingError,
+                                 _generic_action, _lie_vector,
                                  _rename_into, _require_good_prime,
                                  _tensor_square, adjoint_action,
-                                 group_law_coordinates, monomials_of_degree,
-                                 peel_unipotent, reduce_integral,
-                                 standard_monomials)
+                                 monomials_of_degree, peel_unipotent,
+                                 reduce_integral, standard_monomials)
 from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, DivisorIndex,
                              PolyRing, Polynomial, groebner_basis, hilbert_series,
                              ideal_dimension, normal_form)
@@ -32,8 +30,10 @@ from liedual.intlinalg import LinSpan, identity, rank, transpose
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
 from liedual.root_datum import _cartan_D, _cartan_E
 
-from reference import (ad_matrix, mat_mul, mat_vec, peel_all_columns,
-                       search_relations)
+import reference
+from reference import (ad_matrix, factors_of, group_law_coordinates, law_ring,
+                       map_into, mat_mul, mat_vec, peel_all_columns,
+                       search_relations, verify_coassociativity)
 
 N_G_TABLE = {
     "SL2": 1, "SL3": 1, "SL4": 1, "SL5": 1, "SL6": 1,
@@ -700,7 +700,7 @@ def test_adjoint_action_matches_matrix_products(name, ring):
         for rt, nm in reversed(list(zip(coords.pos, coords.u_names))):
             factor = exp_adjoint_matrix(basis, rt.coeffs, R.gen(nm), R)
             expect = mat_vec(factor, expect, R)
-        assert adjoint_action(basis, _factors(coords, R), target, R) == expect
+        assert adjoint_action(basis, factors_of(coords, R), target, R) == expect
         # the term kernel of the generic point, too
         assert [Polynomial(R, w) for w in _generic_action(coords, R, target)] == expect
 
@@ -715,7 +715,7 @@ def test_generic_action_matches_adjoint_action(name):
     e = principal_e(basis, d, GF(7))
     for R in (coords.uring, coords.bring):
         target = _lie_vector(e, R)
-        expect = adjoint_action(basis, _factors(coords, R), target, R)
+        expect = adjoint_action(basis, factors_of(coords, R), target, R)
         assert [Polynomial(R, w) for w in _generic_action(coords, R, target)] == expect
 
 
@@ -799,10 +799,10 @@ def test_group_law_equals_the_all_columns_peel(name):
         except BadPrimeError:
             continue
         coords = BorelCoordinates(basis, ring)
-        law_ring = _law_ring(coords, ("ga", "gb"))
-        factors = _factors(coords, law_ring, "ga") + _factors(coords, law_ring, "gb")
+        ring2 = law_ring(coords, ("ga", "gb"))
+        factors = factors_of(coords, ring2, "ga") + factors_of(coords, ring2, "gb")
         assert group_law_coordinates(coords) == \
-            (law_ring, peel_all_columns(coords, factors, law_ring)), (name, ring)
+            (ring2, peel_all_columns(coords, factors, ring2)), (name, ring)
 
 
 def test_a_non_integral_coordinate_does_not_reduce():
@@ -811,7 +811,7 @@ def test_a_non_integral_coordinate_does_not_reduce():
     assert values == [Fraction(1, 2), 0, 0]
     with pytest.raises(PeelingError, match="not integral"):
         reduce_integral(values, GF(5))
-    ring = _law_ring(coords, ("ga", "gb"))
+    ring = law_ring(coords, ("ga", "gb"))
     qring = PolyRing(QQ, ring.names, ring.weights)
     with pytest.raises(PeelingError, match="not integral"):
         reduce_integral([qring.gen("ga1").scale(Fraction(1, 2))], ring)
@@ -853,24 +853,26 @@ def test_coassociativity():
 
 
 def test_coassociativity_detects_a_perturbed_law(monkeypatch):
-    law_of = centralizer.group_law_coordinates
+    law_of = reference.group_law_coordinates
 
     def perturbed(coords):
         ring, law = law_of(coords)
         return ring, law[:-1] + [law[-1] + ring.gen("ga1") * ring.gen("gb1") ** 2]
-    monkeypatch.setattr(centralizer, "group_law_coordinates", perturbed)
+    monkeypatch.setattr(reference, "group_law_coordinates", perturbed)
     coords = BorelCoordinates(build_chevalley(load_datum("SL3").dual_datum()), QQ)
     assert not verify_coassociativity(coords)
 
 
 def test_truncated_dist_detects_a_perturbed_law(monkeypatch):
-    law_of = centralizer.group_law_coordinates
+    # the tables peel U(a) U(b) at the images in copies a and b; adding the
+    # square of the first copy-a variable (nonzero in the quotient) to every
+    # peeled value breaks the counit
+    peel = centralizer.peel_unipotent
 
-    def perturbed(coords):
-        ring, law = law_of(coords)
-        return ring, [p + ring.gen("ga1") ** 2 for p in law]
+    def perturbed(coords, factors, ring):
+        return [u + ring.gen(ring.names[0]) ** 2 for u in peel(coords, factors, ring)]
     pres = present_centralizer(load_datum("SL3"), QQ)
-    monkeypatch.setattr(centralizer, "group_law_coordinates", perturbed)
+    monkeypatch.setattr(centralizer, "peel_unipotent", perturbed)
     with pytest.raises(AssertionError, match="counit fails"):
         truncated_dist(pres, 4)
 
@@ -884,7 +886,7 @@ def test_group_law_counit():
     right_at_zero = {n: ring.gen(n) if n.startswith("ga") else ring.zero()
                      for n in ring.names}
     for i, poly in enumerate(law):
-        restricted = poly.map_into(ring, right_at_zero)
+        restricted = map_into(poly, ring, right_at_zero)
         assert str(restricted) == f"ga{i + 1}"
 
 
@@ -959,6 +961,14 @@ HOPF_TABLE_DIGESTS = {
     ("Spin10", "Q", 10): "96dd958a85e8517d",
     # first reached by the one-column law over Q: 0.5 s on a 2-vCPU VM
     ("F4", "F3", 8): "4e585e07003f4dbc",
+    # pinned at 84a2395, where the universal law was peeled in 2N variables
+    # and substituted (about 2 s each); every generator, to the top degree
+    ("E6sc", "Q", 22): "4a00311e07de26bf",
+    ("E6sc", "F2", 22): "f0c593b1766d4b45",
+    # first reached by peeling U(a) U(b) at the images, where the universal
+    # law needs 126 variables; under 3 s each on a 2-vCPU VM
+    ("E7sc", "F2", 34): "a7873cdebfa68596",
+    ("E7sc", "F3", 34): "62a4f0e7d78dd43f",
 }
 
 
@@ -981,6 +991,45 @@ def test_hopf_tables_are_pinned(name, ring_name, N):
                         for g, c in coproduct_on_generators(pres).items())])
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == HOPF_TABLE_DIGESTS[name, ring_name, N]
+
+
+CROSS_ROUTE_CASES = (
+    [(name, "Q") for name in ["SL3", "G2", "Sp6", "Spin7", "Spin8", "SL5", "F4", "E6sc"]]
+    + [("G2", "F2"), ("G2", "F5"), ("Sp6", "F3"), ("SL4", "F3"), ("Spin7", "F3"),
+       ("Spin8", "F2"), ("Spin8", "F3"), ("F4", "F3"), ("E6sc", "F2")])
+
+
+@pytest.mark.parametrize("name,ring_name", CROSS_ROUTE_CASES)
+def test_the_tables_law_is_the_universal_law_at_the_images(name, ring_name):
+    # the tables peel U(a) U(b) at the images of the u variables in copies a
+    # and b; the reference peels the universal law in 2N variables, then
+    # substitutes those images and reduces modulo the leftovers
+    pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
+    left, _, law = _tensor_square(pres)
+    ring = left(()).ring
+    universal_ring, universal = group_law_coordinates(pres.coords)
+    values = dict(zip(universal_ring.names,
+                      [_rename_into(image, ring, copy)
+                       for copy in (0, 1) for image in pres.images]))
+    variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
+    assert law.factors == [normal_form(map_into(universal[i], ring, values), left.index)
+                           for i in variables]
+
+
+def test_the_e7_tables_stay_in_two_copies_of_the_free_ring(monkeypatch):
+    # the universal law would need a ring of 2 * 63 variables; the tables
+    # build none larger than two copies of the free variables
+    pres = present_centralizer(load_datum("E7sc"), GF(2))
+    sizes = []
+    init = PolyRing.__init__
+
+    def spy(self, coeff_ring, names, weights=None):
+        init(self, coeff_ring, names, weights)
+        sizes.append(self.nvars)
+    monkeypatch.setattr(PolyRing, "__init__", spy)
+    truncated_dist(pres, 8)
+    coproduct_on_generators(pres)
+    assert sizes and max(sizes) == 2 * pres.free_ring.nvars == 20
 
 
 @pytest.mark.parametrize("name", ["SL4", "Spin7", "G2"])

@@ -18,12 +18,12 @@ from liedual import centralizer
 from liedual.chevalley import ChevalleyBasis
 
 raised = []
-law_of = centralizer.group_law_coordinates
-def perturbed(coords):                     # the law no longer has a counit:
-    ring, law = law_of(coords)             # add ga1 times the last ga variable,
-    last = ring.gen(ring.names[len(coords.pos) - 1])  # nonzero in the quotient
-    return ring, [p + ring.gen("ga1") * last for p in law]
-with mock.patch.object(centralizer, "group_law_coordinates", perturbed):
+peel = centralizer.peel_unipotent
+def perturbed(coords, factors, ring):      # the law no longer has a counit:
+    a = ring.gens()[:ring.nvars // 2]      # add the first times the last variable
+    return [u + a[0] * a[-1]               # of copy a, nonzero in the quotient
+            for u in peel(coords, factors, ring)]
+with mock.patch.object(centralizer, "peel_unipotent", perturbed):
     for name, ring in [("SL2", QQ), ("G2", GF(2))]:   # G2/F2: leftover u2^2
         try:
             centralizer.truncated_dist(present_centralizer(load_datum(name), ring), 4)
