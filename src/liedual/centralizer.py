@@ -17,7 +17,6 @@ Math. 81, 1965, Thm 7.11).  The relations are read off the leftovers'
 reduced basis, which must consist of such powers (``_borel_relations``).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
@@ -155,11 +154,11 @@ def _lie_vector(elem, ring):
     return v
 
 
-@dataclass
 class CentralizerIdeal:
-    ideal: Ideal
-    mode: str                 # "unipotent" | "laurent" | "equivariant"
-    zcenter: object           # FiniteAbelianGroup for the split-off torus part
+    def __init__(self, ideal, mode, zcenter):
+        self.ideal = ideal
+        self.mode = mode          # "unipotent" | "laurent" | "equivariant"
+        self.zcenter = zcenter    # FiniteAbelianGroup for the split-off torus part
 
 
 def centralizer_ideal(e_like, coords):
@@ -231,13 +230,13 @@ def compute_nG(d):
     return lcm(*(x.denominator for row in f_form(d) for x in row))
 
 
-@dataclass
 class EquivariantElement:
-    datum: object
-    basis: object
-    e_part: LieElement        # over QQ
-    f_matrix: list            # rational, on the cocharacter basis
-    a_names: tuple            # torus-parameter variables, degree 2 each
+    def __init__(self, datum, basis, e_part, f_matrix, a_names):
+        self.datum = datum
+        self.basis = basis
+        self.e_part = e_part        # LieElement over QQ
+        self.f_matrix = f_matrix    # rational, on the cocharacter basis
+        self.a_names = a_names      # torus-parameter variables, degree 2 each
 
 
 def build_eT(d):
@@ -351,25 +350,28 @@ class _NormalProducts:
 GENERATOR_NAMES = "ABCDEFGHJKLMNPQRSTUVWXY"
 
 
-@dataclass
 class CentralizerPresentation:
-    base: object                    # coefficient ring
-    zcenter: object                 # FiniteAbelianGroup
-    generators: list                # [(name, degree)]
-    generator_reps: list            # polynomials in the unipotent ring
-    relations: list                 # monomials in the generator ring
-    gen_ring: object                # PolyRing on the generator names
-    hilbert: HilbertSeries          # |Z| * series of the unipotent quotient
-    hilbert_unipotent: HilbertSeries
-    krull_dim: int
-    free_ring: PolyRing             # the free variables of the solve
-    images: list                    # each u variable's image in free_ring,
-                                    # reduced modulo the leftovers' basis
-    index: DivisorIndex             # of that basis; empty without leftovers
-    coords: object
-    # _tensor_square(self), built on first use: U(a) U(b) is peeled once
-    # per presentation, at the images in two copies of k[free]/(leftovers)
-    _tensor: object = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, base, zcenter, generators, generator_reps, relations,
+                 gen_ring, hilbert, hilbert_unipotent, krull_dim, free_ring,
+                 images, index, coords):
+        self.base = base                      # coefficient ring
+        self.zcenter = zcenter                # FiniteAbelianGroup
+        self.generators = generators          # [(name, degree)]
+        self.generator_reps = generator_reps  # polynomials in the unipotent ring
+        self.relations = relations            # monomials in the generator ring
+        self.gen_ring = gen_ring              # PolyRing on the generator names
+        self.hilbert = hilbert                # |Z| * series of the unipotent quotient
+        self.hilbert_unipotent = hilbert_unipotent
+        self.krull_dim = krull_dim
+        self.free_ring = free_ring            # the free variables of the solve
+        # each u variable's image in free_ring, reduced modulo the leftovers'
+        # basis, and the DivisorIndex of that basis (empty without leftovers)
+        self.images = images
+        self.index = index
+        self.coords = coords
+        # _tensor_square(self), built on first use: U(a) U(b) is peeled once
+        # per presentation, at the images in two copies of k[free]/(leftovers)
+        self._tensor = None
 
     def to_document(self):
         return {

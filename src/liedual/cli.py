@@ -10,8 +10,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 import liedual
 
@@ -39,14 +37,16 @@ MAX_TRUNCATE = 1000
 def _load_from_args(args):
     if args.preset:
         return load_datum(args.preset)
-    text = Path(args.datum_file).read_text()
+    with open(args.datum_file) as f:
+        text = f.read()
     return load_datum(text)
 
 
 def _emit(doc, args):
     text = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -67,7 +67,8 @@ def _cache_get(args, key):
     if not args.cache:
         return None
     try:
-        doc = json.loads((Path(args.cache) / f"{key}.json").read_text())
+        with open(os.path.join(args.cache, f"{key}.json")) as f:
+            doc = json.load(f)
     except (OSError, ValueError):
         return None
     if not (isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION
@@ -86,11 +87,12 @@ def _cache_put(args, key, doc):
     reader ever sees a half-written entry."""
     if not args.cache:
         return
-    d = Path(args.cache)
-    d.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", dir=d, suffix=".tmp", delete=False) as f:
+    import tempfile  # only here: a run without --cache never loads it
+    os.makedirs(args.cache, exist_ok=True)
+    with tempfile.NamedTemporaryFile("w", dir=args.cache, suffix=".tmp",
+                                     delete=False) as f:
         f.write(json.dumps(doc, sort_keys=True, default=str))
-    os.replace(f.name, d / f"{key}.json")
+    os.replace(f.name, os.path.join(args.cache, f"{key}.json"))
 
 
 def _cached(args, parts, build):

@@ -18,8 +18,6 @@ integer matrix ``cochar_basis`` whose rows are a basis of the cocharacter
 lattice in coweight coordinates.
 """
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -32,11 +30,51 @@ class RootDatumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class _Value:
+    """An immutable value whose fields are its __slots__, set once by __init__
+    in their order.  Equality, hash and repr are over the fields; a slot
+    whose name starts with "_" holds derived values and takes no part."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteAbelianGroup(_Value):
     """Invariant factors d_1 | d_2 | ...; a 0 encodes a free Z factor."""
 
-    invariant_factors: tuple
+    __slots__ = ("invariant_factors",)
+
+    def __init__(self, invariant_factors):
+        self._init(invariant_factors)
 
     @property
     def torsion_order(self):
@@ -114,31 +152,33 @@ def _enumerate_root_coeffs(cartan):
     return roots
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Value):
     """One root of the datum, with both sides of the pairing realised."""
 
-    coeffs: tuple          # coefficients on the simple roots
-    vector: tuple          # root coordinates (character side)
-    coroot: tuple          # coweight coordinates (cocharacter side)
-    height: int
+    __slots__ = ("coeffs",       # coefficients on the simple roots
+                 "vector",       # root coordinates (character side)
+                 "coroot",       # coweight coordinates (cocharacter side)
+                 "height")
+
+    def __init__(self, coeffs, vector, coroot, height):
+        self._init(coeffs, vector, coroot, height)
 
     @property
     def positive(self):
         return self.height > 0
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    name: str
-    cartan: tuple                 # r x r, rows indexed by simple coroots
-    cochar_basis: tuple           # n x n basis of the cocharacter lattice
-    central_rank: int = 0
-    # values derived from the fields; init=False gives every datum, also one
-    # made by dataclasses.replace, a dict of its own
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class RootDatum(_Value):
+    __slots__ = ("name",
+                 "cartan",          # r x r, rows indexed by simple coroots
+                 "cochar_basis",    # n x n basis of the cocharacter lattice
+                 "central_rank",
+                 # values derived from the fields: every datum gets a fresh
+                 # dict, which takes no part in equality, hash or repr
+                 "_cache")
 
-    def __post_init__(self):
+    def __init__(self, name, cartan, cochar_basis, central_rank=0):
+        self._init(name, cartan, cochar_basis, central_rank, {})
         self._cache["symmetrizer"] = _check_cartan(self.cartan)
         n = self.rank
         B = [list(row) for row in self.cochar_basis]
@@ -401,6 +441,7 @@ def load_datum(source):
     if text in PRESETS:
         return preset(text)
     if text.startswith("{"):
+        import json  # only here: the rest of the library runs without it
         return _datum_from_doc(json.loads(text))
     raise RootDatumError(f"unknown preset or document: {source!r}")
 

@@ -1,6 +1,5 @@
 import hashlib
 from contextlib import ExitStack
-from dataclasses import replace
 from itertools import product
 from types import ModuleType
 from unittest import mock
@@ -14,7 +13,7 @@ from liedual import (GF, QQ, ZZ, LieElement, ad_kernel_dim, bracket,
                      build_chevalley, load_datum, preset_names, principal_e)
 from liedual import root_datum
 from liedual.intlinalg import is_integral, solve_left_rows
-from liedual.root_datum import RootDatum
+from liedual.root_datum import Root, RootDatum
 
 from reference import (ad_matrix, bracket_from_tables, mat_mul,
                        simple_sum_e1)
@@ -68,7 +67,9 @@ def test_a_coroot_off_its_combination_raises(name):
     d = load_datum(name)
     roots = d.roots()
     k = len(roots) - 1                  # the last negative root
-    bad = replace(roots[k], coroot=tuple(2 * c for c in roots[k].coroot))
+    last = roots[k]
+    bad = Root(last.coeffs, last.vector, tuple(2 * c for c in last.coroot),
+               last.height)
     wrong = roots[:k] + (bad,)
     with mock.patch.object(RootDatum, "roots", lambda self: wrong):
         with pytest.raises(AssertionError, match="outside the cocharacter lattice"):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,8 @@ from liedual import (GF, FiniteAbelianGroup, RootDatum, RootDatumError,
                      load_datum, present_centralizer, preset_names)
 from liedual.intlinalg import determinant, is_integral, solve_left_rows
 from liedual.loop_oracle import compare_report
-from liedual.root_datum import (_cartan_A, _cartan_B, _cartan_C, _cartan_G2,
-                                _datum_with_extra_coweights)
+from liedual.root_datum import (Root, _cartan_A, _cartan_B, _cartan_C,
+                                _cartan_G2, _datum_with_extra_coweights)
 
 ROOT_COUNTS = {
     "SL2": 2, "PGL2": 2, "SL3": 6, "PGL3": 6, "Sp4": 8, "Spin5": 8,
@@ -149,7 +149,7 @@ def test_a_replaced_datum_caches_nothing_from_the_original():
     # makes it PGL3, whose cocharacters mod coroots are Z/3
     d = load_datum("SL3")
     assert str(d.component_group()) == "1"
-    adjoint = replace(d, cochar_basis=((1, 0), (0, 1)))
+    adjoint = RootDatum(d.name, d.cartan, ((1, 0), (0, 1)), d.central_rank)
     assert str(adjoint.component_group()) == "Z/3"
     assert adjoint.simple_coroot_h() != d.simple_coroot_h()
     assert str(d.component_group()) == "1"
@@ -162,6 +162,33 @@ def test_positive_roots_are_kept_on_the_datum():
         pos = d.positive_roots()
         assert d.positive_roots() is pos
         assert pos == tuple(rt for rt in d.roots() if rt.positive)
+
+
+def test_values_are_immutable_and_compare_by_their_fields():
+    d = load_datum("G2")
+    rt = d.roots()[0]
+    group = d.component_group()     # fills d's cache, as do roots() and the dual
+    d.dual_datum()
+    for value, name in [(group, "invariant_factors"), (rt, "height"),
+                        (d, "name"), (d, "_cache")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    fresh = RootDatum(d.name, d.cartan, d.cochar_basis, d.central_rank)
+    assert "roots" in d._cache and "roots" not in fresh._cache
+    twins = [(group, FiniteAbelianGroup(group.invariant_factors)),
+             (rt, Root(rt.coeffs, rt.vector, rt.coroot, rt.height)),
+             (d, fresh)]
+    for a, b in twins:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+    assert d != RootDatum(d.name + "'", d.cartan, d.cochar_basis, d.central_rank)
+    assert rt != Root(rt.coeffs, rt.vector, rt.coroot, -rt.height)
+    assert d != d.name and group != group.invariant_factors
+    assert repr(group) == "FiniteAbelianGroup(invariant_factors=())"
+    assert repr(RootDatum("SL2", ((2,),), ((2,),))) == (
+        "RootDatum(name='SL2', cartan=((2,),), cochar_basis=((2,),), central_rank=0)")
 
 
 def test_dual_swaps_center_and_pi0():
