@@ -1,6 +1,6 @@
 """Coordinates on the Borel of the dual group, centralizer ideals of the
-regular nilpotent e (and its equivariant extension e^T), and graded
-presentations of the centralizer coordinate ring.
+regular nilpotent e, the equivariant element e^T with its specializations,
+and graded presentations of the centralizer coordinate ring.
 
 The Borel is parameterized as b = t * prod_alpha exp(u_alpha x_alpha) with
 the positive roots in (height, lex) order; u_alpha carries degree
@@ -13,8 +13,8 @@ variables and has no relations.  Where a layer drops rank, at a torsion
 prime p, the ring is H_*(Omega K; F_p), a connected graded commutative Hopf
 algebra of finite type, so as an algebra it is a tensor product of factors
 k[x] and k[y]/(y^(p^k)) (Borel, Ann. Math. 57, 1953; Milnor-Moore, Ann.
-Math. 81, 1965, Thm 7.11).  The relations are read off the leftovers'
-reduced basis, which must consist of such powers (``_borel_relations``).
+Math. 81, 1965, Thm 7.11).  The solve returns the leftovers as pure powers
+x^q, and the relations are read off them (``_borel_relations``).
 """
 
 from fractions import Fraction
@@ -24,9 +24,8 @@ from math import lcm, prod
 from operator import add, or_
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
-from .commalg import (DEFAULT_BUDGET, DivisorIndex, HilbertSeries, Ideal,
-                      PolyRing, Polynomial, groebner_basis, hilbert_series,
-                      normal_form)
+from .commalg import (DEFAULT_BUDGET, DivisorIndex, Ideal, PolyRing,
+                      Polynomial, hilbert_series, normal_form)
 from .intlinalg import LinSpan, tagged
 from .rings import GF, QQ
 from .triangular import generator_variables, triangular_solve, values_at
@@ -157,50 +156,38 @@ def _lie_vector(elem, ring):
 class CentralizerIdeal:
     def __init__(self, ideal, mode, zcenter):
         self.ideal = ideal
-        self.mode = mode          # "unipotent" | "laurent" | "equivariant"
+        self.mode = mode          # "unipotent" | "laurent"
         self.zcenter = zcenter    # FiniteAbelianGroup for the split-off torus part
 
 
-def centralizer_ideal(e_like, coords):
-    """Component equations of Ad(b) e_like - e_like.
+def centralizer_ideal(e, coords):
+    """Component equations of Ad(b) e - e.
 
-    For a plain LieElement e with unit simple coefficients the torus is
+    Where the simple coefficients of e are units the torus is
     eliminated exactly (the simple components force alpha_i(t) = 1) and the
     result is a homogeneous ideal in the u_alpha alone, with the central
     factor reported separately.  Otherwise the full Laurent ideal in z, zi,
     u is returned.
     """
-    if isinstance(e_like, EquivariantElement):
-        return _equivariant_ideal(e_like, coords)
     basis = coords.basis
     datum = basis.datum
     g_center = datum.center()   # center of the group acting, alpha(t) = 1 locus
     r = datum.derived_rank
     simple_keys = [("x", tuple(int(j == i) for j in range(r))) for i in range(r)]
-    units = all(coords.coeff.is_unit(coords.coeff.coerce(e_like.coefficients.get(k, 0)))
+    units = all(coords.coeff.is_unit(coords.coeff.coerce(e.coefficients.get(k, 0)))
                 for k in simple_keys)
+    ring = coords.uring if units else coords.bring
+    target = _lie_vector(e, ring)
+    v = _generic_action(coords, ring, target)
     if units:
-        ring = coords.uring
-        target = _lie_vector(e_like, ring)
-        v = _generic_action(coords, ring, target)
         return CentralizerIdeal(
             Ideal(ring, [_difference(ring, w, b) for w, b in zip(v, target)]),
             "unipotent", g_center)
-    # bad prime: keep the torus variables, normalising by unit monomials
-    ring = coords.bring
-    gens = _borel_equations(coords, ring, _lie_vector(e_like, ring))
-    return CentralizerIdeal(Ideal(ring, gens), "laurent", g_center)
-
-
-def _borel_equations(coords, ring, target):
-    """Components of Ad(t) Ad(U) target - target, then z_k * zi_k - 1.
-
-    Ad(t) scales each root component by alpha(t), a monomial in the z and zi
-    variables, so it adds alpha's exponents to each monomial; it fixes the h
-    components (which come first in the basis).
-    """
+    # bad prime: keep the torus variables.  The components of Ad(t) Ad(U) e
+    # - e, then z_k * zi_k - 1; Ad(t) fixes the h components (which come
+    # first in the basis) and scales each root component by alpha(t), a
+    # monomial in the z and zi variables, adding its exponents to each term
     n = coords.n
-    v = _generic_action(coords, ring, target)
     gens = [_difference(ring, v[k], target[k]) for k in range(n)]
     for i, rt in enumerate(coords.basis.roots, start=n):
         shift = coords.root_weight_exponents(rt, ring)
@@ -208,7 +195,7 @@ def _borel_equations(coords, ring, target):
                                        for m, c in v[i].items()}, target[i]))
     for z, zi in zip(coords.z_names, coords.zi_names):
         gens.append(ring.gen(z) * ring.gen(zi) - ring.one())
-    return gens
+    return CentralizerIdeal(Ideal(ring, gens), "laurent", g_center)
 
 
 # ----------------------------------------------------------------------
@@ -231,41 +218,16 @@ def compute_nG(d):
 
 
 class EquivariantElement:
-    def __init__(self, datum, basis, e_part, f_matrix, a_names):
+    def __init__(self, datum, basis, e_part, f_matrix):
         self.datum = datum
         self.basis = basis
         self.e_part = e_part        # LieElement over QQ
         self.f_matrix = f_matrix    # rational, on the cocharacter basis
-        self.a_names = a_names      # torus-parameter variables, degree 2 each
 
 
 def build_eT(d):
     basis = build_chevalley(d.dual_datum())
-    return EquivariantElement(d, basis, principal_e(basis, d, QQ), f_form(d),
-                              tuple(f"a{k + 1}" for k in range(d.rank)))
-
-
-def _eT_vector(eT, ring, a_polys):
-    """e + sum_kl F[k][l] h_k a_l as a coefficient vector over the ring."""
-    v = _lie_vector(eT.e_part, ring)
-    for k, row in enumerate(eT.f_matrix):
-        i = eT.basis.key_index(("h", k))
-        for c, a in zip(row, a_polys):
-            v[i] = v[i] + a.scale(c)
-    return v
-
-
-def _equivariant_ideal(eT, coords):
-    """Full symbolic ideal of Ad(b) e^T = e^T over R_T (small ranks only)."""
-    n = coords.n
-    names = (list(eT.a_names) + coords.z_names + coords.zi_names
-             + coords.u_names)
-    weights = [2] * n + [1] * (2 * n) + coords.u_weights
-    ring = PolyRing(coords.coeff, names, weights)
-    a_polys = [ring.gen(nm) for nm in eT.a_names]
-    gens = _borel_equations(coords, ring, _eT_vector(eT, ring, a_polys))
-    return CentralizerIdeal(Ideal(ring, gens), "equivariant",
-                            coords.basis.datum.center())
+    return EquivariantElement(d, basis, principal_e(basis, d, QQ), f_form(d))
 
 
 def specialize_eT(eT, s):
@@ -364,8 +326,8 @@ class CentralizerPresentation:
         self.hilbert_unipotent = hilbert_unipotent
         self.krull_dim = krull_dim
         self.free_ring = free_ring            # the free variables of the solve
-        # each u variable's image in free_ring, reduced modulo the leftovers'
-        # basis, and the DivisorIndex of that basis (empty without leftovers)
+        # each u variable's image in free_ring, reduced modulo the
+        # leftovers, and their DivisorIndex (empty without leftovers)
         self.images = images
         self.index = index
         self.coords = coords
@@ -393,10 +355,11 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     Requires a field whose characteristic does not divide the squared
     length ratio (otherwise the torus reduction fails: BadPrimeError).
     The triangular solve writes the ring as k[free]/(leftovers), with
-    leftovers only where a layer of ad(e) drops rank (torsion primes).  The
+    leftovers only where a layer of ad(e) drops rank (torsion primes); they
+    are pure powers, so they are their own reduced Groebner basis.  The
     generators are read off the solved images, and the relations off the
-    reduced basis of the leftovers (_borel_relations).  `budget` bounds the
-    monomial products of the solve and the S-pairs of the leftovers' basis.
+    leftovers (_borel_relations).  `budget` bounds the monomial products of
+    the solve.
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
@@ -424,15 +387,11 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     free_ring = PolyRing(ring, [uring.names[i] for i in free],
                          [uring.weights[i] for i in free])
     images = [_restrict(image, free_ring, free) for image in images]
-    index = DivisorIndex()
-    if leftovers:
-        index = DivisorIndex(groebner_basis(
-            [_restrict(left, free_ring, free) for left in leftovers], budget))
-        images = [normal_form(image, index) for image in images]
-        hs_u = hilbert_series([g for _, _, g in index.entries], ring=free_ring,
-                              truncation=truncation, is_groebner=True)
-    else:
-        hs_u = HilbertSeries([1], free_ring.weights, truncation)
+    leftovers = [_restrict(left, free_ring, free) for left in leftovers]
+    index = DivisorIndex(leftovers)
+    # the leftovers' supports are disjoint: prod (1 - t^deg) / prod (1 - t^w)
+    hs_u = hilbert_series(leftovers, ring=free_ring, truncation=truncation,
+                          is_groebner=True)
     chosen = generator_variables(uring, cid.ideal.gens,
                                  [image.terms for image in images], truncation)
     gens = [(GENERATOR_NAMES[k], uring.weights[i]) for k, i in enumerate(chosen)]
@@ -461,19 +420,19 @@ def _restrict(terms, ring, variables):
 
 def _borel_relations(name, index, free, chosen, gen_ring, truncation):
     """The relations of degree <= truncation, by degree, then generator.
-    Each element of index, the leftovers' reduced basis in the variables
-    u_free[j], must be x^q with coefficient 1 and q = p^k, k >= 1 (Borel's
-    theorem), and x must be a generator u_chosen[k] unless it is heavier
-    than the truncation; x^q gives G^q.  Anything else raises: a check of
-    the theorem, with no fallback.  Monomials in distinct generators are
-    their own reduced Groebner basis."""
+    Each element of index, a leftover x^q of the solve in the variables
+    u_free[j] (the solve checks that shape), must have q = p^k, k >= 1
+    (Borel's theorem), and x must be a generator u_chosen[k] unless it is
+    heavier than the truncation; x^q gives G^q.  Anything else raises: a
+    check of the theorem, with no fallback.  Monomials in distinct
+    generators are their own reduced Groebner basis."""
     p = gen_ring.coeff.characteristic
     found = []
     for _, lm, g in index.entries:
         j = max(range(len(lm)), key=lm.__getitem__)
         q, w = lm[j], g.ring.weights[j]
         # q > 1 is a power of the prime p exactly when it divides p^q
-        if (sum(lm) != q or g.terms != {lm: 1} or min(p, q) < 2 or pow(p, q, q)
+        if (min(p, q) < 2 or pow(p, q, q)
                 or (w <= truncation and free[j] not in chosen)):
             raise AssertionError(
                 f"{name} over {gen_ring.coeff.name}: the leftovers' basis holds "

@@ -6,7 +6,6 @@ Exit codes: 0 pass, 2 mathematical mismatch (also a failed internal check),
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -54,6 +53,7 @@ def _emit(doc, args):
 def _cache_key(parts):
     """Content address of a command's document: its inputs, the schema and
     the library version, since another release may compute differently."""
+    import hashlib  # only here: a run without --cache never loads it
     blob = json.dumps([SCHEMA_VERSION, liedual.__version__] + parts,
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -64,8 +64,6 @@ def _cache_get(args, key):
     corrupt entry is a miss, and so is one without the command's shape: its
     schema and command must match and, for centralizer, verdict.pass must be
     a bool.  On a miss the caller recomputes and overwrites the entry."""
-    if not args.cache:
-        return None
     try:
         with open(os.path.join(args.cache, f"{key}.json")) as f:
             doc = json.load(f)
@@ -85,8 +83,6 @@ def _cache_get(args, key):
 def _cache_put(args, key, doc):
     """Write the entry to a temporary file and rename it into place, so no
     reader ever sees a half-written entry."""
-    if not args.cache:
-        return
     import tempfile  # only here: a run without --cache never loads it
     os.makedirs(args.cache, exist_ok=True)
     with tempfile.NamedTemporaryFile("w", dir=args.cache, suffix=".tmp",
@@ -96,13 +92,17 @@ def _cache_put(args, key, doc):
 
 
 def _cached(args, parts, build):
-    """Emit the command's document and return it: the cache entry keyed by
-    parts on a hit, else build(), which is then written to the cache."""
-    key = _cache_key(parts)
-    doc = _cache_get(args, key)
-    if doc is None:
+    """Emit the command's document and return it: build() without --cache;
+    with it, the cache entry keyed by parts on a hit, else build(), which
+    is then written to the cache."""
+    if not args.cache:
         doc = build()
-        _cache_put(args, key, doc)
+    else:
+        key = _cache_key(parts)
+        doc = _cache_get(args, key)
+        if doc is None:
+            doc = build()
+            _cache_put(args, key, doc)
     _emit(doc, args)
     return doc
 

@@ -8,8 +8,10 @@ Math. 81, 1959, over Q; at most primes also mod p) the degrees can be
 solved one at a time: each pivot variable becomes a polynomial in the free
 ones, and the coordinate ring of the centralizer is the polynomial ring on
 the free variables.  A layer that drops rank mod p (a torsion prime) leaves
-rows without a linear part: after substitution each is a polynomial in the
-lighter free variables, and the ring is k[free]/(those leftover rows).
+rows without a linear part.  The ring is then H_*(Omega K; F_p), a connected
+graded Hopf algebra, so by Borel's structure theorem (Ann. Math. 57, 1953)
+those rows span pure powers x^(p^k), the leftovers, and the ring is
+k[free]/(leftovers).
 
 Polynomials here are {exponent tuple: coefficient} dicts in the variables
 of the ideal's ring.
@@ -17,22 +19,25 @@ of the ideal's ring.
 
 from operator import add
 
-from .commalg import BudgetExceeded
+from .commalg import BudgetExceeded, Polynomial
 from .intlinalg import LinSpan
 
 
 def triangular_solve(uring, gens, budget):
     """(images, free, leftovers): the image of each variable of uring in
-    k[free variables], the free variables in index order, and the rows left
-    without a linear part.  The ideal of gens is generated by the pivots'
-    u_i - image and the leftovers, so the quotient is k[free]/(leftovers).
+    k[free variables], the free variables in index order, and the pure
+    powers x^q of free variables that the ideal holds, each {monomial: 1},
+    by degree.  The ideal of gens is generated by the pivots' u_i - image
+    and the leftovers, so the quotient is k[free]/(leftovers).
 
     The degrees go up one at a time.  The images solved so far are
     substituted into the products (_MonomialImages, one unit of budget per
     product; BudgetExceeded), the linear parts are row-reduced, and each
-    pivot is solved.  A row whose pivot is a product is a leftover: it has
-    no linear part, so it is a polynomial in the free variables of lower
-    degree.
+    pivot is solved.  Every linear key sorts above every product key, so
+    the rows whose pivot is a product span the rows without a linear part.
+    By Borel's theorem they span pure powers: as many monomials as rows,
+    each a power of one variable, else AssertionError.  From then on the
+    products and this degree's pivot images drop every term they divide.
     """
     R, n = uring.coeff, uring.nvars
     one, zero = R.coerce(1), R.coerce(0)
@@ -55,16 +60,28 @@ def triangular_solve(uring, gens, budget):
                 for m2, c2 in value(m).items():
                     row[0, m2] = R.add(row.get((0, m2), zero), R.mul(c, c2))
             span.add(row)
+        left = [row for (linear, _), row in span.rows.items() if not linear]
+        new = {m for row in left for _, m in row}
+        if len(new) != len(left) or any(
+                mask & (mask - 1) for mask in map(uring.support_mask, new)):
+            shown = ", ".join(str(Polynomial(uring, {m: c for (_, m), c in row.items()}))
+                              for row in left)
+            raise AssertionError(f"the rows of degree {D} without a linear part, "
+                                 f"{shown}, span no pure powers (Borel's theorem)")
+        for m in sorted(new, key=uring.mono_cmp_key, reverse=True):
+            leftovers.append({m: one})
+            bit = uring.support_mask(m)
+            value.capped |= bit
+            value.caps.append((bit.bit_length() - 1, max(m)))
         # a stored row is zero at the pivots stored before it, so the rows
         # are solved last to first
         for (linear, mp), row in reversed(span.rows.items()):
             if not linear:
-                leftovers.append({m: c for (_, m), c in row.items()})
                 continue
             scale = R.div(R.neg(one), row[1, mp])
             image = {}
             for (linear, m), c in row.items():
-                if m == mp:
+                if m == mp or m in new:
                     continue
                 c = R.mul(scale, c)
                 for m2, c2 in (images[m.index(1)] if linear else {m: one}).items():
@@ -79,18 +96,24 @@ def triangular_solve(uring, gens, budget):
 class _MonomialImages:
     """Called on a monomial m, its image: m itself when no solved pivot
     divides it, else the image of its last pivot factor times the image
-    of the rest.  Entries are memoised for one solve (an object, not a
-    recursive closure, so the memo goes with the solve's frame); each
-    product formed costs one unit of budget."""
+    of the rest, without the terms that a leftover found so far divides.
+    Entries are memoised for one solve (an object, not a recursive closure,
+    so the memo goes with the solve's frame); each product formed costs one
+    unit of budget."""
 
     def __init__(self, uring, images, budget):
         self.uring, self.images, self.budget = uring, images, budget
         self.one = uring.coeff.coerce(1)
         self.pivots = 0         # bit i set once variable i is solved
+        self.caps = []          # (i, q) for each leftover u_i^q found
+        self.capped = 0         # bit i set once u_i has a leftover
         self.memo, self.spent = {}, 0
 
     def __call__(self, m):
-        hit = self.uring.support_mask(m) & self.pivots
+        mask = self.uring.support_mask(m)
+        if mask & self.capped and not self._below_caps(m):
+            return {}
+        hit = mask & self.pivots
         if not hit:
             return {m: self.one}
         v = self.memo.get(m)
@@ -100,9 +123,15 @@ class _MonomialImages:
                 raise BudgetExceeded(
                     f"triangular solve: product budget {self.budget} exhausted")
             k = hit.bit_length() - 1
-            v = self.memo[m] = _product(self(m[:k] + (m[k] - 1,) + m[k + 1:]),
-                                        self.images[k], self.uring.coeff)
+            v = _product(self(m[:k] + (m[k] - 1,) + m[k + 1:]), self.images[k],
+                         self.uring.coeff)
+            if self.capped:
+                v = {m2: c for m2, c in v.items() if self._below_caps(m2)}
+            self.memo[m] = v
         return v
+
+    def _below_caps(self, m):
+        return all(m[i] < q for i, q in self.caps)
 
 
 def _product(a, b, R):
@@ -131,8 +160,8 @@ def values_at(images, point, R):
 
 def generator_variables(uring, gens, images, truncation):
     """The variables of weight <= truncation that the reduced Groebner
-    basis of the ideal makes generators, read off the solved images.  Where
-    there are leftovers the images must be reduced modulo their basis; they
+    basis of the ideal makes generators, read off the solved images, which
+    must be reduced modulo the leftovers, as the solve returns them; they
     are compared with each other only, so any monomial keys will do.
 
     Within degree D the weighted revlex order puts below a variable x of

@@ -2,7 +2,7 @@
 matrix, the simple-sum nilpotent e1, the kernel search for the relations
 of a presentation, the all-columns peel of unipotent coordinates and the
 universal group law of U with its coassociativity check.  The library
-works on sparse columns, reads the relations off the leftovers' basis,
+works on sparse columns, reads the relations off the leftovers,
 peels one column over Q and peels the group law only at the images of the
 u variables in two copies of the centralizer's ring; these spell the same
 objects out the long way, for the tests to compare with it and to hand to

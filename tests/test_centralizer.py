@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from functools import partial, reduce
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from liedual import (GF, QQ, BadPrimeError, BorelCoordinates,
                      present_centralizer, preset_names,
                      principal_e, ring_from_name, specialize_eT,
                      truncated_dist)
-from liedual import centralizer
+from liedual import centralizer, commalg
 from liedual.centralizer import (GENERATOR_NAMES, PeelingError,
                                  _generic_action, _lie_vector,
                                  _rename_into, _require_good_prime,
@@ -354,18 +357,26 @@ SOLVE_CASES = sorted(list(PRESENTATION_DIGESTS)
 
 
 def spy_on_groebner(monkeypatch):
-    """The generator lists that centralizer hands to groebner_basis."""
+    """The generator lists handed to groebner_basis.  No module of liedual
+    but commalg names it (test_no_module_but_commalg_calls_groebner_basis),
+    so every call, hilbert_series's too, goes through commalg's name."""
     calls = []
 
     def spy(gens, budget=DEFAULT_BUDGET):
         calls.append(list(gens))
         return groebner_basis(gens, budget)
-    monkeypatch.setattr(centralizer, "groebner_basis", spy)
+    monkeypatch.setattr(commalg, "groebner_basis", spy)
     return calls
 
 
-def hands_over_the_unipotent_ideal(calls, ideal):
-    return any(g.ring == ideal.ring for gens in calls for g in gens)
+def test_no_module_but_commalg_calls_groebner_basis():
+    src = Path(centralizer.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name != "commalg.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id == "groebner_basis"
+             or isinstance(node, ast.Attribute) and node.attr == "groebner_basis"]
+    assert found == []
 
 
 @pytest.mark.parametrize("name,ring_name", SOLVE_CASES)
@@ -379,11 +390,10 @@ def test_triangular_solve_agrees_with_the_reduced_basis(name, ring_name, monkeyp
     gb = groebner_basis(ideal.gens)
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(d, ring, truncation)
-    assert not hands_over_the_unipotent_ideal(calls, ideal)
+    assert calls == []
     gens, reps, rels = full_enumeration_extraction(ideal.ring, gb, ring, truncation)
     assert (pres.generators, [str(r) for r in pres.generator_reps],
             [str(r) for r in pres.relations]) == (gens, reps, rels)
-    assert (calls == []) == (rels == [])
     hs_u = hilbert_series(gb, ring=ideal.ring, truncation=truncation,
                           is_groebner=True)
     hs = pres.hilbert_unipotent
@@ -397,39 +407,65 @@ def test_triangular_solve_agrees_with_the_reduced_basis(name, ring_name, monkeyp
 
 def test_a_rank_drop_hands_no_unipotent_ideal_to_groebner_basis(monkeypatch):
     # Spin8/F2: the leftover u4^2 (u4 is the free variable of degree 2) is
-    # the relation A^2; the one basis computed is the leftovers'
+    # the relation A^2; the solve returns it as a pure power, and no basis
+    # is computed
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum("Spin8"), GF(2))
     assert [str(r) for r in pres.relations] == ["A^2"]
-    assert [[(g.ring, str(g)) for g in gens] for gens in calls] == \
-        [[(pres.free_ring, "u4^2")]]
-    assert not hands_over_the_unipotent_ideal(
-        calls, unipotent_ideal(load_datum("Spin8"), GF(2)))
+    assert [(g.ring, str(g)) for _, _, g in pres.index.entries] == \
+        [(pres.free_ring, "u4^2")]
+    assert calls == []
+
+
+# sha256 of the newline-joined images of the u variables at truncation 40,
+# pinned at a6b68fe, where the solve multiplied out the terms its leftovers
+# kill and the images were reduced modulo the leftovers' Groebner basis
+# (14.5 s at F2 and 4.6 s at F3 on a 2-vCPU VM)
+E8_IMAGE_DIGESTS = {
+    2: "515a088ef57d2f302ecac6ce694467e61ccadcf0cf3ad7836f05826db7e21388",
+    3: "afe1c34e201e63d19675d61dc5667655427f0fafeec133e6f93c18d6ac32ce5d",
+}
+
+
+def e8_passes_the_oracle(p, monkeypatch):
+    """E8 over F_p at truncation 40: no Groebner basis, the oracle passes,
+    the images are pinned, and the presentation takes under 6 s of CPU."""
+    d = load_datum({"cartan": _cartan_E(8), "lattice": "simply_connected"})
+    calls = spy_on_groebner(monkeypatch)
+    start = time.process_time()
+    pres = present_centralizer(d, GF(p), truncation=40)
+    assert time.process_time() - start < 6
+    assert calls == []
+    assert compare_report(pres, d, 40)["pass"] is True
+    text = "\n".join(map(str, pres.images))
+    assert hashlib.sha256(text.encode()).hexdigest() == E8_IMAGE_DIGESTS[p]
+    return [str(r) for r in pres.relations]
 
 
 def test_e8_at_a_torsion_prime_passes_the_oracle(monkeypatch):
     # E8 is no preset, since tests that loop over every preset would run
     # Jacobi on its 248-dimensional algebra.  At F3 two layers drop rank,
     # and the leftovers give the relations A^3 and B^3 (degrees 6 and 18)
-    d = load_datum({"cartan": _cartan_E(8), "lattice": "simply_connected"})
-    calls = spy_on_groebner(monkeypatch)
-    pres = present_centralizer(d, GF(3), truncation=40)
-    assert [str(r) for r in pres.relations] == ["A^3", "B^3"]
-    assert compare_report(pres, d, 40)["pass"] is True
-    assert calls and not hands_over_the_unipotent_ideal(calls, unipotent_ideal(d, GF(3)))
+    assert e8_passes_the_oracle(3, monkeypatch) == ["A^3", "B^3"]
+
+
+def test_e8_at_the_prime_2_passes_the_oracle(monkeypatch):
+    # four layers drop rank: the leftovers u8^2, u15^2, u29^2 and u50^2
+    # (degrees 4, 8, 16 and 28) give the relations on A, B, C and D
+    assert e8_passes_the_oracle(2, monkeypatch) == ["A^2", "B^2", "C^2", "D^2"]
 
 
 @pytest.mark.parametrize("name,ring_name", [("SL4", "Q"), ("Spin8", "F5"),
                                             ("G2", "F2"), ("E7sc", "F2"),
-                                            ("F4", "F3")])
+                                            ("E7sc", "F3"), ("F4", "F3")])
 def test_the_leftovers_basis_is_the_only_groebner_basis(name, ring_name,
                                                         monkeypatch):
-    # at most one call, on the leftovers, and none at a prime without them
+    # the leftovers are pure powers, their own reduced basis: no basis is
+    # computed, with leftovers (F2, F3) or without
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
     assert bool(pres.index.entries) == (ring_name in ("F2", "F3"))
-    assert [{g.ring for g in gens} for gens in calls] == \
-        ([{pres.free_ring}] if pres.index.entries else [])
+    assert calls == []
 
 
 # every preset/prime pair with leftovers at F2, F3, F5 and F7, Spin12/F2
@@ -467,27 +503,29 @@ def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
 
 
 @pytest.mark.parametrize("case,change,shown", [
+    # an extra generator of the ideal reaches the solve's shape check;
     # u7^2 alone would be a relation B^2
-    ("mixed", lambda u, left: left + [(u.gen("u7") ** 2 * u.gen("u9")).terms],
-     ["u7^2*u9"]),
+    ("mixed", lambda u, gens, solve: solve(u, gens + [u.gen("u7") ** 2 * u.gen("u9")]),
+     ["the rows of degree 14 without a linear part, u7^2*u9,"]),
     # the series of k[free]/(u4^2, u9^2 + u10^2) is that of the relations
     # A^2 and C^2, so only the shape check tells them apart
-    ("binomial", lambda u, left: left + [(u.gen("u9") ** 2 + u.gen("u10") ** 2).terms],
-     ["u9^2", "u10^2"]),
-    # u4^3 replaces the leftover u4^2, which would make it redundant
-    ("cube", lambda u, left: [(u.gen("u4") ** 3).terms], ["u4^3"]),
+    ("binomial", lambda u, gens, solve: solve(u, gens + [u.gen("u9") ** 2
+                                                         + u.gen("u10") ** 2]),
+     ["the rows of degree 12 without a linear part, u9^2 + u10^2,"]),
+    # on the solve's output, past its check: u4^3 replaces the leftover
+    # u4^2, which would make it redundant, and fails q = p^k
+    ("cube", lambda u, gens, solve: solve(u, gens)[:2] + ([(u.gen("u4") ** 3).terms],),
+     ["Spin8 over F_2: the leftovers' basis holds u4^3,"]),
 ])
 def test_a_leftovers_basis_off_borels_shape_raises(case, change, shown,
                                                    monkeypatch):
     # Spin8/F2 has the free variables u4, u7, u9, u10, u12 (degrees 2, 4,
-    # 6, 6, 10) and the leftover u4^2; each case changes the leftovers
+    # 6, 6, 10) and the leftover u4^2; each case changes the solve's input
+    # or its output
     solve = centralizer.triangular_solve
-
-    def perturbed(uring, gens, budget):
-        images, free, leftovers = solve(uring, gens, budget)
-        return images, free, change(uring, leftovers)
-    monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
-    with pytest.raises(AssertionError, match="^Spin8 over F_2: .*Borel") as info:
+    monkeypatch.setattr(centralizer, "triangular_solve", lambda uring, gens, budget:
+                        change(uring, gens, partial(solve, budget=budget)))
+    with pytest.raises(AssertionError, match="Borel's theorem") as info:
         present_centralizer(load_datum("Spin8"), GF(2))
     assert all(term in str(info.value) for term in shown), case
 
@@ -746,26 +784,15 @@ PINNED_IDEALS = {
                    "eb1a0a18b915bc9440c836a8451669c3420387c6505bd7541823727e2b30344e"),
     ("Sp4", "F2"): ("laurent", 4,
                     "06046d196a18f1ffcad6ad14758d81d2a2f88196030a69b03489277e0c1bab62"),
-    ("SL2", "eT"): ("equivariant", 2,
-                    "acd5cc9496b5e891fa02cd71cbc369bfaf8deb7249646012b5bb03e3a5ef3faf"),
-    ("SL3", "eT"): ("equivariant", 5,
-                    "3e38d584521ef69c182d617aa98df2334b83bb5d2793cfa0f55350bda004959b"),
-    ("G2", "eT"): ("equivariant", 8,
-                   "3952fbf73be871b4c71ef1522b1ab59288e5f2a4be8d5ecb0663be36df31e10e"),
 }
 
 
 @pytest.mark.parametrize("name,ring_name", sorted(PINNED_IDEALS))
 def test_centralizer_ideal_is_pinned(name, ring_name):
     d = load_datum(name)
-    if ring_name == "eT":               # the equivariant ideal over Q
-        eT = build_eT(d)
-        cid = centralizer_ideal(eT, BorelCoordinates(eT.basis, QQ))
-    else:
-        ring = ring_from_name(ring_name)
-        basis = build_chevalley(d.dual_datum())
-        cid = centralizer_ideal(principal_e(basis, d, ring),
-                                BorelCoordinates(basis, ring))
+    ring = ring_from_name(ring_name)
+    basis = build_chevalley(d.dual_datum())
+    cid = centralizer_ideal(principal_e(basis, d, ring), BorelCoordinates(basis, ring))
     text = "\n".join(map(str, cid.ideal.gens))
     assert (cid.mode, len(cid.ideal.gens),
             hashlib.sha256(text.encode()).hexdigest()) == PINNED_IDEALS[name, ring_name]

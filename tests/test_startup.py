@@ -34,9 +34,10 @@ print("json" in sys.modules, d == preset("PGL3"), d.component_group())
 
 
 def test_cli_import_leaves_out_tempfile_and_pathlib():
+    # hashlib too: only --cache computes a key
     loaded = run_isolated("""
 import sys
 import liedual.cli
-print(*sorted(m for m in ("pathlib", "tempfile") if m in sys.modules))
+print(*sorted(m for m in ("hashlib", "pathlib", "tempfile") if m in sys.modules))
 """)
     assert loaded == []
