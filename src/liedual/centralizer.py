@@ -13,22 +13,22 @@ variables and has no relations.  Where a layer drops rank, at a torsion
 prime p, the ring is H_*(Omega K; F_p), a connected graded commutative Hopf
 algebra of finite type, so as an algebra it is a tensor product of factors
 k[x] and k[y]/(y^(p^k)) (Borel, Ann. Math. 57, 1953; Milnor-Moore, Ann.
-Math. 81, 1965, Thm 7.11).  The solve returns the leftovers as pure powers
-x^q, and the relations are read off them (``_borel_relations``).
+Math. 81, 1965, Thm 7.11).  The solve returns each leftover, a pure power
+u_i^q, as its cap (i, q), and the relations are read off the caps
+(``_borel_relations``).
 """
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product as iter_product
 from math import lcm, prod
-from operator import add, or_
+from operator import add
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
-from .commalg import (DEFAULT_BUDGET, DivisorIndex, Ideal, PolyRing,
-                      Polynomial, hilbert_series, normal_form)
+from .commalg import (DEFAULT_BUDGET, Ideal, PolyRing, Polynomial,
+                      hilbert_series)
 from .intlinalg import LinSpan, tagged
 from .rings import GF, QQ
-from .triangular import generator_variables, triangular_solve, values_at
+from .triangular import below, generator_variables, triangular_solve, values_at
 
 
 class BadPrimeError(ValueError):
@@ -274,24 +274,22 @@ def monomials_of_degree(weights, D):
             for m in monomials_of_degree(head, D - e * w)]
 
 
-def standard_monomials(ring, gb, D):
-    """The monomials of weighted degree D that no leading monomial of gb
-    divides, in the order of monomials_of_degree."""
-    index = DivisorIndex(gb)
-    return [m for m in monomials_of_degree(ring.weights, D)
-            if index.divisor(m, ring.support_mask(m)) is None]
+def standard_monomials(ring, caps, D):
+    """The monomials of weighted degree D below the caps, in the order of
+    monomials_of_degree."""
+    return [m for m in monomials_of_degree(ring.weights, D) if below(m, caps)]
 
 
-class _NormalProducts:
-    """Product table: called on an exponent tuple m, the normal form modulo
-    index of prod factors[i]^m[i]; one is the entry of the empty product.
-    Entries are memoised by m with trailing zeros stripped, each built from
-    the one with one factor fewer of its last factor.  A normal form modulo
-    a Groebner basis is unique, so this equals the product reduced in any
-    other order."""
+class _CappedProducts:
+    """Product table: called on an exponent tuple m, prod factors[i]^m[i]
+    with only its terms below the caps; one is the entry of the empty
+    product.  Entries are memoised by m with trailing zeros stripped, each
+    built from the one with one factor fewer of its last factor.  The
+    truncation is a ring map, so truncating each partial product is
+    enough."""
 
-    def __init__(self, factors, index, one):
-        self.factors, self.index = factors, index
+    def __init__(self, factors, caps, one):
+        self.factors, self.caps = factors, caps
         self.memo = {(): one}
 
     def __call__(self, m):
@@ -299,10 +297,15 @@ class _NormalProducts:
             m = m[:-1]
         p = self.memo.get(m)
         if p is None:
-            p = normal_form(self(m[:-1] + (m[-1] - 1,)) * self.factors[len(m) - 1],
-                            self.index)
+            p = _truncated(self(m[:-1] + (m[-1] - 1,)) * self.factors[len(m) - 1],
+                           self.caps)
             self.memo[m] = p
         return p
+
+
+def _truncated(poly, caps):
+    """poly with only its terms below the caps."""
+    return Polynomial(poly.ring, {m: c for m, c in poly.terms.items() if below(m, caps)})
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +318,7 @@ GENERATOR_NAMES = "ABCDEFGHJKLMNPQRSTUVWXY"
 class CentralizerPresentation:
     def __init__(self, base, zcenter, generators, generator_reps, relations,
                  gen_ring, hilbert, hilbert_unipotent, krull_dim, free_ring,
-                 images, index, coords):
+                 images, caps, coords):
         self.base = base                      # coefficient ring
         self.zcenter = zcenter                # FiniteAbelianGroup
         self.generators = generators          # [(name, degree)]
@@ -326,10 +329,11 @@ class CentralizerPresentation:
         self.hilbert_unipotent = hilbert_unipotent
         self.krull_dim = krull_dim
         self.free_ring = free_ring            # the free variables of the solve
-        # each u variable's image in free_ring, reduced modulo the
-        # leftovers, and their DivisorIndex (empty without leftovers)
+        # each u variable's image in free_ring, with only monomials below
+        # the caps, and the caps (j, q), the leftovers x_j^q of free_ring
+        # (none without leftovers)
         self.images = images
-        self.index = index
+        self.caps = caps
         self.coords = coords
         # _tensor_square(self), built on first use: U(a) U(b) is peeled once
         # per presentation, at the images in two copies of k[free]/(leftovers)
@@ -356,10 +360,9 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     length ratio (otherwise the torus reduction fails: BadPrimeError).
     The triangular solve writes the ring as k[free]/(leftovers), with
     leftovers only where a layer of ad(e) drops rank (torsion primes); they
-    are pure powers, so they are their own reduced Groebner basis.  The
-    generators are read off the solved images, and the relations off the
-    leftovers (_borel_relations).  `budget` bounds the monomial products of
-    the solve.
+    are pure powers u_i^q, returned as caps (i, q).  The generators are read
+    off the solved images, and the relations off the caps
+    (_borel_relations).  `budget` bounds the monomial products of the solve.
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
@@ -371,13 +374,13 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     if cid.mode != "unipotent":
         raise AssertionError("unit simple coefficients must give a unipotent ideal")
     uring = cid.ideal.ring
-    images, free, leftovers = triangular_solve(uring, cid.ideal.gens, budget)
+    images, free, caps = triangular_solve(uring, cid.ideal.gens, budget)
     # the independent check is Ad(U)e = e through adjoint_action, which
     # shares only the Chevalley table with the solve, at a point of the
     # solution: u_i = 0 on the free variables of the leftovers (none has a
     # constant term), u_i = i + 2 on the other free ones
-    held = reduce(or_, (uring.support_mask(m) for left in leftovers for m in left), 0)
-    point = values_at(images, [ring.coerce(0 if held >> i & 1 else i + 2)
+    held = {i for i, _ in caps}
+    point = values_at(images, [ring.coerce(0 if i in held else i + 2)
                                for i in range(uring.nvars)], ring)
     target = _lie_vector(e, ring)
     if adjoint_action(basis, list(zip(coords.pos, point)), target, ring) != target:
@@ -387,20 +390,22 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     free_ring = PolyRing(ring, [uring.names[i] for i in free],
                          [uring.weights[i] for i in free])
     images = [_restrict(image, free_ring, free) for image in images]
-    leftovers = [_restrict(left, free_ring, free) for left in leftovers]
-    index = DivisorIndex(leftovers)
-    # the leftovers' supports are disjoint: prod (1 - t^deg) / prod (1 - t^w)
-    hs_u = hilbert_series(leftovers, ring=free_ring, truncation=truncation,
+    free_caps = [(free.index(i), q) for i, q in caps]
+    # the leftovers are pure powers with disjoint supports, their own
+    # reduced Groebner basis: prod (1 - t^deg) / prod (1 - t^w)
+    powers = [free_ring.monomial([q * (k == j) for k in range(free_ring.nvars)])
+              for j, q in free_caps]
+    hs_u = hilbert_series(powers, ring=free_ring, truncation=truncation,
                           is_groebner=True)
     chosen = generator_variables(uring, cid.ideal.gens,
                                  [image.terms for image in images], truncation)
     gens = [(GENERATOR_NAMES[k], uring.weights[i]) for k, i in enumerate(chosen)]
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
-    rels = _borel_relations(d.name, index, free, chosen, gen_ring, truncation)
+    rels = _borel_relations(d.name, caps, uring, chosen, gen_ring, truncation)
     # sanity: the presented algebra reproduces the quotient's Hilbert series,
     # which catches a generator added or missed
-    if leftovers and hilbert_series(rels, ring=gen_ring, truncation=truncation,
-                                    is_groebner=True).coeffs != hs_u.coeffs:
+    if caps and hilbert_series(rels, ring=gen_ring, truncation=truncation,
+                               is_groebner=True).coeffs != hs_u.coeffs:
         raise AssertionError(
             "presentation does not reproduce the quotient Hilbert series")
     return CentralizerPresentation(
@@ -409,7 +414,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
         relations=rels, gen_ring=gen_ring,
         hilbert=hs_u.scaled(cid.zcenter.torsion_order), hilbert_unipotent=hs_u,
         krull_dim=hs_u.dimension(),
-        free_ring=free_ring, images=images, index=index, coords=coords)
+        free_ring=free_ring, images=images, caps=free_caps, coords=coords)
 
 
 def _restrict(terms, ring, variables):
@@ -418,27 +423,26 @@ def _restrict(terms, ring, variables):
                              for m, c in terms.items()})
 
 
-def _borel_relations(name, index, free, chosen, gen_ring, truncation):
+def _borel_relations(name, caps, uring, chosen, gen_ring, truncation):
     """The relations of degree <= truncation, by degree, then generator.
-    Each element of index, a leftover x^q of the solve in the variables
-    u_free[j] (the solve checks that shape), must have q = p^k, k >= 1
-    (Borel's theorem), and x must be a generator u_chosen[k] unless it is
-    heavier than the truncation; x^q gives G^q.  Anything else raises: a
-    check of the theorem, with no fallback.  Monomials in distinct
-    generators are their own reduced Groebner basis."""
+    Each cap (i, q) of the solve, the leftover u_i^q in the variables of
+    uring, must have q = p^k, k >= 1 (Borel's theorem), and u_i must be a
+    generator u_chosen[k] unless it is heavier than the truncation; u_i^q
+    gives G^q.  Anything else raises: a check of the theorem, with no
+    fallback.  Monomials in distinct generators are their own reduced
+    Groebner basis."""
     p = gen_ring.coeff.characteristic
     found = []
-    for _, lm, g in index.entries:
-        j = max(range(len(lm)), key=lm.__getitem__)
-        q, w = lm[j], g.ring.weights[j]
+    for i, q in caps:
+        w = uring.weights[i]
         # q > 1 is a power of the prime p exactly when it divides p^q
-        if (min(p, q) < 2 or pow(p, q, q)
-                or (w <= truncation and free[j] not in chosen)):
+        if min(p, q) < 2 or pow(p, q, q) or (w <= truncation and i not in chosen):
             raise AssertionError(
                 f"{name} over {gen_ring.coeff.name}: the leftovers' basis holds "
-                f"{g}, not a p^k-th power of a generator (Borel's theorem)")
+                f"{uring.gen(uring.names[i]) ** q}, not a p^k-th power of a "
+                "generator (Borel's theorem)")
         if q * w <= truncation:
-            found.append((q * w, chosen.index(free[j]), q))
+            found.append((q * w, chosen.index(i), q))
     return [gen_ring.monomial([q if i == k else 0 for i in range(gen_ring.nvars)])
             for _, k, q in sorted(found)]
 
@@ -580,9 +584,10 @@ def brute_force_group_check(d, p):
 
 def _tensor_square(pres):
     """Product tables in the ring of two commuting copies, a (left) and b
-    (right), of k[free]/(leftovers): of the generators' images in copy a,
-    in copy b, and under the group law on B_e x B_e, the coordinates of
-    U(a) U(b) peeled at the images of the u variables in the two copies.
+    (right), of k[free]/(leftovers), whose caps are pres.caps in each copy:
+    of the generators' images in copy a, in copy b, and under the group law
+    on B_e x B_e, the coordinates of U(a) U(b) peeled at the images of the
+    u variables in the two copies, with only their terms below the caps.
     Over F_p the images are lifted to ints, peeled over Q and reduced mod p
     (the law is integral).  Checks the counit.  Built once per presentation
     and kept on it."""
@@ -591,11 +596,7 @@ def _tensor_square(pres):
     free_ring = pres.free_ring
     ring = PolyRing(pres.base, [f"{nm}{c}" for c in "ab" for nm in free_ring.names],
                     free_ring.weights * 2)
-    # the copies share no variable, so every pair across them has coprime
-    # leads (Buchberger's first criterion): the union is the reduced basis
-    leftovers = [g for _, _, g in pres.index.entries]
-    index = DivisorIndex([_rename_into(g, ring, copy)
-                          for copy in (0, 1) for g in leftovers])
+    caps = pres.caps + [(j + free_ring.nvars, q) for j, q in pres.caps]
     copies = [[_rename_into(image, ring, copy) for image in pres.images]
               for copy in (0, 1)]
     factors = list(zip(pres.coords.pos * 2, copies[0] + copies[1]))
@@ -609,7 +610,7 @@ def _tensor_square(pres):
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
     images = []
     for (gname, _), i in zip(pres.generators, variables):
-        image = normal_form(law[i], index)
+        image = _truncated(law[i], caps)
         # counit: the right side at 0 (the terms free of copy b) must return
         # the generator's image in copy a
         at_zero = {m: c for m, c in image.terms.items()
@@ -617,9 +618,8 @@ def _tensor_square(pres):
         if at_zero != copies[0][i].terms:
             raise AssertionError(f"counit fails on {gname}")
         images.append(image)
-    # a monomial in one copy is divided only by that copy's leftovers
     left, right = ([copy[i] for i in variables] for copy in copies)
-    pres._tensor = [_NormalProducts(factors, index, ring.one())
+    pres._tensor = [_CappedProducts(factors, caps, ring.one())
                     for factors in (left, right, images)]
     return pres._tensor
 
@@ -636,14 +636,23 @@ def _rename_into(poly, big_ring, copy):
 def _standard_coproducts(pres, N):
     """Delta of each relation-standard monomial of degree <= N, as
     {monomial: {(mono_a, mono_b): coefficient}} in the tensor basis of
-    pairs of such monomials; also returns those monomials by degree."""
-    basis_by_deg = {D: list(standard_monomials(pres.gen_ring, pres.relations, D))
+    pairs of such monomials; also returns those monomials by degree.
+    ValueError when N exceeds the presentation's truncation, above which
+    it lacks generators and relations."""
+    truncation = pres.hilbert_unipotent.truncation
+    if N > truncation:
+        raise ValueError(f"degree {N} exceeds the presentation's truncation "
+                         f"{truncation}")
+    # the relations are pure powers G^q: the generator ring's caps
+    caps = [next((k, q) for k, q in enumerate(r.leading_monomial()) if q)
+            for r in pres.relations]
+    basis_by_deg = {D: standard_monomials(pres.gen_ring, caps, D)
                     for D in range(0, N + 1, 2)}
     left, right, image_products = _tensor_square(pres)
     table = {}
     for D, monos in basis_by_deg.items():
-        # the two factors share no variable and are each reduced, so their
-        # product is already a normal form
+        # the two factors share no variable and are each below the caps, so
+        # their product is too
         span = LinSpan(pres.base)
         for da in range(0, D + 1, 2):
             for ma in basis_by_deg[da]:
@@ -673,7 +682,8 @@ def truncated_dist(pres, N):
 
     Basis: generator monomials (as exponent tuples on the presentation
     generators) of weighted degree <= N that are standard for the relation
-    ideal; product structure constants are read off the coproduct.
+    ideal; product structure constants are read off the coproduct.  N must
+    not exceed the presentation's truncation (ValueError).
     """
     basis_by_deg, table = _standard_coproducts(pres, N)
     by_pair = {}

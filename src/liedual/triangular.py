@@ -11,7 +11,9 @@ the free variables.  A layer that drops rank mod p (a torsion prime) leaves
 rows without a linear part.  The ring is then H_*(Omega K; F_p), a connected
 graded Hopf algebra, so by Borel's structure theorem (Ann. Math. 57, 1953)
 those rows span pure powers x^(p^k), the leftovers, and the ring is
-k[free]/(leftovers).
+k[free]/(leftovers).  A leftover u_i^q is kept as its cap (i, q), and
+`below` is the one rule of that quotient, for the solve, the presentation
+and the Hopf tables: a monomial survives when it is below every cap.
 
 Polynomials here are {exponent tuple: coefficient} dicts in the variables
 of the ideal's ring.
@@ -24,11 +26,12 @@ from .intlinalg import LinSpan
 
 
 def triangular_solve(uring, gens, budget):
-    """(images, free, leftovers): the image of each variable of uring in
-    k[free variables], the free variables in index order, and the pure
-    powers x^q of free variables that the ideal holds, each {monomial: 1},
-    by degree.  The ideal of gens is generated by the pivots' u_i - image
-    and the leftovers, so the quotient is k[free]/(leftovers).
+    """(images, free, caps): the image of each variable of uring in
+    k[free variables], the free variables in index order, and a cap (i, q)
+    for each pure power u_i^q of a free variable that the ideal holds, by
+    degree.  The ideal of gens is generated by the pivots' u_i - image and
+    those powers, so the quotient is k[free]/(u_i^q), and the images hold
+    only monomials below the caps (`below`).
 
     The degrees go up one at a time.  The images solved so far are
     substituted into the products (_MonomialImages, one unit of budget per
@@ -43,7 +46,7 @@ def triangular_solve(uring, gens, budget):
     one, zero = R.coerce(1), R.coerce(0)
     images = [{tuple(int(j == i) for j in range(n)): one} for i in range(n)]
     value = _MonomialImages(uring, images, budget)
-    by_degree, leftovers = {}, []
+    by_degree = {}
     for g in gens:
         # the ideal is homogeneous, so one term gives a generator's degree
         by_degree.setdefault(uring.wdeg(next(iter(g.terms))), []).append(g)
@@ -69,7 +72,6 @@ def triangular_solve(uring, gens, budget):
             raise AssertionError(f"the rows of degree {D} without a linear part, "
                                  f"{shown}, span no pure powers (Borel's theorem)")
         for m in sorted(new, key=uring.mono_cmp_key, reverse=True):
-            leftovers.append({m: one})
             bit = uring.support_mask(m)
             value.capped |= bit
             value.caps.append((bit.bit_length() - 1, max(m)))
@@ -90,7 +92,7 @@ def triangular_solve(uring, gens, budget):
             images[i] = {m: c for m, c in image.items() if c}
             value.pivots |= 1 << i
     return (images, [i for i in range(n) if not value.pivots >> i & 1],
-            leftovers)
+            value.caps)
 
 
 class _MonomialImages:
@@ -111,7 +113,7 @@ class _MonomialImages:
 
     def __call__(self, m):
         mask = self.uring.support_mask(m)
-        if mask & self.capped and not self._below_caps(m):
+        if mask & self.capped and not below(m, self.caps):
             return {}
         hit = mask & self.pivots
         if not hit:
@@ -126,12 +128,15 @@ class _MonomialImages:
             v = _product(self(m[:k] + (m[k] - 1,) + m[k + 1:]), self.images[k],
                          self.uring.coeff)
             if self.capped:
-                v = {m2: c for m2, c in v.items() if self._below_caps(m2)}
+                v = {m2: c for m2, c in v.items() if below(m2, self.caps)}
             self.memo[m] = v
         return v
 
-    def _below_caps(self, m):
-        return all(m[i] < q for i, q in self.caps)
+
+def below(m, caps):
+    """Whether the monomial m survives in k[x]/(x_i^q for (i, q) in caps):
+    m[i] < q at every cap, so that no pure power of caps divides m."""
+    return all(m[i] < q for i, q in caps)
 
 
 def _product(a, b, R):
@@ -161,7 +166,7 @@ def values_at(images, point, R):
 def generator_variables(uring, gens, images, truncation):
     """The variables of weight <= truncation that the reduced Groebner
     basis of the ideal makes generators, read off the solved images, which
-    must be reduced modulo the leftovers, as the solve returns them; they
+    must hold only monomials below the caps, as the solve returns them; they
     are compared with each other only, so any monomial keys will do.
 
     Within degree D the weighted revlex order puts below a variable x of

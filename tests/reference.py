@@ -1,12 +1,13 @@
 """References that only the tests use: matrix products, ad(v) as a full
 matrix, the simple-sum nilpotent e1, the kernel search for the relations
-of a presentation, the all-columns peel of unipotent coordinates and the
-universal group law of U with its coassociativity check.  The library
-works on sparse columns, reads the relations off the leftovers,
-peels one column over Q and peels the group law only at the images of the
-u variables in two copies of the centralizer's ring; these spell the same
-objects out the long way, for the tests to compare with it and to hand to
-sympy."""
+of a presentation, products in normal form modulo a Groebner basis, the
+all-columns peel of unipotent coordinates and the universal group law of
+U with its coassociativity check.  The library works on sparse columns,
+reads the relations off the leftovers, truncates products by the caps of
+its pure powers, peels one column over Q and peels the group law only at
+the images of the u variables in two copies of the centralizer's ring;
+these spell the same objects out the long way, for the tests to compare
+with it and to hand to sympy."""
 
 from liedual.centralizer import (PeelingError, adjoint_action, monomials_of_degree,
                                  peel_unipotent, reduce_integral)
@@ -82,6 +83,31 @@ def bracket_from_tables(basis, key1, key2):
         return {("h", k): c for k, c in enumerate(basis.coroot_h(a)) if c}
     n = basis.N(a, b)
     return {("x", tuple(x + y for x, y in zip(a, b))): n} if n else {}
+
+
+def pure_powers(ring, caps):
+    """The monomials x_j^q of ring, one for each cap (j, q)."""
+    return [ring.monomial([q * (k == j) for k in range(ring.nvars)])
+            for j, q in caps]
+
+
+class NormalProducts:
+    """Product table: called on an exponent tuple m, the normal form modulo
+    the Groebner basis gb of prod factors[i]^m[i], multiplied out one factor
+    at a time and reduced after each; one is the empty product.  A normal
+    form modulo a Groebner basis is unique, so this is the product reduced
+    in any order; modulo pure powers it is the library's truncation by
+    their caps."""
+
+    def __init__(self, factors, gb, one):
+        self.factors, self.gb, self.one = factors, gb, one
+
+    def __call__(self, m):
+        p = self.one
+        for factor, e in zip(self.factors, m):
+            for _ in range(e):
+                p = normal_form(p * factor, self.gb)
+        return p
 
 
 def search_relations(gen_ring, product, hs_u, budget):

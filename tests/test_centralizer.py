@@ -26,17 +26,17 @@ from liedual.centralizer import (GENERATOR_NAMES, PeelingError,
                                  _tensor_square, adjoint_action,
                                  monomials_of_degree, peel_unipotent,
                                  reduce_integral, standard_monomials)
-from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, DivisorIndex,
-                             PolyRing, Polynomial, groebner_basis, hilbert_series,
-                             ideal_dimension, normal_form)
+from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, PolyRing, Polynomial,
+                             groebner_basis, hilbert_series, ideal_dimension,
+                             normal_form)
 from liedual.intlinalg import LinSpan, identity, rank, transpose
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
 from liedual.root_datum import _cartan_D, _cartan_E
 
 import reference
-from reference import (ad_matrix, factors_of, group_law_coordinates, law_ring,
-                       map_into, mat_mul, mat_vec, peel_all_columns,
-                       search_relations, verify_coassociativity)
+from reference import (NormalProducts, ad_matrix, factors_of, group_law_coordinates,
+                       law_ring, map_into, mat_mul, mat_vec, peel_all_columns,
+                       pure_powers, search_relations, verify_coassociativity)
 
 N_G_TABLE = {
     "SL2": 1, "SL3": 1, "SL4": 1, "SL5": 1, "SL6": 1,
@@ -168,36 +168,31 @@ def filtered_standard_monomials(ring, gb, D):
 
 
 @st.composite
-def monomial_ideals(draw):
-    """A weighted ring in 2-5 variables, monomial generators, a degree."""
+def capped_rings(draw):
+    """A weighted ring in 2-5 variables, caps (i, q) on some of them (a
+    variable may have several), a degree."""
     n = draw(st.integers(2, 5))
     weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     ring = PolyRing(QQ, [f"x{i}" for i in range(n)], weights)
-    gens = [ring.monomial(draw(st.lists(st.integers(0, 3), min_size=n,
-                                        max_size=n)))
-            for _ in range(draw(st.integers(0, 5)))]
-    return ring, gens, draw(st.integers(0, 14))
+    caps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 4)),
+                         max_size=5))
+    return ring, caps, draw(st.integers(0, 14))
 
 
 @settings(max_examples=200, deadline=None)
-@given(monomial_ideals())
+@given(capped_rings())
 def test_standard_monomials_match_the_filter(case):
-    ring, gens, D = case
-    assert (list(standard_monomials(ring, gens, D))
-            == filtered_standard_monomials(ring, gens, D))
+    ring, caps, D = case
+    assert (standard_monomials(ring, caps, D)
+            == filtered_standard_monomials(ring, pure_powers(ring, caps), D))
 
 
 def full_enumeration_extraction(uring, gb, ring, truncation):
     """Reference extraction: every product normal-formed from scratch, one
     factor at a time, and every standard monomial tried as a generator."""
-    def normal_product(m):
-        p = uring.one()
-        for rep, e in zip(reps, m):
-            for _ in range(e):
-                p = normal_form(p * rep, gb)
-        return p
-
     gens, reps = [], []
+    # reps grows as the generators are found; the table reads it when called
+    normal_product = NormalProducts(reps, gb, uring.one())
     for D in range(2, truncation + 1, 2):
         sm = filtered_standard_monomials(uring, gb, D)
         if not sm:
@@ -313,8 +308,7 @@ def hand_built_relations(which, generators, reps, budget):
     R, gb = hand_built_ideal(which)
     hs = hilbert_series(gb, ring=R, truncation=12, is_groebner=True)
     gen_ring = PolyRing(QQ, [n for n, _ in generators], [dg for _, dg in generators])
-    product = centralizer._NormalProducts([R.gen(r) for r in reps],
-                                          DivisorIndex(gb), R.one())
+    product = NormalProducts([R.gen(r) for r in reps], gb, R.one())
     return gen_ring, search_relations(gen_ring, product, hs, budget)
 
 
@@ -358,7 +352,7 @@ SOLVE_CASES = sorted(list(PRESENTATION_DIGESTS)
 
 def spy_on_groebner(monkeypatch):
     """The generator lists handed to groebner_basis.  No module of liedual
-    but commalg names it (test_no_module_but_commalg_calls_groebner_basis),
+    but commalg names it (test_no_module_but_commalg_names_the_division_engine),
     so every call, hilbert_series's too, goes through commalg's name."""
     calls = []
 
@@ -369,13 +363,16 @@ def spy_on_groebner(monkeypatch):
     return calls
 
 
-def test_no_module_but_commalg_calls_groebner_basis():
+@pytest.mark.parametrize("name", ["groebner_basis", "normal_form", "DivisorIndex"])
+def test_no_module_but_commalg_names_the_division_engine(name):
+    # Buchberger, and the normal form and divisor index it reduces by: the
+    # presentation and the Hopf tables truncate by the caps instead
     src = Path(centralizer.__file__).parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              if path.name != "commalg.py"
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Name) and node.id == "groebner_basis"
-             or isinstance(node, ast.Attribute) and node.attr == "groebner_basis"]
+             if isinstance(node, ast.Name) and node.id == name
+             or isinstance(node, ast.Attribute) and node.attr == name]
     assert found == []
 
 
@@ -412,8 +409,7 @@ def test_a_rank_drop_hands_no_unipotent_ideal_to_groebner_basis(monkeypatch):
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum("Spin8"), GF(2))
     assert [str(r) for r in pres.relations] == ["A^2"]
-    assert [(g.ring, str(g)) for _, _, g in pres.index.entries] == \
-        [(pres.free_ring, "u4^2")]
+    assert [(pres.free_ring.names[j], q) for j, q in pres.caps] == [("u4", 2)]
     assert calls == []
 
 
@@ -464,7 +460,7 @@ def test_the_leftovers_basis_is_the_only_groebner_basis(name, ring_name,
     # computed, with leftovers (F2, F3) or without
     calls = spy_on_groebner(monkeypatch)
     pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
-    assert bool(pres.index.entries) == (ring_name in ("F2", "F3"))
+    assert bool(pres.caps) == (ring_name in ("F2", "F3"))
     assert calls == []
 
 
@@ -491,8 +487,8 @@ def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
     # the reference searches the kernel of the generator ring on the
     # presentation's own quotient, through its own product table
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
-    product = centralizer._NormalProducts([pres.images[i] for i in variables],
-                                          pres.index, pres.free_ring.one())
+    product = centralizer._CappedProducts([pres.images[i] for i in variables],
+                                          pres.caps, pres.free_ring.one())
     rels, rel_gb, hs_rel = search_relations(pres.gen_ring, product,
                                             pres.hilbert_unipotent, DEFAULT_BUDGET)
     assert rels == rel_gb == pres.relations
@@ -500,6 +496,12 @@ def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
                         is_groebner=True)
     assert (hs.numer, hs.denom_degs) == (hs_rel.numer, hs_rel.denom_degs)
     assert hs.coeffs == pres.hilbert_unipotent.coeffs
+
+
+def with_the_cap_u9_cubed(uring, solved):
+    """The solve's output (images, free, caps) with the cap (u9, 3) added."""
+    images, free, caps = solved
+    return images, free, caps + [(uring.names.index("u9"), 3)]
 
 
 @pytest.mark.parametrize("case,change,shown", [
@@ -512,15 +514,15 @@ def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
     ("binomial", lambda u, gens, solve: solve(u, gens + [u.gen("u9") ** 2
                                                          + u.gen("u10") ** 2]),
      ["the rows of degree 12 without a linear part, u9^2 + u10^2,"]),
-    # on the solve's output, past its check: u4^3 replaces the leftover
-    # u4^2, which would make it redundant, and fails q = p^k
-    ("cube", lambda u, gens, solve: solve(u, gens)[:2] + ([(u.gen("u4") ** 3).terms],),
-     ["Spin8 over F_2: the leftovers' basis holds u4^3,"]),
+    # on the solve's output, past its check: the cap (u9, 3), the leftover
+    # u9^3 of a free variable, fails q = p^k
+    ("cube", lambda u, gens, solve: with_the_cap_u9_cubed(u, solve(u, gens)),
+     ["Spin8 over F_2: the leftovers' basis holds u9^3,"]),
 ])
 def test_a_leftovers_basis_off_borels_shape_raises(case, change, shown,
                                                    monkeypatch):
     # Spin8/F2 has the free variables u4, u7, u9, u10, u12 (degrees 2, 4,
-    # 6, 6, 10) and the leftover u4^2; each case changes the solve's input
+    # 6, 6, 10) and the cap (u4, 2); each case changes the solve's input
     # or its output
     solve = centralizer.triangular_solve
     monkeypatch.setattr(centralizer, "triangular_solve", lambda uring, gens, budget:
@@ -560,17 +562,17 @@ def test_the_point_check_catches_each_perturbed_pivot(name, ring, monkeypatch):
     # free variable of degree 2
     solve = centralizer.triangular_solve
     ideal = unipotent_ideal(load_datum(name), ring)
-    images, free, leftovers = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
-    assert bool(leftovers) == (ring.characteristic in (2, 3))
+    images, free, caps = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
+    assert bool(caps) == (ring.characteristic in (2, 3))
     pivots = [i for i in range(len(images)) if i not in free]
     assert pivots
     for i in pivots:
         def perturbed(uring, gens, budget, i=i):
-            images, free, leftovers = solve(uring, gens, budget)
+            images, free, caps = solve(uring, gens, budget)
             origin = (0,) * uring.nvars
             images[i][origin] = ring.add(images[i].get(origin, ring.coerce(0)),
                                          ring.coerce(1))
-            return images, free, leftovers
+            return images, free, caps
         monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
         with pytest.raises(AssertionError, match="do not centralize e"):
             present_centralizer(load_datum(name), ring)
@@ -904,6 +906,26 @@ def test_truncated_dist_detects_a_perturbed_law(monkeypatch):
         truncated_dist(pres, 4)
 
 
+@pytest.mark.parametrize("name,ring_name,truncation,N", [
+    # SL3/Q at truncation 2 lacks the generator B of degree 4, so its
+    # degree-4 basis would be A^2 alone, not A^2 and B
+    ("SL3", "Q", 2, 4),
+    # E7sc/F2 at truncation 10 lacks the generator of degree 14 and the
+    # relation C^2 of degree 16
+    ("E7sc", "F2", 10, 16)])
+def test_truncated_dist_refuses_a_degree_above_the_truncation(name, ring_name,
+                                                              truncation, N):
+    pres = present_centralizer(load_datum(name), ring_from_name(ring_name),
+                               truncation)
+    with pytest.raises(ValueError, match=f"degree {N} exceeds the "
+                                         f"presentation's truncation {truncation}"):
+        truncated_dist(pres, N)
+    # at and below the truncation the tables stay available
+    assert truncated_dist(pres, truncation)["basis_by_degree"][2] == [
+        (1,) + (0,) * (len(pres.generators) - 1)]
+    assert coproduct_on_generators(pres)
+
+
 def test_group_law_counit():
     # substituting zero for the second factor returns the first factor
     d = load_datum("SL3")
@@ -947,20 +969,21 @@ def test_tensor_square_basis_is_the_union_of_the_copies(name, ring):
     pres = present_centralizer(load_datum(name), ring)
     left, _, _ = _tensor_square(pres)
     tensor_ring = left(()).ring
-    # the leftovers' basis: u2^2 on G2/F2, u4^2 on Spin8/F2, else empty
-    basis = [g for _, _, g in pres.index.entries]
-    assert len(basis) == (ring.characteristic == 2)
-    # the reference runs Buchberger on the union: the reduced basis is unique
-    union = [_rename_into(g, tensor_ring, copy) for copy in (0, 1) for g in basis]
-    assert sorted(str(g) for _, _, g in left.index.entries) == \
+    # the leftovers: u2^2 on G2/F2, u4^2 on Spin8/F2, else none
+    powers = pure_powers(pres.free_ring, pres.caps)
+    assert len(powers) == (ring.characteristic == 2)
+    # the reference runs Buchberger on the union of the two renamed copies:
+    # the reduced basis is unique, and the tables' caps must spell it
+    union = [_rename_into(g, tensor_ring, copy) for copy in (0, 1) for g in powers]
+    assert sorted(map(str, pure_powers(tensor_ring, left.caps))) == \
         sorted(map(str, groebner_basis(union)))
 
 
 @pytest.mark.parametrize("name,ring", [("SL3", QQ), ("G2", GF(2))])
 def test_the_hopf_tables_hand_no_unipotent_ideal_to_groebner_basis(name, ring,
                                                                    monkeypatch):
-    # they are read from two copies of k[free]/(leftovers), whose union of
-    # leftover bases is already reduced: no basis is computed, of the
+    # they are read from two copies of k[free]/(leftovers), truncated by
+    # the presentation's caps in each copy: no basis is computed, of the
     # unipotent ideal or of anything else
     pres = present_centralizer(load_datum(name), ring)
     calls = spy_on_groebner(monkeypatch)
@@ -1029,8 +1052,9 @@ CROSS_ROUTE_CASES = (
 @pytest.mark.parametrize("name,ring_name", CROSS_ROUTE_CASES)
 def test_the_tables_law_is_the_universal_law_at_the_images(name, ring_name):
     # the tables peel U(a) U(b) at the images of the u variables in copies a
-    # and b; the reference peels the universal law in 2N variables, then
-    # substitutes those images and reduces modulo the leftovers
+    # and b and truncates by their caps; the reference peels the universal
+    # law in 2N variables, substitutes those images and takes the normal
+    # form modulo the Groebner basis of both copies' leftovers
     pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
     left, _, law = _tensor_square(pres)
     ring = left(()).ring
@@ -1038,8 +1062,10 @@ def test_the_tables_law_is_the_universal_law_at_the_images(name, ring_name):
     values = dict(zip(universal_ring.names,
                       [_rename_into(image, ring, copy)
                        for copy in (0, 1) for image in pres.images]))
+    gb = groebner_basis([_rename_into(g, ring, copy) for copy in (0, 1)
+                         for g in pure_powers(pres.free_ring, pres.caps)])
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
-    assert law.factors == [normal_form(map_into(universal[i], ring, values), left.index)
+    assert law.factors == [normal_form(map_into(universal[i], ring, values), gb)
                            for i in variables]
 
 

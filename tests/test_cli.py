@@ -362,22 +362,22 @@ def test_check_all_reports_budget_per_check(capsys):
 
 
 def _perturb_solve(monkeypatch, change):
-    """Make present_centralizer see change(uring, images, leftovers) of the
-    triangular solve's images and leftovers."""
+    """Make present_centralizer see change(uring, images, caps) of the
+    triangular solve's images and caps."""
     solve = centralizer.triangular_solve
 
     def perturbed(uring, gens, budget):
-        images, free, leftovers = solve(uring, gens, budget)
-        images, leftovers = change(uring, images, leftovers)
-        return images, free, leftovers
+        images, free, caps = solve(uring, gens, budget)
+        images, caps = change(uring, images, caps)
+        return images, free, caps
     monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
 
 
-def _shift_u1(uring, images, leftovers):
+def _shift_u1(uring, images, caps):
     """Add 1 to the image of u1, a pivot: the point check must fail."""
     images = list(images)
     images[0] = {**images[0], (0,) * uring.nvars: uring.coeff.coerce(1)}
-    return images, leftovers
+    return images, caps
 
 
 NOT_CENTRALIZED = "the solved pivots do not centralize e at the check point"
@@ -405,11 +405,11 @@ def test_check_all_records_a_failed_internal_check_and_goes_on(
 
 
 def test_a_leftovers_basis_off_borels_shape_is_a_mismatch(capsys, monkeypatch):
-    # Spin8/F2: u9 and u10 are free, and u9*u10 is no power of a generator
-    _perturb_solve(monkeypatch, lambda uring, images, leftovers: (
-        images, leftovers + [(uring.gen("u9") * uring.gen("u10")).terms]))
+    # Spin8/F2: u9 is free, and the cap (u9, 3) holds u9^3, no power 2^k
+    _perturb_solve(monkeypatch, lambda uring, images, caps: (
+        images, caps + [(uring.names.index("u9"), 3)]))
     code, out, err = run(capsys, "centralizer", "--preset", "Spin8", "--ring", "F2")
     assert code == EXIT_MISMATCH and out == ""
     assert err.splitlines() == [
-        "mismatch: Spin8 over F_2: the leftovers' basis holds u9*u10, not a "
+        "mismatch: Spin8 over F_2: the leftovers' basis holds u9^3, not a "
         "p^k-th power of a generator (Borel's theorem)"]

@@ -32,19 +32,19 @@ with mock.patch.object(centralizer, "peel_unipotent", perturbed):
                 raised.append(f"counit:{name}")
 solve = centralizer.triangular_solve
 def shifted(uring, gens, budget):          # add 1 to the image of u1, a pivot
-    images, free, leftovers = solve(uring, gens, budget)
+    images, free, caps = solve(uring, gens, budget)
     images[0] = {**images[0], (0,) * uring.nvars: uring.coeff.coerce(1)}
-    return images, free, leftovers
+    return images, free, caps
 with mock.patch.object(centralizer, "triangular_solve", shifted):
     try:                                   # Spin8/F2 has the leftover u4^2
         present_centralizer(load_datum("Spin8"), GF(2))
     except AssertionError as exc:
         if "do not centralize e" in str(exc):
             raised.append("torsion")
-def mixed(uring, gens, budget):            # u9*u10 is no power of a generator
-    images, free, leftovers = solve(uring, gens, budget)
-    return images, free, leftovers + [(uring.gen("u9") * uring.gen("u10")).terms]
-with mock.patch.object(centralizer, "triangular_solve", mixed):
+def cubed(uring, gens, budget):            # the cap (u9, 3): 3 is no power of 2
+    images, free, caps = solve(uring, gens, budget)
+    return images, free, caps + [(uring.names.index("u9"), 3)]
+with mock.patch.object(centralizer, "triangular_solve", cubed):
     try:                                   # Borel's shape check on Spin8/F2
         present_centralizer(load_datum("Spin8"), GF(2))
     except AssertionError as exc:
