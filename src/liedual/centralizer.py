@@ -28,7 +28,7 @@ from .commalg import (DEFAULT_BUDGET, Ideal, PolyRing, Polynomial,
                       hilbert_series)
 from .intlinalg import LinSpan, tagged
 from .rings import GF, QQ
-from .triangular import below, generator_variables, triangular_solve, values_at
+from .triangular import below, triangular_solve, values_at
 
 
 class BadPrimeError(ValueError):
@@ -237,10 +237,12 @@ def specialize_eT(eT, s):
     of det(t - ad e^T(s)) is the Weyl discriminant prod_alpha alpha(h) over
     all roots; the element is regular semisimple exactly when it is nonzero
     (Bourbaki, Lie VII, section 2).  The report carries dim ker(ad), the
-    discriminant and that verdict.
+    discriminant and that verdict.  s must have rank many coordinates.
     """
     basis = eT.basis
     r = eT.datum.rank
+    if len(s) != r:
+        raise ValueError(f"s has {len(s)} coordinates, not the rank {r}")
     h = [sum(eT.f_matrix[k][l] * s[l] for l in range(r)) for k in range(r)]
     coeffs = dict(eT.e_part.coefficients)
     coeffs.update((("h", k), c) for k, c in enumerate(h) if c)
@@ -360,9 +362,10 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     length ratio (otherwise the torus reduction fails: BadPrimeError).
     The triangular solve writes the ring as k[free]/(leftovers), with
     leftovers only where a layer of ad(e) drops rank (torsion primes); they
-    are pure powers u_i^q, returned as caps (i, q).  The generators are read
-    off the solved images, and the relations off the caps
-    (_borel_relations).  `budget` bounds the monomial products of the solve.
+    are pure powers u_i^q, returned as caps (i, q).  The solve also picks
+    the generators; those of weight <= truncation are kept, and the
+    relations are read off the caps (_borel_relations).  `budget` bounds
+    the monomial products of the solve.
     """
     if not ring.is_field:
         raise ValueError("presentations need field coefficients")
@@ -374,7 +377,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     if cid.mode != "unipotent":
         raise AssertionError("unit simple coefficients must give a unipotent ideal")
     uring = cid.ideal.ring
-    images, free, caps = triangular_solve(uring, cid.ideal.gens, budget)
+    images, free, caps, generators = triangular_solve(uring, cid.ideal.gens, budget)
     # the independent check is Ad(U)e = e through adjoint_action, which
     # shares only the Chevalley table with the solve, at a point of the
     # solution: u_i = 0 on the free variables of the leftovers (none has a
@@ -397,8 +400,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
               for j, q in free_caps]
     hs_u = hilbert_series(powers, ring=free_ring, truncation=truncation,
                           is_groebner=True)
-    chosen = generator_variables(uring, cid.ideal.gens,
-                                 [image.terms for image in images], truncation)
+    chosen = [i for i in generators if uring.weights[i] <= truncation]
     gens = [(GENERATOR_NAMES[k], uring.weights[i]) for k, i in enumerate(chosen)]
     gen_ring = PolyRing(ring, [n for n, _ in gens], [dg for _, dg in gens])
     rels = _borel_relations(d.name, caps, uring, chosen, gen_ring, truncation)
@@ -453,11 +455,20 @@ def _borel_relations(name, caps, uring, chosen, gen_ring, truncation):
 
 def peel_unipotent(coords, factors, ring):
     """Canonical coordinates u_alpha of a product U of exp factors
-    [(root, u), ...] over QQ or a polynomial ring over QQ, read off the one
-    column v = Ad(U) 2rho^vee (U acts simply transitively on 2rho^vee + n:
-    Kostant, Amer. J. Math. 81, 1959).  In (height, lex) order, with the
-    earlier factors stripped, the x_alpha component of v is -<alpha,
-    2rho^vee> u_alpha = -2 height(alpha) u_alpha.  v must end at 2rho^vee."""
+    [(root, u), ...] over ring, QQ, GF(p) or a polynomial ring over either,
+    read off the one column v = Ad(U) 2rho^vee (U acts simply transitively
+    on 2rho^vee + n: Kostant, Amer. J. Math. 81, 1959).  In (height, lex)
+    order, with the earlier factors stripped, the x_alpha component of v is
+    -<alpha, 2rho^vee> u_alpha = -2 height(alpha) u_alpha.  v must end at
+    2rho^vee.  The heights divide, so the peel runs over Q: over F_p the
+    values are lifted to ints, and the coordinates reduced mod p
+    (reduce_integral; the law is integral)."""
+    target = ring
+    if isinstance(ring, PolyRing) and ring.coeff != QQ:
+        ring = PolyRing(QQ, ring.names, ring.weights)
+        factors = [(rt, Polynomial(ring, u.terms)) for rt, u in factors]
+    elif not isinstance(ring, PolyRing):
+        ring = QQ
     basis = coords.basis
     # 2rho^vee, the sum of the positive coroots, on the h_k (which come first)
     rho2 = [ring.coerce(sum(h)) for h in zip(*(basis.coroot_h(rt.coeffs)
@@ -471,7 +482,7 @@ def peel_unipotent(coords, factors, ring):
         v = adjoint_action(basis, [(rt, ring.neg(u))], v, ring)
     if v != rho2:
         raise PeelingError("not Ad(U) 2rho^vee of a canonical unipotent product")
-    return out
+    return out if ring == target else reduce_integral(out, target)
 
 
 def reduce_integral(values, ring):
@@ -532,16 +543,14 @@ class GroupPoints:
         conj = [self.ring.div(val, self._root_value(rt, z2))
                 for rt, val in zip(self.coords.pos, u1)]
         factors = list(zip(self.coords.pos * 2, conj + list(u2)))    # U(conj) U(u2)
-        # F_p values are ints: peeled over Q and reduced mod p
-        return (z3, tuple(reduce_integral(peel_unipotent(self.coords, factors, QQ),
-                                          self.ring)))
+        return (z3, tuple(peel_unipotent(self.coords, factors, self.ring)))
 
     def inverse(self, a):
         z, u = a
         zinv = tuple(pow(x, -1, self.p) for x in z)
         # (t U)^{-1} = t^{-1} (t U^{-1} t^{-1}); conjugation rescales coords
         inv = [(rt, -val) for rt, val in zip(self.coords.pos, u)]
-        uinv = reduce_integral(peel_unipotent(self.coords, inv[::-1], QQ), self.ring)
+        uinv = peel_unipotent(self.coords, inv[::-1], self.ring)
         conj = [self.ring.div(val, self._root_value(rt, zinv))
                 for rt, val in zip(self.coords.pos, uinv)]
         return (zinv, tuple(conj))
@@ -588,9 +597,7 @@ def _tensor_square(pres):
     of the generators' images in copy a, in copy b, and under the group law
     on B_e x B_e, the coordinates of U(a) U(b) peeled at the images of the
     u variables in the two copies, with only their terms below the caps.
-    Over F_p the images are lifted to ints, peeled over Q and reduced mod p
-    (the law is integral).  Checks the counit.  Built once per presentation
-    and kept on it."""
+    Checks the counit.  Built once per presentation and kept on it."""
     if pres._tensor is not None:
         return pres._tensor
     free_ring = pres.free_ring
@@ -599,14 +606,8 @@ def _tensor_square(pres):
     caps = pres.caps + [(j + free_ring.nvars, q) for j, q in pres.caps]
     copies = [[_rename_into(image, ring, copy) for image in pres.images]
               for copy in (0, 1)]
-    factors = list(zip(pres.coords.pos * 2, copies[0] + copies[1]))
-    if pres.base == QQ:
-        law = peel_unipotent(pres.coords, factors, ring)
-    else:
-        qring = PolyRing(QQ, ring.names, ring.weights)
-        law = reduce_integral(peel_unipotent(
-            pres.coords, [(rt, Polynomial(qring, u.terms)) for rt, u in factors],
-            qring), ring)
+    law = peel_unipotent(pres.coords, list(zip(pres.coords.pos * 2,
+                                               copies[0] + copies[1])), ring)
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
     images = []
     for (gname, _), i in zip(pres.generators, variables):
@@ -669,8 +670,9 @@ def _standard_coproducts(pres, N):
 
 def coproduct_on_generators(pres):
     """Delta on each presentation generator, as an element of the tensor
-    square of the generator algebra; verifies the counit on the way."""
-    top = max(dg for _, dg in pres.generators)
+    square of the generator algebra ({} without generators); verifies the
+    counit on the way."""
+    top = max((dg for _, dg in pres.generators), default=0)
     _, table = _standard_coproducts(pres, top)
     n = len(pres.generators)
     return {gname: table[tuple(int(j == i) for j in range(n))]

@@ -22,12 +22,15 @@ from operator import add, le, mul, sub
 
 from .rings import RingMismatchError
 
-# S-pairs one groebner_basis call may process before raising BudgetExceeded
+# the default work bound before BudgetExceeded: S-pairs in one
+# groebner_basis call, monomial products in one triangular solve (the
+# default of present_centralizer and of --budget)
 DEFAULT_BUDGET = 200000
 
 
 class BudgetExceeded(RuntimeError):
-    """The configured S-pair budget ran out; not a mathematical failure."""
+    """The configured budget ran out, of S-pairs (groebner_basis) or of
+    monomial products (the triangular solve); not a mathematical failure."""
 
 
 class PolyRing:

@@ -26,12 +26,14 @@ from .intlinalg import LinSpan
 
 
 def triangular_solve(uring, gens, budget):
-    """(images, free, caps): the image of each variable of uring in
-    k[free variables], the free variables in index order, and a cap (i, q)
-    for each pure power u_i^q of a free variable that the ideal holds, by
-    degree.  The ideal of gens is generated by the pivots' u_i - image and
-    those powers, so the quotient is k[free]/(u_i^q), and the images hold
-    only monomials below the caps (`below`).
+    """(images, free, caps, generators): the image of each variable of
+    uring in k[free variables], the free variables in index order, a cap
+    (i, q) for each pure power u_i^q of a free variable that the ideal
+    holds, by degree, and the variables that the reduced Groebner basis of
+    the ideal makes generators, by degree, then index.  The ideal of gens is
+    generated by the pivots' u_i - image and those powers, so the quotient
+    is k[free]/(u_i^q), and the images hold only monomials below the caps
+    (`below`).
 
     The degrees go up one at a time.  The images solved so far are
     substituted into the products (_MonomialImages, one unit of budget per
@@ -41,20 +43,35 @@ def triangular_solve(uring, gens, budget):
     By Borel's theorem they span pure powers: as many monomials as rows,
     each a power of one variable, else AssertionError.  From then on the
     products and this degree's pivot images drop every term they divide.
+
+    The images of weight D are then final: a later cap u_i^q has degree
+    q w_i > D and divides no monomial of degree D.  The generators of
+    degree D, a basis of m/(m^2 + I) there, m the ideal of the variables
+    (graded Nakayama), are read off them.  Modulo m^2 the ideal is spanned
+    in degree D by the linear parts of the echelon rows.  In weighted revlex
+    only the later variables of weight D sort below a variable x of weight
+    D, so x leads an element of the reduced basis exactly when the ideal
+    holds x + (later variables of weight D), that is, when x's image depends
+    on theirs.  The generators are the variables of weight D, in index
+    order, that lead nothing and are independent of those linear parts and
+    of each other.
     """
     R, n = uring.coeff, uring.nvars
     one, zero = R.coerce(1), R.coerce(0)
-    images = [{tuple(int(j == i) for j in range(n)): one} for i in range(n)]
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    images = [{unit: one} for unit in units]
     value = _MonomialImages(uring, images, budget)
     by_degree = {}
     for g in gens:
         # the ideal is homogeneous, so one term gives a generator's degree
         by_degree.setdefault(uring.wdeg(next(iter(g.terms))), []).append(g)
-    for D in sorted(by_degree):
+    generators = []
+    # the top weight has no generators of its own degree: it is all free
+    for D in sorted(set(by_degree) | set(uring.weights)):
         # a row is keyed (1, variable) on its linear part, which sorts above
         # every (0, monomial) of the substituted products
         span = LinSpan(R)
-        for g in by_degree[D]:
+        for g in by_degree.get(D, ()):
             row = {}
             for m, c in g.terms.items():
                 if sum(m) == 1:
@@ -91,8 +108,16 @@ def triangular_solve(uring, gens, budget):
             i = mp.index(1)
             images[i] = {m: c for m, c in image.items() if c}
             value.pivots |= 1 << i
+        layer = [i for i, w in enumerate(uring.weights) if w == D]
+        later, linear = LinSpan(R), LinSpan(R)
+        leads = {i for i in reversed(layer) if not later.add(images[i])}
+        for row in span.rows.values():
+            # a row whose pivot is a product has no linear part
+            linear.add({k: c for k, c in row.items() if k[0]})
+        generators += [i for i in layer
+                       if i not in leads and linear.add({(1, units[i]): one})]
     return (images, [i for i in range(n) if not value.pivots >> i & 1],
-            value.caps)
+            value.caps, generators)
 
 
 class _MonomialImages:
@@ -160,43 +185,4 @@ def values_at(images, point, R):
                     c = R.mul(c, x)
             total = R.add(total, c)
         out.append(total)
-    return out
-
-
-def generator_variables(uring, gens, images, truncation):
-    """The variables of weight <= truncation that the reduced Groebner
-    basis of the ideal makes generators, read off the solved images, which
-    must hold only monomials below the caps, as the solve returns them; they
-    are compared with each other only, so any monomial keys will do.
-
-    Within degree D the weighted revlex order puts below a variable x of
-    weight D only the later variables of weight D.  So x leads an element
-    of the reduced basis exactly when the ideal holds x + (later variables
-    of weight D), that is, when x's image depends on theirs modulo the
-    leftovers.  The generators of degree D are the variables of weight D,
-    in index order, that lead nothing and are independent of the linear
-    parts of the degree-D generators of the ideal and of each other: they
-    are a basis of m/(m^2 + I) there, m the ideal of the variables (graded
-    Nakayama).
-    """
-    R, n = uring.coeff, uring.nvars
-    one = R.coerce(1)
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    linear = {}
-    for g in gens:
-        linear.setdefault(uring.wdeg(next(iter(g.terms))), []).append(
-            {m: c for m, c in g.terms.items() if sum(m) == 1})
-    out = []
-    for D in sorted({w for w in uring.weights if w <= truncation}):
-        layer = [i for i, w in enumerate(uring.weights) if w == D]
-        later, leads = LinSpan(R), set()
-        for i in reversed(layer):
-            if not later.add(images[i]):
-                leads.add(i)
-        span = LinSpan(R)
-        for vec in linear.get(D, ()):
-            span.add(vec)
-        for i in layer:
-            if i not in leads and span.add({units[i]: one}):
-                out.append(i)
     return out

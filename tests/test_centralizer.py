@@ -499,9 +499,10 @@ def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
 
 
 def with_the_cap_u9_cubed(uring, solved):
-    """The solve's output (images, free, caps) with the cap (u9, 3) added."""
-    images, free, caps = solved
-    return images, free, caps + [(uring.names.index("u9"), 3)]
+    """The solve's output (images, free, caps, generators) with the cap
+    (u9, 3) added."""
+    images, free, caps, generators = solved
+    return images, free, caps + [(uring.names.index("u9"), 3)], generators
 
 
 @pytest.mark.parametrize("case,change,shown", [
@@ -539,10 +540,14 @@ def test_a_leftovers_basis_off_borels_shape_raises(case, change, shown,
     (lambda chosen: [0] + chosen, "does not reproduce"),       # u1 added
 ])
 def test_a_generator_added_or_missed_raises(change, message, monkeypatch):
-    # Spin8/F2: the generators are u4, u7, u9, u10, u12 and u1 is a pivot
-    select = centralizer.generator_variables
-    monkeypatch.setattr(centralizer, "generator_variables",
-                        lambda *args: change(select(*args)))
+    # Spin8/F2: the solve's generators are u4, u7, u9, u10, u12 and u1 is
+    # a pivot
+    solve = centralizer.triangular_solve
+
+    def perturbed(uring, gens, budget):
+        images, free, caps, generators = solve(uring, gens, budget)
+        return images, free, caps, change(generators)
+    monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
     with pytest.raises(AssertionError, match=message):
         present_centralizer(load_datum("Spin8"), GF(2))
 
@@ -562,17 +567,17 @@ def test_the_point_check_catches_each_perturbed_pivot(name, ring, monkeypatch):
     # free variable of degree 2
     solve = centralizer.triangular_solve
     ideal = unipotent_ideal(load_datum(name), ring)
-    images, free, caps = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
+    images, free, caps, _ = solve(ideal.ring, ideal.gens, DEFAULT_BUDGET)
     assert bool(caps) == (ring.characteristic in (2, 3))
     pivots = [i for i in range(len(images)) if i not in free]
     assert pivots
     for i in pivots:
         def perturbed(uring, gens, budget, i=i):
-            images, free, caps = solve(uring, gens, budget)
+            images, free, caps, generators = solve(uring, gens, budget)
             origin = (0,) * uring.nvars
             images[i][origin] = ring.add(images[i].get(origin, ring.coerce(0)),
                                          ring.coerce(1))
-            return images, free, caps
+            return images, free, caps, generators
         monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
         with pytest.raises(AssertionError, match="do not centralize e"):
             present_centralizer(load_datum(name), ring)
@@ -634,6 +639,15 @@ def test_specialization_off_and_on_the_sl3_walls():
         _, report = specialize_eT(eT, s)
         assert report["discriminant"] == 0
         assert not report["regular_semisimple"]
+
+
+@pytest.mark.parametrize("name,s", [("SL2", [1, 2, 3]), ("SL3", [1])])
+def test_specialization_refuses_a_point_of_the_wrong_length(name, s):
+    # SL2 used to ignore the extra coordinates, SL3 to raise IndexError
+    eT = build_eT(load_datum(name))
+    with pytest.raises(ValueError, match=f"s has {len(s)} coordinates, not "
+                                         f"the rank {eT.datum.rank}"):
+        specialize_eT(eT, s)
 
 
 @pytest.mark.parametrize("name,points", [
@@ -946,6 +960,13 @@ def test_coproduct_is_algebra_like_on_sl2():
     terms = cop[aname]
     # primitive generator: A -> A(x)1 + 1(x)A
     assert terms == {((1,), (0,)): 1, ((0,), (1,)): 1}
+
+
+def test_coproduct_without_generators_is_empty():
+    # truncated below SL2's one generator of degree 2
+    pres = present_centralizer(load_datum("SL2"), QQ, truncation=1)
+    assert pres.generators == []
+    assert coproduct_on_generators(pres) == {}
 
 
 def test_truncated_dist_divided_powers():

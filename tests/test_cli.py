@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -176,6 +177,35 @@ def test_deterministic_output(capsys, tmp_path):
     run(capsys, "centralizer", "--preset", "Sp4", "--ring", "F5",
         "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# argv -> (exit code, first 16 hex digits of the sha256 of stdout), stderr
+# empty, pinned at commit 5d17086: a change meant to keep the output
+# byte-identical must leave each of these as it is
+CLI_OUTPUT_DIGESTS = {
+    ("check-all",): (EXIT_PASS, "153266846d0228f5"),
+    ("check-all", "--presets", "SL3", "G2", "--ring", "F5",
+     "--inject-sign-error"): (EXIT_MISMATCH, "f36f59a76b537b8f"),
+    ("centralizer", "--preset", "SL4", "--ring", "Q"): (EXIT_PASS, "2f2344a53186f249"),
+    ("centralizer", "--preset", "G2", "--ring", "F2"): (EXIT_PASS, "ff38d824cda48b18"),
+    ("centralizer", "--preset", "Spin8", "--ring", "F2"): (EXIT_PASS, "6e755143d080a1c3"),
+    ("centralizer", "--preset", "F4", "--ring", "F3"): (EXIT_PASS, "4a480d3c7e0eaa54"),
+    ("centralizer", "--preset", "E6sc", "--ring", "F3"): (EXIT_PASS, "8db122b8523392b5"),
+    ("centralizer", "--preset", "E7sc", "--ring", "F2", "--truncate", "10"):
+        (EXIT_PASS, "3a20cfbc67cd9379"),
+    ("centralizer", "--preset", "E7sc", "--ring", "F2", "--truncate", "16"):
+        (EXIT_PASS, "c6d5ff5cded88e6c"),
+    ("centralizer", "--preset", "E7sc", "--ring", "F2", "--truncate", "40"):
+        (EXIT_PASS, "4d893018d9ed9032"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_OUTPUT_DIGESTS), ids=" ".join)
+def test_cli_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == \
+        CLI_OUTPUT_DIGESTS[argv]
 
 
 def test_cache_hit_reproduces_output(capsys, tmp_path):
@@ -367,9 +397,9 @@ def _perturb_solve(monkeypatch, change):
     solve = centralizer.triangular_solve
 
     def perturbed(uring, gens, budget):
-        images, free, caps = solve(uring, gens, budget)
+        images, free, caps, generators = solve(uring, gens, budget)
         images, caps = change(uring, images, caps)
-        return images, free, caps
+        return images, free, caps, generators
     monkeypatch.setattr(centralizer, "triangular_solve", perturbed)
 
 

@@ -32,9 +32,9 @@ with mock.patch.object(centralizer, "peel_unipotent", perturbed):
                 raised.append(f"counit:{name}")
 solve = centralizer.triangular_solve
 def shifted(uring, gens, budget):          # add 1 to the image of u1, a pivot
-    images, free, caps = solve(uring, gens, budget)
+    images, free, caps, generators = solve(uring, gens, budget)
     images[0] = {**images[0], (0,) * uring.nvars: uring.coeff.coerce(1)}
-    return images, free, caps
+    return images, free, caps, generators
 with mock.patch.object(centralizer, "triangular_solve", shifted):
     try:                                   # Spin8/F2 has the leftover u4^2
         present_centralizer(load_datum("Spin8"), GF(2))
@@ -42,8 +42,8 @@ with mock.patch.object(centralizer, "triangular_solve", shifted):
         if "do not centralize e" in str(exc):
             raised.append("torsion")
 def cubed(uring, gens, budget):            # the cap (u9, 3): 3 is no power of 2
-    images, free, caps = solve(uring, gens, budget)
-    return images, free, caps + [(uring.names.index("u9"), 3)]
+    images, free, caps, generators = solve(uring, gens, budget)
+    return images, free, caps + [(uring.names.index("u9"), 3)], generators
 with mock.patch.object(centralizer, "triangular_solve", cubed):
     try:                                   # Borel's shape check on Spin8/F2
         present_centralizer(load_datum("Spin8"), GF(2))
