@@ -15,7 +15,9 @@ algebra of finite type, so as an algebra it is a tensor product of factors
 k[x] and k[y]/(y^(p^k)) (Borel, Ann. Math. 57, 1953; Milnor-Moore, Ann.
 Math. 81, 1965, Thm 7.11).  The solve returns each leftover, a pure power
 u_i^q, as its cap (i, q), and the relations are read off the caps
-(``_borel_relations``).
+(``_borel_relations``).  The presentation's free ring carries the caps, so
+every product in it, and in the two copies of it where the Hopf tables
+peel the group law, is already taken in k[free]/(leftovers).
 """
 
 from fractions import Fraction
@@ -24,11 +26,11 @@ from math import lcm, prod
 from operator import add
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
-from .commalg import (DEFAULT_BUDGET, Ideal, PolyRing, Polynomial,
+from .commalg import (DEFAULT_BUDGET, Ideal, PolyRing, Polynomial, below,
                       hilbert_series)
 from .intlinalg import LinSpan, tagged
 from .rings import GF, QQ
-from .triangular import below, triangular_solve, values_at
+from .triangular import triangular_solve, values_at
 
 
 class BadPrimeError(ValueError):
@@ -284,14 +286,13 @@ def standard_monomials(ring, caps, D):
 
 class _CappedProducts:
     """Product table: called on an exponent tuple m, prod factors[i]^m[i]
-    with only its terms below the caps; one is the entry of the empty
-    product.  Entries are memoised by m with trailing zeros stripped, each
-    built from the one with one factor fewer of its last factor.  The
-    truncation is a ring map, so truncating each partial product is
-    enough."""
+    in the factors' ring, whose caps truncate each partial product; one is
+    the entry of the empty product.  Entries are memoised by m with
+    trailing zeros stripped, each built from the one with one factor fewer
+    of its last factor."""
 
-    def __init__(self, factors, caps, one):
-        self.factors, self.caps = factors, caps
+    def __init__(self, factors, one):
+        self.factors = factors
         self.memo = {(): one}
 
     def __call__(self, m):
@@ -299,15 +300,8 @@ class _CappedProducts:
             m = m[:-1]
         p = self.memo.get(m)
         if p is None:
-            p = _truncated(self(m[:-1] + (m[-1] - 1,)) * self.factors[len(m) - 1],
-                           self.caps)
-            self.memo[m] = p
+            p = self.memo[m] = self(m[:-1] + (m[-1] - 1,)) * self.factors[len(m) - 1]
         return p
-
-
-def _truncated(poly, caps):
-    """poly with only its terms below the caps."""
-    return Polynomial(poly.ring, {m: c for m, c in poly.terms.items() if below(m, caps)})
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +314,7 @@ GENERATOR_NAMES = "ABCDEFGHJKLMNPQRSTUVWXY"
 class CentralizerPresentation:
     def __init__(self, base, zcenter, generators, generator_reps, relations,
                  gen_ring, hilbert, hilbert_unipotent, krull_dim, free_ring,
-                 images, caps, coords):
+                 images, coords):
         self.base = base                      # coefficient ring
         self.zcenter = zcenter                # FiniteAbelianGroup
         self.generators = generators          # [(name, degree)]
@@ -330,12 +324,10 @@ class CentralizerPresentation:
         self.hilbert = hilbert                # |Z| * series of the unipotent quotient
         self.hilbert_unipotent = hilbert_unipotent
         self.krull_dim = krull_dim
-        self.free_ring = free_ring            # the free variables of the solve
-        # each u variable's image in free_ring, with only monomials below
-        # the caps, and the caps (j, q), the leftovers x_j^q of free_ring
-        # (none without leftovers)
-        self.images = images
-        self.caps = caps
+        # k[free]/(leftovers): the free variables of the solve, whose caps
+        # (j, q) are the leftovers x_j^q (none without leftovers)
+        self.free_ring = free_ring
+        self.images = images                  # each u variable's image in free_ring
         self.coords = coords
         # _tensor_square(self), built on first use: U(a) U(b) is peeled once
         # per presentation, at the images in two copies of k[free]/(leftovers)
@@ -391,13 +383,14 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
             "the solved pivots do not centralize e at the check point")
     # k[free]/(leftovers), in the ring of the free variables
     free_ring = PolyRing(ring, [uring.names[i] for i in free],
-                         [uring.weights[i] for i in free])
-    images = [_restrict(image, free_ring, free) for image in images]
-    free_caps = [(free.index(i), q) for i, q in caps]
+                         [uring.weights[i] for i in free],
+                         [(free.index(i), q) for i, q in caps])
+    images = [Polynomial(free_ring, {tuple(m[i] for i in free): c
+                                     for m, c in image.items()}) for image in images]
     # the leftovers are pure powers with disjoint supports, their own
     # reduced Groebner basis: prod (1 - t^deg) / prod (1 - t^w)
     powers = [free_ring.monomial([q * (k == j) for k in range(free_ring.nvars)])
-              for j, q in free_caps]
+              for j, q in free_ring.caps]
     hs_u = hilbert_series(powers, ring=free_ring, truncation=truncation,
                           is_groebner=True)
     chosen = [i for i in generators if uring.weights[i] <= truncation]
@@ -416,13 +409,7 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
         relations=rels, gen_ring=gen_ring,
         hilbert=hs_u.scaled(cid.zcenter.torsion_order), hilbert_unipotent=hs_u,
         krull_dim=hs_u.dimension(),
-        free_ring=free_ring, images=images, caps=free_caps, coords=coords)
-
-
-def _restrict(terms, ring, variables):
-    """terms, whose monomials hold only `variables`, as a polynomial of ring."""
-    return Polynomial(ring, {tuple(m[i] for i in variables): c
-                             for m, c in terms.items()})
+        free_ring=free_ring, images=images, coords=coords)
 
 
 def _borel_relations(name, caps, uring, chosen, gen_ring, truncation):
@@ -462,10 +449,11 @@ def peel_unipotent(coords, factors, ring):
     -<alpha, 2rho^vee> u_alpha = -2 height(alpha) u_alpha.  v must end at
     2rho^vee.  The heights divide, so the peel runs over Q: over F_p the
     values are lifted to ints, and the coordinates reduced mod p
-    (reduce_integral; the law is integral)."""
+    (reduce_integral; the law is integral).  The lift keeps a ring's caps:
+    truncation is a ring map, and commutes with the divisions."""
     target = ring
     if isinstance(ring, PolyRing) and ring.coeff != QQ:
-        ring = PolyRing(QQ, ring.names, ring.weights)
+        ring = PolyRing(QQ, ring.names, ring.weights, ring.caps)
         factors = [(rt, Polynomial(ring, u.terms)) for rt, u in factors]
     elif not isinstance(ring, PolyRing):
         ring = QQ
@@ -593,35 +581,32 @@ def brute_force_group_check(d, p):
 
 def _tensor_square(pres):
     """Product tables in the ring of two commuting copies, a (left) and b
-    (right), of k[free]/(leftovers), whose caps are pres.caps in each copy:
-    of the generators' images in copy a, in copy b, and under the group law
-    on B_e x B_e, the coordinates of U(a) U(b) peeled at the images of the
-    u variables in the two copies, with only their terms below the caps.
+    (right), of k[free]/(leftovers), whose caps are the free ring's in each
+    copy: of the generators' images in copy a, in copy b, and under the
+    group law on B_e x B_e, the coordinates of U(a) U(b) peeled at the
+    images of the u variables in the two copies, in that capped ring.
     Checks the counit.  Built once per presentation and kept on it."""
     if pres._tensor is not None:
         return pres._tensor
     free_ring = pres.free_ring
     ring = PolyRing(pres.base, [f"{nm}{c}" for c in "ab" for nm in free_ring.names],
-                    free_ring.weights * 2)
-    caps = pres.caps + [(j + free_ring.nvars, q) for j, q in pres.caps]
+                    free_ring.weights * 2,
+                    free_ring.caps + tuple((j + free_ring.nvars, q)
+                                           for j, q in free_ring.caps))
     copies = [[_rename_into(image, ring, copy) for image in pres.images]
               for copy in (0, 1)]
     law = peel_unipotent(pres.coords, list(zip(pres.coords.pos * 2,
                                                copies[0] + copies[1])), ring)
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
-    images = []
     for (gname, _), i in zip(pres.generators, variables):
-        image = _truncated(law[i], caps)
         # counit: the right side at 0 (the terms free of copy b) must return
         # the generator's image in copy a
-        at_zero = {m: c for m, c in image.terms.items()
+        at_zero = {m: c for m, c in law[i].terms.items()
                    if not any(m[free_ring.nvars:])}
         if at_zero != copies[0][i].terms:
             raise AssertionError(f"counit fails on {gname}")
-        images.append(image)
-    left, right = ([copy[i] for i in variables] for copy in copies)
-    pres._tensor = [_CappedProducts(factors, caps, ring.one())
-                    for factors in (left, right, images)]
+    pres._tensor = [_CappedProducts([values[i] for i in variables], ring.one())
+                    for values in (*copies, law)]
     return pres._tensor
 
 

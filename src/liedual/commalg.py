@@ -5,6 +5,11 @@ Monomials are exponent tuples; the term order is weighted graded reverse
 lexicographic: compare weighted degree first, ties broken by the *last*
 nonzero entry of the exponent difference being negative.
 
+A ring may carry caps (i, q), and is then the quotient k[x]/(x_i^q):
+`product`, the one loop under every product of polynomials, keeps only the
+monomials `below` the caps.  Sums, scalings and the Groebner machinery take
+the terms as given.
+
 Division looks for a divisor through a DivisorIndex: each leading monomial
 of the basis carries its support mask, bit i set where exponent i is
 nonzero (Bachmann & Schoenemann's short exponent vector, ISSAC 1998, one
@@ -33,8 +38,31 @@ class BudgetExceeded(RuntimeError):
     monomial products (the triangular solve); not a mathematical failure."""
 
 
+def below(m, caps):
+    """Whether the monomial m survives in k[x]/(x_i^q for (i, q) in caps):
+    m[i] < q at every cap, so that no pure power of caps divides m."""
+    return all(m[i] < q for i, q in caps)
+
+
+def product(a, b, R, caps=()):
+    """The product of two {monomial: coefficient} dicts over the
+    coefficient ring R, with only its terms below the caps."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            if caps and not below(m, caps):
+                continue
+            c = R.mul(c1, c2)
+            out[m] = R.add(out[m], c) if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
 class PolyRing:
-    def __init__(self, coeff_ring, names, weights=None):
+    """k[x]/(x_i^q for (i, q) in caps) on the named variables of the given
+    weights; every product formed in the ring keeps only the terms below."""
+
+    def __init__(self, coeff_ring, names, weights=None, caps=()):
         self.coeff = coeff_ring
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
@@ -43,18 +71,21 @@ class PolyRing:
         if len(self.weights) != len(self.names) or any(w <= 0 for w in self.weights):
             raise ValueError("need one positive weight per variable")
         self.nvars = len(self.names)
+        self.caps = tuple((i, q) for i, q in caps)
         self._index = {nm: i for i, nm in enumerate(self.names)}
         self._bits = tuple(1 << i for i in range(self.nvars))
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.coeff == other.coeff
-                and self.names == other.names and self.weights == other.weights)
+                and self.names == other.names and self.weights == other.weights
+                and self.caps == other.caps)
 
     def __hash__(self):
-        return hash((self.coeff, self.names, self.weights))
+        return hash((self.coeff, self.names, self.weights, self.caps))
 
     def __repr__(self):
-        return f"{self.coeff}[{', '.join(self.names)}]"
+        caps = ", ".join(f"{self.names[i]}^{q}" for i, q in self.caps)
+        return f"{self.coeff}[{', '.join(self.names)}]" + (f"/({caps})" if caps else "")
 
     def wdeg(self, exps):
         return sum(map(mul, exps, self.weights))
@@ -165,14 +196,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        R = self.ring.coeff
-        out = {}
-        zero = R.coerce(0)
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                out[m] = R.add(out.get(m, zero), R.mul(c1, c2))
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, product(self.terms, other.terms, self.ring.coeff,
+                                             self.ring.caps))
 
     __rmul__ = __mul__
 

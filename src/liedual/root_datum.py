@@ -406,6 +406,11 @@ def _integer_rows(rows, what):
 
 
 def _datum_from_doc(doc):
+    # a misspelled key must not fall back to a default ("latice" would give
+    # the simply connected lattice)
+    for key in doc:
+        if key not in ("name", "cartan", "lattice", "central_rank"):
+            raise RootDatumError(f"unknown datum key {key!r}")
     name = doc.get("name", "datum")
     if not isinstance(name, str):
         raise RootDatumError(f"datum name {name!r} is not a string")
@@ -427,6 +432,9 @@ def _datum_from_doc(doc):
     elif lattice == "adjoint":
         B = [[int(i == j) for j in range(n)] for i in range(n)]
     elif isinstance(lattice, dict) and "basis" in lattice:
+        for key in lattice:
+            if key != "basis":
+                raise RootDatumError(f"unknown lattice key {key!r}")
         B = _integer_rows(lattice["basis"], "lattice basis")
     else:
         raise RootDatumError(f"unknown lattice tag {lattice!r}")

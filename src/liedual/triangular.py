@@ -11,17 +11,15 @@ the free variables.  A layer that drops rank mod p (a torsion prime) leaves
 rows without a linear part.  The ring is then H_*(Omega K; F_p), a connected
 graded Hopf algebra, so by Borel's structure theorem (Ann. Math. 57, 1953)
 those rows span pure powers x^(p^k), the leftovers, and the ring is
-k[free]/(leftovers).  A leftover u_i^q is kept as its cap (i, q), and
-`below` is the one rule of that quotient, for the solve, the presentation
-and the Hopf tables: a monomial survives when it is below every cap.
+k[free]/(leftovers).  A leftover u_i^q is kept as its cap (i, q), and the
+solve's products keep only the monomials below the caps found so far
+(`commalg.product`, the loop under every product of a capped `PolyRing`).
 
 Polynomials here are {exponent tuple: coefficient} dicts in the variables
 of the ideal's ring.
 """
 
-from operator import add
-
-from .commalg import BudgetExceeded, Polynomial
+from .commalg import BudgetExceeded, Polynomial, below, product
 from .intlinalg import LinSpan
 
 
@@ -33,7 +31,7 @@ def triangular_solve(uring, gens, budget):
     the ideal makes generators, by degree, then index.  The ideal of gens is
     generated by the pivots' u_i - image and those powers, so the quotient
     is k[free]/(u_i^q), and the images hold only monomials below the caps
-    (`below`).
+    (`commalg.below`).
 
     The degrees go up one at a time.  The images solved so far are
     substituted into the products (_MonomialImages, one unit of budget per
@@ -150,28 +148,9 @@ class _MonomialImages:
                 raise BudgetExceeded(
                     f"triangular solve: product budget {self.budget} exhausted")
             k = hit.bit_length() - 1
-            v = _product(self(m[:k] + (m[k] - 1,) + m[k + 1:]), self.images[k],
-                         self.uring.coeff)
-            if self.capped:
-                v = {m2: c for m2, c in v.items() if below(m2, self.caps)}
-            self.memo[m] = v
+            v = self.memo[m] = product(self(m[:k] + (m[k] - 1,) + m[k + 1:]),
+                                       self.images[k], self.uring.coeff, self.caps)
         return v
-
-
-def below(m, caps):
-    """Whether the monomial m survives in k[x]/(x_i^q for (i, q) in caps):
-    m[i] < q at every cap, so that no pure power of caps divides m."""
-    return all(m[i] < q for i, q in caps)
-
-
-def _product(a, b, R):
-    """The product of two polynomials."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m, c = tuple(map(add, m1, m2)), R.mul(c1, c2)
-            out[m] = R.add(out[m], c) if m in out else c
-    return {m: c for m, c in out.items() if c}
 
 
 def values_at(images, point, R):

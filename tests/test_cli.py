@@ -116,6 +116,17 @@ def test_unknown_preset_and_bad_file(capsys, tmp_path):
         assert code == EXIT_BAD_INPUT and out == "" and msg in err, doc
 
 
+@pytest.mark.parametrize("command", ["datum-info", "centralizer"])
+def test_a_misspelled_datum_key_is_bad_input(command, capsys, tmp_path):
+    # refused, not read as SL2 in place of PGL2 with exit code 0
+    bad = tmp_path / "pgl2.json"
+    bad.write_text(json.dumps({"cartan": [[2]], "latice": "adjoint"}))
+    code, out, err = run(capsys, command, "--datum-file", str(bad))
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err.startswith("bad input: unknown datum key 'latice'")
+    assert err.count("\n") == 1
+
+
 def test_datum_file_that_is_a_directory_is_bad_input(capsys, tmp_path):
     code, out, err = run(capsys, "datum-info", "--datum-file", str(tmp_path))
     assert code == EXIT_BAD_INPUT and out == ""

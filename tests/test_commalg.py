@@ -13,12 +13,14 @@ from liedual import (GF, QQ, ZZ, BorelCoordinates, BudgetExceeded,
                      ideal_dimension, invariant_factors, load_datum,
                      normal_form, parse_polynomial, principal_e,
                      ring_from_name, smith_normal_form)
-from liedual.commalg import (DivisorIndex, Polynomial,
+from liedual.centralizer import peel_unipotent, present_centralizer
+from liedual.commalg import (DivisorIndex, Polynomial, below,
                              _divide_one_minus_t_power, _minimal_monomials,
                              _mono_divides, _mono_lcm, _mono_quot,
                              _monomial_ideal_numerator, reduce_basis,
                              s_polynomial)
 from liedual.intlinalg import determinant
+from liedual.rings import RingMismatchError
 
 from reference import mat_mul
 
@@ -714,3 +716,40 @@ def test_invariant_factors_match_sympy(rows):
     M = snf(sympy.Matrix(rows))
     theirs = sorted(abs(M[i, i]) for i in range(min(M.rows, M.cols)) if M[i, i])
     assert sorted(ours) == theirs
+
+
+CAPPED = PolyRing(GF(2), ("x", "y"), (2, 4), caps=[(0, 2)])
+
+
+def test_a_capped_ring_truncates_its_products():
+    # F_2[x, y]/(x^2): x^2 is killed, xy is kept, and (x + y)^2 = y^2
+    x, y = CAPPED.gens()
+    assert x * x == CAPPED.zero()
+    assert (x * y).terms == {(1, 1): 1}
+    assert (x + y) ** 2 == y * y == CAPPED.monomial((0, 2))
+
+
+def test_rings_that_differ_only_by_their_caps_are_different_rings():
+    free = PolyRing(GF(2), ("x", "y"), (2, 4))
+    assert free != CAPPED and hash(free) != hash(CAPPED)
+    with pytest.raises(RingMismatchError, match=r"F_2\[x, y\] vs F_2\[x, y\]/\(x\^2\)"):
+        free.gen("x") + CAPPED.gen("x")
+
+
+def test_the_peel_stays_in_the_capped_target_ring():
+    # G2 over F_2: the free ring is F_2[u2, u3, u6]/(u2^2).  U(images)^2
+    # peeled there is the peel in the uncapped ring, truncated afterwards
+    pres = present_centralizer(load_datum("G2"), GF(2))
+    ring, pos = pres.free_ring, pres.coords.pos
+    assert ring.caps == ((0, 2),)
+    uncapped = PolyRing(ring.coeff, ring.names, ring.weights)
+
+    def square(R):
+        images = [Polynomial(R, image.terms) for image in pres.images]
+        return peel_unipotent(pres.coords, list(zip(pos * 2, images * 2)), R)
+    capped, full = square(ring), square(uncapped)
+    assert all(u.ring == ring for u in capped)
+    truncated = [{m: c for m, c in u.terms.items() if below(m, ring.caps)}
+                 for u in full]
+    assert [u.terms for u in capped] == truncated
+    assert truncated != [u.terms for u in full]

@@ -258,6 +258,19 @@ def test_rejects_bad_lattice():
         load_datum({"cartan": [[2]], "lattice": {"basis": [5]}})
 
 
+def test_a_misspelled_key_is_refused():
+    # "latice" is refused, not ignored in favour of the default lattice,
+    # which gives SL2 (pi_0 = 1) in place of PGL2
+    assert load_datum({"cartan": [[2]], "lattice": "adjoint"}
+                      ).component_group().torsion_order == 2
+    with pytest.raises(RootDatumError, match="unknown datum key 'latice'"):
+        load_datum({"cartan": [[2]], "latice": "adjoint"})
+    with pytest.raises(RootDatumError, match="unknown datum key 'central_rnk'"):
+        load_datum(json.dumps({"cartan": [[2]], "central_rnk": 1}))
+    with pytest.raises(RootDatumError, match="unknown lattice key 'bases'"):
+        load_datum({"cartan": [[2]], "lattice": {"basis": [[1]], "bases": [[2]]}})
+
+
 def test_unknown_preset():
     with pytest.raises((RootDatumError, KeyError, ValueError)):
         load_datum("E8madeup")
