@@ -17,20 +17,23 @@ Math. 81, 1965, Thm 7.11).  The solve returns each leftover, a pure power
 u_i^q, as its cap (i, q), and the relations are read off the caps
 (``_borel_relations``).  The presentation's free ring carries the caps, so
 every product in it, and in the two copies of it where the Hopf tables
-peel the group law, is already taken in k[free]/(leftovers).
+peel the group law, is already taken in k[free]/(leftovers).  The point
+check of the solve and the Hopf tables' products map monomials through
+``commalg.Substitution``, as the solve does.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from math import lcm, prod
 from operator import add
 
 from .chevalley import LieElement, ad_kernel_dim, build_chevalley, principal_e
-from .commalg import (DEFAULT_BUDGET, Ideal, PolyRing, Polynomial, below,
-                      hilbert_series)
+from .commalg import (DEFAULT_BUDGET, Ideal, PolyRing, Polynomial, Substitution,
+                      below, hilbert_series)
 from .intlinalg import LinSpan, tagged
 from .rings import GF, QQ
-from .triangular import triangular_solve, values_at
+from .triangular import triangular_solve
 
 
 class BadPrimeError(ValueError):
@@ -284,26 +287,6 @@ def standard_monomials(ring, caps, D):
     return [m for m in monomials_of_degree(ring.weights, D) if below(m, caps)]
 
 
-class _CappedProducts:
-    """Product table: called on an exponent tuple m, prod factors[i]^m[i]
-    in the factors' ring, whose caps truncate each partial product; one is
-    the entry of the empty product.  Entries are memoised by m with
-    trailing zeros stripped, each built from the one with one factor fewer
-    of its last factor."""
-
-    def __init__(self, factors, one):
-        self.factors = factors
-        self.memo = {(): one}
-
-    def __call__(self, m):
-        while m and not m[-1]:
-            m = m[:-1]
-        p = self.memo.get(m)
-        if p is None:
-            p = self.memo[m] = self(m[:-1] + (m[-1] - 1,)) * self.factors[len(m) - 1]
-        return p
-
-
 # ----------------------------------------------------------------------
 # presentations
 
@@ -375,8 +358,11 @@ def present_centralizer(d, ring, truncation=40, budget=DEFAULT_BUDGET):
     # solution: u_i = 0 on the free variables of the leftovers (none has a
     # constant term), u_i = i + 2 on the other free ones
     held = {i for i, _ in caps}
-    point = values_at(images, [ring.coerce(0 if i in held else i + 2)
-                               for i in range(uring.nvars)], ring)
+    at = Substitution(uring, [{} if i in held else {(): ring.coerce(i + 2)}
+                              for i in range(uring.nvars)], ring, {(): ring.coerce(1)})
+    point = [reduce(ring.add, (ring.mul(c, x) for m, c in image.items()
+                               for x in at(m).values()), ring.coerce(0))
+             for image in images]
     target = _lie_vector(e, ring)
     if adjoint_action(basis, list(zip(coords.pos, point)), target, ring) != target:
         raise AssertionError(
@@ -580,12 +566,14 @@ def brute_force_group_check(d, p):
 
 
 def _tensor_square(pres):
-    """Product tables in the ring of two commuting copies, a (left) and b
-    (right), of k[free]/(leftovers), whose caps are the free ring's in each
-    copy: of the generators' images in copy a, in copy b, and under the
-    group law on B_e x B_e, the coordinates of U(a) U(b) peeled at the
-    images of the u variables in the two copies, in that capped ring.
-    Checks the counit.  Built once per presentation and kept on it."""
+    """(ring, left, right, law): the ring of two commuting copies, a (left)
+    and b (right), of k[free]/(leftovers), whose caps are the free ring's
+    in each copy, and three tables, each a `commalg.Substitution` from the
+    generator ring into it: the generators to their images in copy a, in
+    copy b, and under the group law on B_e x B_e, the coordinates of
+    U(a) U(b) peeled at the images of the u variables in the two copies, in
+    that capped ring.  Checks the counit.  Built once per presentation and
+    kept on it."""
     if pres._tensor is not None:
         return pres._tensor
     free_ring = pres.free_ring
@@ -605,8 +593,10 @@ def _tensor_square(pres):
                    if not any(m[free_ring.nvars:])}
         if at_zero != copies[0][i].terms:
             raise AssertionError(f"counit fails on {gname}")
-    pres._tensor = [_CappedProducts([values[i] for i in variables], ring.one())
-                    for values in (*copies, law)]
+    pres._tensor = ring, *(Substitution(pres.gen_ring,
+                                        [values[i].terms for i in variables],
+                                        pres.base, ring.one().terms, ring.caps)
+                           for values in (*copies, law))
     return pres._tensor
 
 
@@ -634,7 +624,7 @@ def _standard_coproducts(pres, N):
             for r in pres.relations]
     basis_by_deg = {D: standard_monomials(pres.gen_ring, caps, D)
                     for D in range(0, N + 1, 2)}
-    left, right, image_products = _tensor_square(pres)
+    ring, left, right, image_products = _tensor_square(pres)
     table = {}
     for D, monos in basis_by_deg.items():
         # the two factors share no variable and are each below the caps, so
@@ -643,10 +633,11 @@ def _standard_coproducts(pres, N):
         for da in range(0, D + 1, 2):
             for ma in basis_by_deg[da]:
                 for mb in basis_by_deg[D - da]:
-                    span.add(tagged((left(ma) * right(mb)).terms, (ma, mb),
-                                    pres.base))
+                    span.add(tagged((Polynomial(ring, left(ma))
+                                     * Polynomial(ring, right(mb))).terms,
+                                    (ma, mb), pres.base))
         for m in monos:
-            combo = span.express(image_products(m).terms)
+            combo = span.express(image_products(m))
             if combo is None:
                 raise PeelingError(f"coproduct extraction failed at {m}")
             table[m] = combo

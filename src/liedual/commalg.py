@@ -8,7 +8,9 @@ nonzero entry of the exponent difference being negative.
 A ring may carry caps (i, q), and is then the quotient k[x]/(x_i^q):
 `product`, the one loop under every product of polynomials, keeps only the
 monomials `below` the caps.  Sums, scalings and the Groebner machinery take
-the terms as given.
+the terms as given.  `Substitution` is the one memoised monomial map
+x_i -> image_i on term dicts, truncated by caps and charged to a budget:
+the triangular solve, its point check and the Hopf tables call it.
 
 Division looks for a divisor through a DivisorIndex: each leading monomial
 of the basis carries its support mask, bit i set where exponent i is
@@ -28,14 +30,14 @@ from operator import add, le, mul, sub
 from .rings import RingMismatchError
 
 # the default work bound before BudgetExceeded: S-pairs in one
-# groebner_basis call, monomial products in one triangular solve (the
-# default of present_centralizer and of --budget)
+# groebner_basis call, products formed by the Substitution of one
+# triangular solve (the default of present_centralizer and of --budget)
 DEFAULT_BUDGET = 200000
 
 
 class BudgetExceeded(RuntimeError):
     """The configured budget ran out, of S-pairs (groebner_basis) or of
-    monomial products (the triangular solve); not a mathematical failure."""
+    monomial products (a Substitution); not a mathematical failure."""
 
 
 def below(m, caps):
@@ -56,6 +58,41 @@ def product(a, b, R, caps=()):
             c = R.mul(c1, c2)
             out[m] = R.add(out[m], c) if m in out else c
     return {m: c for m, c in out.items() if c}
+
+
+class Substitution:
+    """The monomial map x_i -> images[i] from the ring `source`: called on
+    an exponent tuple m, m's image as a {monomial: coefficient} dict over R
+    below the caps (`unit` for the empty monomial).  A variable outside the
+    bitmask `mapped` (default: all) maps to itself, and a cap on it (its bit
+    in `capped`) makes m zero.  Entries are memoised, each built from the
+    one with one factor fewer of m's last mapped variable; each product
+    formed costs one unit of budget (None: no bound).  A caller may grow
+    images, mapped, capped and caps between calls, as long as no entry
+    already memoised would change."""
+
+    def __init__(self, source, images, R, unit, caps=(), budget=None):
+        self.source, self.images, self.R, self.unit = source, images, R, unit
+        self.caps, self.budget, self.one = caps, budget, R.coerce(1)
+        self.mapped, self.capped = (1 << source.nvars) - 1, 0
+        self.memo, self.spent = {}, 0
+
+    def __call__(self, m):
+        mask = self.source.support_mask(m)
+        if mask & self.capped and not below(m, self.caps):
+            return {}
+        hit = mask & self.mapped
+        if not hit:
+            return {m: self.one} if mask else self.unit
+        v = self.memo.get(m)
+        if v is None:
+            self.spent += 1
+            if self.budget is not None and self.spent > self.budget:
+                raise BudgetExceeded(f"product budget {self.budget} exhausted")
+            k = hit.bit_length() - 1
+            v = self.memo[m] = product(self(m[:k] + (m[k] - 1,) + m[k + 1:]),
+                                       self.images[k], self.R, self.caps)
+        return v
 
 
 class PolyRing:

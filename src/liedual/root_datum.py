@@ -405,6 +405,12 @@ def _integer_rows(rows, what):
     return tuple(tuple(_integer(x, what) for x in row) for row in rows)
 
 
+# the lattice bases are (rank + central_rank)-square and their Smith forms
+# cost its cube: datum-info takes 2 s at central_rank 240, and a document of
+# a few bytes would otherwise exhaust memory
+MAX_CENTRAL_RANK = 64
+
+
 def _datum_from_doc(doc):
     # a misspelled key must not fall back to a default ("latice" would give
     # the simply connected lattice)
@@ -424,6 +430,8 @@ def _datum_from_doc(doc):
     c = _integer(doc.get("central_rank", 0), "central_rank")
     if c < 0:
         raise RootDatumError(f"central_rank {c} is negative")
+    if c > MAX_CENTRAL_RANK:
+        raise RootDatumError(f"central_rank {c} exceeds the ceiling {MAX_CENTRAL_RANK}")
     n = r + c
     lattice = doc.get("lattice", "simply_connected")
     if lattice == "simply_connected":

@@ -13,13 +13,14 @@ graded Hopf algebra, so by Borel's structure theorem (Ann. Math. 57, 1953)
 those rows span pure powers x^(p^k), the leftovers, and the ring is
 k[free]/(leftovers).  A leftover u_i^q is kept as its cap (i, q), and the
 solve's products keep only the monomials below the caps found so far
-(`commalg.product`, the loop under every product of a capped `PolyRing`).
+(`commalg.Substitution`, the one memoised monomial map, and under it
+`commalg.product`, the loop under every product of a capped `PolyRing`).
 
 Polynomials here are {exponent tuple: coefficient} dicts in the variables
 of the ideal's ring.
 """
 
-from .commalg import BudgetExceeded, Polynomial, below, product
+from .commalg import BudgetExceeded, Polynomial, Substitution
 from .intlinalg import LinSpan
 
 
@@ -34,8 +35,9 @@ def triangular_solve(uring, gens, budget):
     (`commalg.below`).
 
     The degrees go up one at a time.  The images solved so far are
-    substituted into the products (_MonomialImages, one unit of budget per
-    product; BudgetExceeded), the linear parts are row-reduced, and each
+    substituted into the products (a `commalg.Substitution` that maps each
+    pivot once it is solved, one unit of budget per product;
+    BudgetExceeded), the linear parts are row-reduced, and each
     pivot is solved.  Every linear key sorts above every product key, so
     the rows whose pivot is a product span the rows without a linear part.
     By Borel's theorem they span pure powers: as many monomials as rows,
@@ -58,7 +60,10 @@ def triangular_solve(uring, gens, budget):
     one, zero = R.coerce(1), R.coerce(0)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     images = [{unit: one} for unit in units]
-    value = _MonomialImages(uring, images, budget)
+    # bit i of value.mapped is set once variable i is solved as a pivot,
+    # and bit i of value.capped once u_i has a leftover
+    value = Substitution(uring, images, R, {(0,) * n: one}, [], budget)
+    value.mapped = 0
     by_degree = {}
     for g in gens:
         # the ideal is homogeneous, so one term gives a generator's degree
@@ -75,7 +80,11 @@ def triangular_solve(uring, gens, budget):
                 if sum(m) == 1:
                     row[1, m] = c
                     continue
-                for m2, c2 in value(m).items():
+                try:
+                    terms = value(m)
+                except BudgetExceeded as e:
+                    raise BudgetExceeded(f"triangular solve: {e}") from None
+                for m2, c2 in terms.items():
                     row[0, m2] = R.add(row.get((0, m2), zero), R.mul(c, c2))
             span.add(row)
         left = [row for (linear, _), row in span.rows.items() if not linear]
@@ -105,7 +114,7 @@ def triangular_solve(uring, gens, budget):
                     image[m2] = R.add(image.get(m2, zero), R.mul(c, c2))
             i = mp.index(1)
             images[i] = {m: c for m, c in image.items() if c}
-            value.pivots |= 1 << i
+            value.mapped |= 1 << i
         layer = [i for i, w in enumerate(uring.weights) if w == D]
         later, linear = LinSpan(R), LinSpan(R)
         leads = {i for i in reversed(layer) if not later.add(images[i])}
@@ -114,54 +123,5 @@ def triangular_solve(uring, gens, budget):
             linear.add({k: c for k, c in row.items() if k[0]})
         generators += [i for i in layer
                        if i not in leads and linear.add({(1, units[i]): one})]
-    return (images, [i for i in range(n) if not value.pivots >> i & 1],
+    return (images, [i for i in range(n) if not value.mapped >> i & 1],
             value.caps, generators)
-
-
-class _MonomialImages:
-    """Called on a monomial m, its image: m itself when no solved pivot
-    divides it, else the image of its last pivot factor times the image
-    of the rest, without the terms that a leftover found so far divides.
-    Entries are memoised for one solve (an object, not a recursive closure,
-    so the memo goes with the solve's frame); each product formed costs one
-    unit of budget."""
-
-    def __init__(self, uring, images, budget):
-        self.uring, self.images, self.budget = uring, images, budget
-        self.one = uring.coeff.coerce(1)
-        self.pivots = 0         # bit i set once variable i is solved
-        self.caps = []          # (i, q) for each leftover u_i^q found
-        self.capped = 0         # bit i set once u_i has a leftover
-        self.memo, self.spent = {}, 0
-
-    def __call__(self, m):
-        mask = self.uring.support_mask(m)
-        if mask & self.capped and not below(m, self.caps):
-            return {}
-        hit = mask & self.pivots
-        if not hit:
-            return {m: self.one}
-        v = self.memo.get(m)
-        if v is None:
-            self.spent += 1
-            if self.spent > self.budget:
-                raise BudgetExceeded(
-                    f"triangular solve: product budget {self.budget} exhausted")
-            k = hit.bit_length() - 1
-            v = self.memo[m] = product(self(m[:k] + (m[k] - 1,) + m[k + 1:]),
-                                       self.images[k], self.uring.coeff, self.caps)
-        return v
-
-
-def values_at(images, point, R):
-    """The value of each polynomial of images at the point."""
-    out = []
-    for image in images:
-        total = R.coerce(0)
-        for m, c in image.items():
-            for x, k in zip(point, m):
-                for _ in range(k):
-                    c = R.mul(c, x)
-            total = R.add(total, c)
-        out.append(total)
-    return out

@@ -27,8 +27,8 @@ from liedual.centralizer import (GENERATOR_NAMES, PeelingError,
                                  monomials_of_degree, peel_unipotent,
                                  reduce_integral, standard_monomials)
 from liedual.commalg import (DEFAULT_BUDGET, BudgetExceeded, PolyRing, Polynomial,
-                             groebner_basis, hilbert_series, ideal_dimension,
-                             normal_form)
+                             Substitution, groebner_basis, hilbert_series,
+                             ideal_dimension, normal_form)
 from liedual.intlinalg import LinSpan, identity, rank, transpose
 from liedual.loop_oracle import basic_form, compare_report, omega_poincare
 from liedual.root_datum import _cartan_D, _cartan_E
@@ -363,10 +363,13 @@ def spy_on_groebner(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["groebner_basis", "normal_form", "DivisorIndex"])
+@pytest.mark.parametrize("name", ["groebner_basis", "normal_form", "DivisorIndex",
+                                  "product"])
 def test_no_module_but_commalg_names_the_division_engine(name):
     # Buchberger, and the normal form and divisor index it reduces by: the
-    # presentation and the Hopf tables truncate by the caps instead
+    # presentation and the Hopf tables truncate by the caps instead.  And
+    # the product loop: every other module multiplies through Polynomial or
+    # a commalg.Substitution
     src = Path(centralizer.__file__).parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              if path.name != "commalg.py"
@@ -498,8 +501,11 @@ def test_the_relations_read_off_the_leftovers_match_the_kernel_search(
     # the reference searches the kernel of the generator ring on the
     # presentation's own quotient, through its own product table
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
-    product = centralizer._CappedProducts([pres.images[i] for i in variables],
-                                          pres.free_ring.one())
+    table = Substitution(pres.gen_ring, [pres.images[i].terms for i in variables],
+                         pres.base, pres.free_ring.one().terms, pres.free_ring.caps)
+
+    def product(m):
+        return Polynomial(pres.free_ring, table(m))
     rels, rel_gb, hs_rel = search_relations(pres.gen_ring, product,
                                             pres.hilbert_unipotent, DEFAULT_BUDGET)
     assert rels == rel_gb == pres.relations
@@ -595,12 +601,17 @@ def test_the_point_check_catches_each_perturbed_pivot(name, ring, monkeypatch):
 
 
 def test_the_solve_spends_the_budget_on_products():
-    # SL3's one generator is linear; G2's substitutions form 8 products
-    sl3, g2 = (unipotent_ideal(load_datum(n), QQ) for n in ("SL3", "G2"))
-    assert centralizer.triangular_solve(sl3.ring, sl3.gens, 0) is not None
-    assert centralizer.triangular_solve(g2.ring, g2.gens, 8) is not None
-    with pytest.raises(BudgetExceeded, match="triangular solve"):
-        centralizer.triangular_solve(g2.ring, g2.gens, 7)
+    # SL3's one generator is linear; G2's substitutions form 8 products.  At
+    # the torsion primes the caps truncate the products as they are formed;
+    # those counts were measured at c84fa65
+    for name, ring_name, products in [("SL3", "Q", 0), ("G2", "Q", 8),
+                                      ("Spin8", "F2", 26), ("F4", "F3", 438),
+                                      ("E7sc", "F2", 5355)]:
+        ideal = unipotent_ideal(load_datum(name), ring_from_name(ring_name))
+        assert centralizer.triangular_solve(ideal.ring, ideal.gens, products) is not None
+        if products:
+            with pytest.raises(BudgetExceeded, match="triangular solve: product budget"):
+                centralizer.triangular_solve(ideal.ring, ideal.gens, products - 1)
 
 
 # sha256 of the `liedual centralizer` stdout, and the PRESENTATION_DIGESTS
@@ -999,8 +1010,7 @@ def test_truncated_dist_mod2_square_vanishes():
     ("SL3", QQ), ("Sp4", GF(5)), ("G2", GF(2)), ("G2", GF(5)), ("Spin8", GF(2))])
 def test_tensor_square_basis_is_the_union_of_the_copies(name, ring):
     pres = present_centralizer(load_datum(name), ring)
-    left, _, _ = _tensor_square(pres)
-    tensor_ring = left(()).ring
+    tensor_ring = _tensor_square(pres)[0]
     # the leftovers: u2^2 on G2/F2, u4^2 on Spin8/F2, else none
     powers = pure_powers(pres.free_ring, pres.free_ring.caps)
     assert len(powers) == (ring.characteristic == 2)
@@ -1094,8 +1104,7 @@ def test_the_tables_law_is_the_universal_law_at_the_images(name, ring_name):
     # law in 2N variables, substitutes those images and takes the normal
     # form modulo the Groebner basis of both copies' leftovers
     pres = present_centralizer(load_datum(name), ring_from_name(ring_name))
-    left, _, law = _tensor_square(pres)
-    ring = left(()).ring
+    ring, _, _, law = _tensor_square(pres)
     universal_ring, universal = group_law_coordinates(pres.coords)
     values = dict(zip(universal_ring.names,
                       [_rename_into(image, ring, copy)
@@ -1103,8 +1112,8 @@ def test_the_tables_law_is_the_universal_law_at_the_images(name, ring_name):
     gb = groebner_basis([_rename_into(g, ring, copy) for copy in (0, 1)
                          for g in pure_powers(pres.free_ring, pres.free_ring.caps)])
     variables = [rep.leading_monomial().index(1) for rep in pres.generator_reps]
-    assert law.factors == [normal_form(map_into(universal[i], ring, values), gb)
-                           for i in variables]
+    assert [Polynomial(ring, terms) for terms in law.images] == \
+        [normal_form(map_into(universal[i], ring, values), gb) for i in variables]
 
 
 def test_the_e7_tables_stay_in_two_copies_of_the_free_ring(monkeypatch):

@@ -7,7 +7,7 @@ import liedual
 from liedual import build_chevalley, centralizer, load_datum
 from liedual.cli import (EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH,
                          EXIT_PASS, MAX_TRUNCATE, _flip_one_sign, main)
-from liedual.root_datum import FiniteAbelianGroup, RootDatum
+from liedual.root_datum import MAX_CENTRAL_RANK, FiniteAbelianGroup, RootDatum
 
 
 def run(capsys, *argv):
@@ -125,6 +125,20 @@ def test_a_misspelled_datum_key_is_bad_input(command, capsys, tmp_path):
     assert code == EXIT_BAD_INPUT and out == ""
     assert err.startswith("bad input: unknown datum key 'latice'")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["datum-info", "centralizer"])
+def test_a_central_rank_above_the_ceiling_is_bad_input(command, capsys, tmp_path):
+    # the lattice is (rank + central_rank)-square: refused up front rather
+    # than built, as a huge central_rank would exhaust memory
+    datum = tmp_path / "torus.json"
+    datum.write_text(json.dumps({"cartan": [[2]], "central_rank": MAX_CENTRAL_RANK + 1}))
+    code, out, err = run(capsys, command, "--datum-file", str(datum))
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == (f"bad input: central_rank {MAX_CENTRAL_RANK + 1} exceeds the "
+                   f"ceiling {MAX_CENTRAL_RANK}\n")
+    datum.write_text(json.dumps({"cartan": [[2]], "central_rank": MAX_CENTRAL_RANK}))
+    assert run(capsys, command, "--datum-file", str(datum))[0] == EXIT_PASS
 
 
 def test_datum_file_that_is_a_directory_is_bad_input(capsys, tmp_path):

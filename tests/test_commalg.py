@@ -14,7 +14,7 @@ from liedual import (GF, QQ, ZZ, BorelCoordinates, BudgetExceeded,
                      normal_form, parse_polynomial, principal_e,
                      ring_from_name, smith_normal_form)
 from liedual.centralizer import peel_unipotent, present_centralizer
-from liedual.commalg import (DivisorIndex, Polynomial, below,
+from liedual.commalg import (DivisorIndex, Polynomial, Substitution, below,
                              _divide_one_minus_t_power, _minimal_monomials,
                              _mono_divides, _mono_lcm, _mono_quot,
                              _monomial_ideal_numerator, reduce_basis,
@@ -753,3 +753,60 @@ def test_the_peel_stays_in_the_capped_target_ring():
                  for u in full]
     assert [u.terms for u in capped] == truncated
     assert truncated != [u.terms for u in full]
+
+
+# Q[x, y, z], and the map x -> y + z into it
+XYZ = PolyRing(QQ, ("x", "y", "z"))
+Y_PLUS_Z = {(0, 1, 0): 1, (0, 0, 1): 1}
+
+
+def substitute_x(caps=(), budget=None):
+    """x -> y + z, with y and z left unmapped, as the triangular solve maps a
+    solved pivot and leaves the free variables."""
+    sub = Substitution(XYZ, [Y_PLUS_Z, None, None], QQ, {(0, 0, 0): 1}, caps, budget)
+    sub.mapped = 0b001
+    return sub
+
+
+def test_a_substitution_maps_an_unmapped_variable_to_itself():
+    sub = substitute_x()
+    assert sub((0, 2, 1)) == {(0, 2, 1): 1}
+    assert sub((1, 1, 0)) == {(0, 2, 0): 1, (0, 1, 1): 1}
+
+
+def test_a_cap_on_an_unmapped_variable_makes_the_monomial_zero():
+    sub = substitute_x(caps=[(1, 2)])
+    sub.capped = 0b010
+    assert sub((0, 2, 0)) == {} and sub((1, 2, 0)) == {}
+    assert sub((0, 1, 1)) == {(0, 1, 1): 1}
+
+
+def test_a_substitution_truncates_its_products_by_the_caps():
+    # (y + z)^2 = y^2 + 2yz + z^2, of which y^2 lies on the cap y^2
+    assert substitute_x()((2, 0, 0)) == {(0, 2, 0): 1, (0, 1, 1): 2, (0, 0, 2): 1}
+    assert substitute_x(caps=[(1, 2)])((2, 0, 0)) == {(0, 1, 1): 2, (0, 0, 2): 1}
+
+
+def test_a_substitution_into_the_field_maps_the_empty_monomial_to_unit():
+    # the point check's map: x -> 2, y -> 3 and a capped z -> 0
+    unit = {(): 1}
+    at = Substitution(XYZ, [{(): 2}, {(): 3}, {}], QQ, unit)
+    assert at((0, 0, 0)) is unit
+    assert at((2, 1, 0)) == {(): 12}
+    assert at((1, 0, 1)) == {}
+
+
+def test_a_repeated_call_forms_no_product():
+    sub = substitute_x()
+    first = sub((3, 1, 0))
+    spent = sub.spent
+    assert spent == 3
+    # (2, 1, 0) was formed on the way to (3, 1, 0)
+    assert sub((3, 1, 0)) is first and sub((2, 1, 0)) and sub.spent == spent
+
+
+def test_a_substitution_exceeds_its_budget_exactly_past_its_bound():
+    # x^3 is built from x^2, x and the unit: three products
+    assert substitute_x(budget=3)((3, 0, 0))
+    with pytest.raises(BudgetExceeded, match="product budget 2 exhausted"):
+        substitute_x(budget=2)((3, 0, 0))
